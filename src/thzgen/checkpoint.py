@@ -9,6 +9,7 @@ All integers and floats little-endian.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -54,14 +55,35 @@ def _write_record(f, name: str, array: np.ndarray) -> None:
     np.ascontiguousarray(array, dtype="<f4").tofile(f)
 
 
-def _read_record(f):
-    (name_len,) = struct.unpack("<I", f.read(4))
-    name = f.read(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<I", f.read(4))
-    shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.fromfile(f, dtype="<f4", count=count).astype(float).reshape(shape)
-    return name, data
+class _Layout:
+    """Bounds-checked cursor over the bytes of a checkpoint file."""
+
+    def __init__(self, path, buf: bytes):
+        self.path = path
+        self.buf = buf
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.buf):
+            raise ValueError(
+                f"checkpoint {self.path} is truncated: its layout needs at least "
+                f"{end} bytes, the file has {len(self.buf)}"
+            )
+        chunk = self.buf[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def record(self):
+        """(name, shape, raw little-endian f32 bytes) of the next record."""
+        (name_len,) = self.unpack("<I")
+        name = self.take(name_len).decode("utf-8")
+        (rank,) = self.unpack("<I")
+        shape = self.unpack(f"<{rank}Q")
+        return name, shape, self.take(4 * math.prod(shape))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -89,17 +111,33 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise ValueError("not a checkpoint file: bad magic")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (blob_len,) = struct.unpack("<I", f.read(4))
-        meta_json = json.loads(f.read(blob_len).decode("utf-8"))
-        (n_records,) = struct.unpack("<I", f.read(4))
-        records = dict(_read_record(f) for _ in range(n_records))
+    """Read a checkpoint; a file shorter or longer than its layout is fatal.
 
+    The whole record layout is walked and checked against the file length
+    before any metadata or tensor is decoded.
+    """
+    with open(path, "rb") as f:
+        layout = _Layout(path, f.read())
+    if layout.take(4) != MAGIC:
+        raise ValueError("not a checkpoint file: bad magic")
+    (version,) = layout.unpack("<I")
+    if version != VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    (blob_len,) = layout.unpack("<I")
+    blob = layout.take(blob_len)
+    (n_records,) = layout.unpack("<I")
+    raw = [layout.record() for _ in range(n_records)]
+    if layout.pos != len(layout.buf):
+        raise ValueError(
+            f"checkpoint {path} has {len(layout.buf)} bytes, but its layout "
+            f"ends at {layout.pos}: {len(layout.buf) - layout.pos} trailing bytes"
+        )
+
+    meta_json = json.loads(blob.decode("utf-8"))
+    records = {
+        name: np.frombuffer(data, dtype="<f4").astype(float).reshape(shape)
+        for name, shape, data in raw
+    }
     config = DitConfig(**meta_json["config"])
     meta_dict = meta_json["meta"]
     meta_dict["tx_origin"] = tuple(meta_dict.get("tx_origin", (0.0, 0.0, 0.0)))

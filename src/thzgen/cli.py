@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ from .dataset import (
 )
 from .diffusion import DiffusionSchedule, euler_sample
 from .dit import DitConfig
-from .evaluation import angular_power, compare_power, nmse, ssim_cdf, ssim_complex
+from .evaluation import SsimCdf, angular_power, compare_power, nmse, ssim_complex
 from .geometry import ArrayGeometry, condition_vector
 from .paths import GscmConfig
 from .dataset import SamplingRegion
@@ -274,9 +275,17 @@ def cmd_sample(args) -> int:
     position = tuple(float(v) for v in args.pos.split(","))
     if len(position) != 3:
         raise ValueError(f"--pos expects x,y,z, got {args.pos!r}")
-    dataset = sample_channels(ckpt, position, args.num, args.seed)
+    schedule = DiffusionSchedule()
+    start = time.perf_counter()
+    dataset = sample_channels(ckpt, position, args.num, args.seed, schedule)
+    elapsed_ms = 1e3 * (time.perf_counter() - start)
     write_dataset(args.out, dataset)
     _print_header("generated", dataset.header)
+    nfe = schedule.n_steps  # one denoiser call per Euler step
+    print(
+        f"sampler: {nfe} denoiser calls (NFE) at batch {args.num}, "
+        f"{elapsed_ms / nfe:.1f} ms per call"
+    )
     return 0
 
 
@@ -314,10 +323,8 @@ def cmd_eval(args) -> int:
 
     rows: list[tuple] = []
     if "ssim" in metrics:
-        result = ssim_cdf([(gen_mats[i], ref_mats[j]) for i, j in pairs])
-        per_pair = [
-            ssim_complex(gen_mats[i], ref_mats[j]) for i, j in pairs
-        ]
+        per_pair = [ssim_complex(gen_mats[i], ref_mats[j]) for i, j in pairs]
+        result = SsimCdf.from_values(per_pair)
         for idx, value in enumerate(per_pair):
             rows.append(("ssim", "pair", idx, value))
         rows.append(("ssim", "mean", "", result.mean))

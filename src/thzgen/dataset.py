@@ -1,6 +1,7 @@
 """Dataset construction, normalization, position-disjoint splitting, and file IO."""
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -242,17 +243,31 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
+    """Read a dataset file; a length other than the header declares is fatal."""
+    header_size = struct.calcsize(_HEADER_FMT)
     with open(path, "rb") as f:
-        raw = f.read(struct.calcsize(_HEADER_FMT))
+        size = os.fstat(f.fileno()).st_size
+        if size < header_size:
+            raise ValueError(
+                f"dataset {path} is truncated: the header needs {header_size} "
+                f"bytes, the file has {size}"
+            )
         magic, version, n_rx, n_tx, k_rx, k_tx, cond_dim, count, scalar, seed = (
-            struct.unpack(_HEADER_FMT, raw)
+            struct.unpack(_HEADER_FMT, f.read(header_size))
         )
         if magic != MAGIC:
             raise ValueError(f"not a dataset file: bad magic {magic!r}")
         if version != VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        record = np.fromfile(f, dtype="<f4").reshape(
-            count, cond_dim + 2 * n_rx * n_tx
+        record_len = cond_dim + 2 * n_rx * n_tx
+        expected = header_size + 4 * count * record_len
+        if size != expected:
+            raise ValueError(
+                f"dataset {path} has {size} bytes, but its header declares "
+                f"{count} records of {4 * record_len} bytes, {expected} bytes in all"
+            )
+        record = np.fromfile(f, dtype="<f4", count=count * record_len).reshape(
+            count, record_len
         )
     header = DatasetHeader(
         n_rx=n_rx,

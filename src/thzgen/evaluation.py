@@ -93,15 +93,19 @@ class SsimCdf:
     cdf: np.ndarray  # empirical ordinates in (0, 1]
     mean: float
 
+    @classmethod
+    def from_values(cls, values) -> "SsimCdf":
+        """Empirical CDF of already computed per-pair SSIM values."""
+        if len(values) == 0:
+            raise ValueError("no pairs to evaluate")
+        values = np.sort(np.asarray(values, dtype=float))
+        cdf = np.arange(1, len(values) + 1) / len(values)
+        return cls(values=values, cdf=cdf, mean=float(values.mean()))
+
 
 def ssim_cdf(pairs, params: SsimParams = SsimParams(), mode: str = "magnitude") -> SsimCdf:
     """Empirical CDF of per-pair SSIM values over (generated, reference) pairs."""
-    values = [ssim_complex(gen, ref, params, mode) for gen, ref in pairs]
-    if not values:
-        raise ValueError("no pairs to evaluate")
-    values = np.sort(np.asarray(values))
-    cdf = np.arange(1, len(values) + 1) / len(values)
-    return SsimCdf(values=values, cdf=cdf, mean=float(values.mean()))
+    return SsimCdf.from_values([ssim_complex(gen, ref, params, mode) for gen, ref in pairs])
 
 
 @dataclass

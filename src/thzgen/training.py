@@ -82,7 +82,7 @@ def evaluate_loss(
         end = min(start + chunk, n)
         h0 = dataset.tensors[start:end]
         h_t = h0 + sigmas[start:end, None, None, None] * noise[start:end]
-        out, _ = model.forward(h_t, sigmas[start:end], dataset.conditions[start:end])
+        out = model.denoise(h_t, sigmas[start:end], dataset.conditions[start:end])
         total += float(np.sum((out - h0) ** 2) / h0[0].size)
     return total / n
 

@@ -10,6 +10,7 @@ from thzgen.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from thzgen.cli import main
 from thzgen.dit import DitConfig, init_params
 
 CONFIG = DitConfig(n_rx=8, n_tx=16, patch_size=4, embed_dim=16, depth=1, n_heads=2,
@@ -91,6 +92,49 @@ def test_rejects_unknown_version(tmp_path):
     path.write_bytes(b"THZW" + struct.pack("<I", 99) + b"\0" * 8)
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
+
+
+def corrupt(raw: bytes, case: str) -> bytes:
+    """A checkpoint file's bytes with one kind of length damage."""
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    return {
+        "short_header": raw[:6],
+        "truncated_metadata": raw[: 12 + blob_len // 2],
+        "truncated_record": raw[:-2],  # inside the last record's data
+        "trailing_bytes": raw + b"\0" * 7,
+    }[case]
+
+
+CASES = ["short_header", "truncated_metadata", "truncated_record", "trailing_bytes"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_rejects_wrong_length(tmp_path, case):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, random_checkpoint())
+    raw = path.read_bytes()
+    data = corrupt(raw, case)
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    msg = str(info.value)
+    assert str(path) in msg and f"{len(data)}" in msg
+    if case == "trailing_bytes":
+        assert f"ends at {len(raw)}" in msg
+    if case == "truncated_record":
+        assert f"at least {len(raw)} bytes" in msg
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_reports_wrong_length(tmp_path, case, capsys):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, random_checkpoint())
+    path.write_bytes(corrupt(path.read_bytes(), case))
+    argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
+            "--out", str(tmp_path / "gen.bin")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_rejects_missing_tensor(tmp_path):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from thzgen import cli
 from thzgen.checkpoint import load_checkpoint
 from thzgen.cli import main
 from thzgen.dataset import read_dataset
@@ -159,6 +160,16 @@ def test_sample_deterministic_and_seed_sensitive(workdir, tmp_path):
     assert (tmp_path / "a.bin").read_bytes() != (tmp_path / "c.bin").read_bytes()
 
 
+def test_sample_reports_nfe(workdir, tmp_path, capsys):
+    args = ["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", "6.0,1.0,0.0",
+            "--num", "2", "--seed", "1", "--out", str(tmp_path / "gen.bin")]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "generated: 2 samples" in out
+    assert "sampler: 100 denoiser calls (NFE) at batch 2, " in out
+    assert " ms per call" in out
+
+
 def test_sample_rejects_malformed_position(workdir, tmp_path, capsys):
     assert (
         main(
@@ -195,6 +206,29 @@ def test_eval_self_comparison(workdir, tmp_path):
     n_test = len(read_dataset(workdir / "data.test"))
     assert sum(r["section"] == "ssim" and r["key"] == "pair" for r in rows) == n_test
     assert sum(r["section"] == "angular" and r["key"] == "gen_tx" for r in rows) == 16
+
+
+def test_eval_scores_each_pair_once(workdir, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    original = cli.ssim_complex
+    monkeypatch.setattr(cli, "ssim_complex", counted)
+    out = tmp_path / "ssim.csv"
+    assert main(["eval", "--gen", str(workdir / "data.test"), "--ref",
+                 str(workdir / "data.train"), "--metrics", "ssim",
+                 "--out-csv", str(out)]) == 0
+    rows = read_rows(out)
+    pairs = sum(r["key"] == "pair" for r in rows)
+    assert pairs == len(read_dataset(workdir / "data.test"))
+    assert len(calls) == pairs
+    # The CDF section is the sorted per-pair column.
+    per_pair = sorted(float(r["value"]) for r in rows if r["key"] == "pair")
+    cdf = [float(r["value"]) for r in rows if r["section"] == "ssim_cdf" and r["key"] == "value"]
+    assert cdf == per_pair
 
 
 def test_eval_metric_subset(workdir, tmp_path):

@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
+from thzgen.cli import main
 from thzgen.dataset import (
+    _HEADER_FMT,
     Dataset,
     DatasetHeader,
     SamplingRegion,
@@ -145,6 +149,57 @@ def test_read_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 60)
     with pytest.raises(ValueError, match="magic"):
         read_dataset(path)
+
+
+HEADER_BYTES = struct.calcsize(_HEADER_FMT)
+RECORD_BYTES = 4 * (8 + 2 * 8 * 16)  # condition + real/imag 8x16 tensor, f32
+
+
+def corrupt(raw: bytes, case: str) -> bytes:
+    """A dataset file's bytes with one kind of length damage."""
+    return {
+        "short_header": raw[: HEADER_BYTES - 3],
+        "truncated_body": raw[: HEADER_BYTES + RECORD_BYTES],
+        "truncated_record": raw[:-5],
+        "trailing_bytes": raw + b"\0" * 7,
+    }[case]
+
+
+CASES = ["short_header", "truncated_body", "truncated_record", "trailing_bytes"]
+
+
+@pytest.fixture(scope="module")
+def dataset_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ds") / "ok.bin"
+    write_dataset(path, normalize(small_dataset(3, seed=2))[0])
+    raw = path.read_bytes()
+    assert len(raw) == HEADER_BYTES + 3 * RECORD_BYTES
+    return raw
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_read_rejects_wrong_length(tmp_path, dataset_bytes, case):
+    path = tmp_path / f"{case}.bin"
+    data = corrupt(dataset_bytes, case)
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        read_dataset(path)
+    msg = str(info.value)
+    assert str(path) in msg
+    assert str(len(data)) in msg
+    expected = HEADER_BYTES if case == "short_header" else len(dataset_bytes)
+    assert str(expected) in msg
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_reports_wrong_length(tmp_path, dataset_bytes, case, capsys):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    good.write_bytes(dataset_bytes)
+    bad.write_bytes(corrupt(dataset_bytes, case))
+    argv = ["eval", "--gen", str(bad), "--ref", str(good), "--out-csv", str(tmp_path / "m.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
 
 
 def test_header_validation():

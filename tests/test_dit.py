@@ -1,16 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from thzgen.dataset import Dataset, DatasetHeader
 from thzgen.dit import (
+    ROWS,
     DitConfig,
     DitDenoiser,
     adaln,
+    dgelu,
+    gelu,
     init_params,
     layer_norm,
     patchify,
     positional_table,
     unpatchify,
 )
+from thzgen.errors import NumericError
+from thzgen.training import evaluate_loss
 
 
 def small_config(**overrides):
@@ -264,3 +273,103 @@ def test_zero_loss_gives_zero_gradients():
     assert loss == 0.0
     for name, g in grads.items():
         np.testing.assert_array_equal(g, 0.0, err_msg=name)
+
+
+# -- GELU -------------------------------------------------------------------
+
+def test_gelu_returns_the_erf_factor_dgelu_reuses():
+    x = np.random.default_rng(15).normal(0.0, 3.0, size=(4, 5, 16))
+    act, e = gelu(x)
+    np.testing.assert_array_equal(act, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+    np.testing.assert_array_equal(e, 1.0 + erf(x / np.sqrt(2.0)))
+    np.testing.assert_array_equal(
+        dgelu(x, e),
+        0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        + x * np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi),
+    )
+    step = 1e-6
+    fd = (gelu(x + step)[0] - gelu(x - step)[0]) / (2 * step)
+    np.testing.assert_allclose(dgelu(x, e), fd, atol=1e-8)
+
+
+# -- cache-free inference ---------------------------------------------------
+
+def slice_samples(cfg):
+    """Samples per denoise slice, as DitDenoiser.denoise sizes it."""
+    return max(2, ROWS // cfg.n_tokens)
+
+
+@pytest.mark.parametrize("patch_size", [2, 4])
+def test_denoise_and_evaluate_equal_forward_exactly(patch_size):
+    cfg = small_config(patch_size=patch_size, depth=2)
+    den = randomized_denoiser(cfg, seed=4)
+    s = slice_samples(cfg)
+    rng = np.random.default_rng(16)
+    for b in (1, s - 1, s, s + 1, 3 * s + 5):
+        h = rng.normal(size=(b, 2, cfg.n_rx, cfg.n_tx))
+        cond = rng.normal(size=(b, cfg.condition_dim))
+        sigma = np.exp(rng.uniform(-4.0, 2.0, size=b))
+        ref, _ = den.forward(h, sigma, cond)
+        np.testing.assert_array_equal(den.denoise(h, sigma, cond), ref, err_msg=str(b))
+        np.testing.assert_array_equal(den.evaluate(h, sigma, cond), ref, err_msg=str(b))
+        # Scalar sigma and one condition vector shared by the whole batch.
+        ref, _ = den.forward(h, np.full(b, 0.8), np.tile(cond[0], (b, 1)))
+        np.testing.assert_array_equal(den.evaluate(h, 0.8, cond[0]), ref, err_msg=str(b))
+    np.testing.assert_array_equal(den.evaluate(h[0], 0.8, cond[0]), ref[0])
+
+
+def test_evaluate_loss_matches_forward_reference():
+    cfg = small_config(patch_size=2)
+    den = randomized_denoiser(cfg, seed=5)
+    rng = np.random.default_rng(17)
+    n = 70  # one full chunk of 64 and a short one
+    header = DatasetHeader(n_rx=cfg.n_rx, n_tx=cfg.n_tx, k_rx=1, k_tx=1, sample_count=n)
+    ds = Dataset(header=header, conditions=rng.normal(size=(n, 8)),
+                 tensors=rng.normal(size=(n, 2, cfg.n_rx, cfg.n_tx)))
+    sigmas = np.exp(rng.uniform(-4.0, 2.0, size=n))
+    noise = rng.normal(size=ds.tensors.shape)
+    total = 0.0
+    for start in range(0, n, 64):
+        sl = slice(start, start + 64)
+        h0 = ds.tensors[sl]
+        out, _ = den.forward(h0 + sigmas[sl, None, None, None] * noise[sl],
+                             sigmas[sl], ds.conditions[sl])
+        total += float(np.sum((out - h0) ** 2) / h0[0].size)
+    assert evaluate_loss(den, ds, sigmas, noise) == total / n
+
+
+def test_non_finite_output_names_samples_and_sigma():
+    cfg = small_config(patch_size=2)
+    den = randomized_denoiser(cfg, seed=6)
+    s = slice_samples(cfg)
+    rng = np.random.default_rng(18)
+    b = 3 * s
+    h = rng.normal(size=(b, 2, cfg.n_rx, cfg.n_tx))
+    h[s + 2] = np.inf
+    sigma = np.linspace(0.5, 2.0, b)
+    cond = rng.normal(size=(b, cfg.condition_dim))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError) as info:
+            den.denoise(h, sigma, cond)
+        with pytest.raises(NumericError, match=f"samples 0-{b - 1}"):
+            den.forward(h, sigma, cond)
+    msg = str(info.value)
+    assert f"samples {s}-{2 * s - 1}" in msg
+    assert f"sigma {sigma[s]:g} to {sigma[2 * s - 1]:g}" in msg
+
+
+def test_evaluate_peak_memory_is_bounded_by_slices():
+    # The toy sampling config: 32 tokens, so 8 samples per slice.  Without
+    # slicing, one B=512 call holds every block's activations (~800 MB).
+    cfg = DitConfig(n_rx=8, n_tx=16, patch_size=2, embed_dim=64, depth=4, n_heads=4)
+    den = randomized_denoiser(cfg, seed=7)
+    rng = np.random.default_rng(19)
+    h = rng.normal(size=(512, 2, cfg.n_rx, cfg.n_tx))
+    cond = rng.normal(size=cfg.condition_dim)
+    tracemalloc.start()
+    try:
+        den.evaluate(h, 3.0, cond)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 64.0
