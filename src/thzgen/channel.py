@@ -5,9 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import swm_accumulate
 from .errors import DegenerateGeometryError
-from .geometry import ArrayGeometry, direction_angles, unit_direction
+from .geometry import ArrayGeometry, unit_direction
 from .paths import Path, PathSet
 
 SPATIAL = "spatial"
@@ -69,65 +68,96 @@ def steering_vector(
     return np.exp(1j * phase) / np.sqrt(n)
 
 
+def _unit_rows(angles) -> np.ndarray:
+    """(L, 3) unit vectors of L (azimuth, elevation) pairs, as unit_direction."""
+    azimuth, elevation = np.asarray(angles, dtype=float).T
+    return np.moveaxis(unit_direction(azimuth, elevation), 0, -1)
+
+
+def _round_trip_rows(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Unit vectors along ``delta`` (..., 3) of length ``dist`` (...).
+
+    They pass through the same (azimuth, elevation) pair that
+    direction_angles takes and unit_direction turns back into a vector, so a
+    batch of them matches the per-path helpers.
+    """
+    azimuth = np.arctan2(delta[..., 1], delta[..., 0])
+    elevation = np.arcsin(np.clip(delta[..., 2] / dist, -1.0, 1.0))
+    return np.moveaxis(unit_direction(azimuth, elevation), 0, -1)
+
+
+def _conj_responses(subscripts: str, offsets, directions, wavelength: float):
+    """Conjugated steering vectors for a batch of directions at once.
+
+    ``subscripts`` is the einsum that contracts element offsets (..., n, 3)
+    with unit directions (..., 3) into the projections <r_k, u>; each
+    response is conj(steering_vector) = exp(+j * 2*pi/lambda * <r_k, u>) / sqrt(n).
+    """
+    projection = np.einsum(subscripts, offsets, directions)
+    return np.exp(1j * (2.0 * np.pi / wavelength) * projection) / np.sqrt(offsets.shape[-2])
+
+
 def pwm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
-    """Far-field planar-wave channel: sum of rank-one outer products."""
+    """Far-field planar-wave channel: one product of the stacked path responses.
+
+    Element phases advance toward the path on both sides (matching the
+    exact spherical model's exp(-jk*distance) under linearization), so both
+    response vectors enter conjugated: h = (conj(A_r) * alpha) @ conj(A_t)^T.
+    """
     if len(paths) == 0:
         raise ValueError("PathSet is empty")
-    h = np.zeros((geometry.n_rx, geometry.n_tx), dtype=np.complex128)
-    for path in paths:
-        alpha = path.gain_magnitude * np.exp(-1j * path.global_phase)
-        a_r = steering_vector(geometry, "rx", "full", *path.aoa)
-        a_t = steering_vector(geometry, "tx", "full", *path.aod)
-        # Element phases advance toward the path on both sides (matching the
-        # exact spherical model's exp(-jk*distance) under linearization), so
-        # both response vectors enter conjugated.
-        h += alpha * np.outer(a_r.conj(), a_t.conj())
+    lam = geometry.wavelength
+    alpha = np.array([p.gain_magnitude * np.exp(-1j * p.global_phase) for p in paths])
+    a_r = _conj_responses(
+        "ni,li->nl", geometry.element_positions_rx - geometry.rx_origin,
+        _unit_rows([p.aoa for p in paths]), lam,
+    )
+    a_t = _conj_responses(
+        "ni,li->nl", geometry.element_positions_tx - geometry.tx_origin,
+        _unit_rows([p.aod for p in paths]), lam,
+    )
+    h = (a_r * alpha) @ a_t.T
     return ChannelMatrix(entries=h, domain_tag=SPATIAL, geometry=geometry)
-
-
-def _path_arrays(paths: PathSet):
-    """Stack PathSet fields into the flat arrays the SWM kernel consumes."""
-    n = len(paths)
-    scat = np.zeros((n, 3))
-    has_scat = np.zeros(n, dtype=np.uint8)
-    refl = np.empty(n)
-    for i, path in enumerate(paths):
-        if path.scatterer_position is not None:
-            scat[i] = path.scatterer_position
-            has_scat[i] = 1
-        elif not path.is_los:
-            raise ValueError(
-                f"path {i} is not line-of-sight and carries no scatterer position"
-            )
-        refl[i] = 1.0 if path.reflection_gain is None else path.reflection_gain
-    return scat, has_scat, refl
 
 
 def swm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
-    """Exact spherical-wave channel with per-antenna-pair distances."""
-    scat, has_scat, refl = _path_arrays(paths)
-    tx_pos = np.ascontiguousarray(geometry.element_positions_tx)
-    rx_pos = np.ascontiguousarray(geometry.element_positions_rx)
-    _check_segments(tx_pos, rx_pos, scat, has_scat)
-    h = swm_accumulate(tx_pos, rx_pos, scat, has_scat, refl, geometry.wavelength)
-    return ChannelMatrix(entries=h, domain_tag=SPATIAL, geometry=geometry)
+    """Exact spherical-wave channel with per-antenna-pair distances.
 
-
-def _check_segments(tx_pos, rx_pos, scat, has_scat):
-    for i in range(scat.shape[0]):
-        if has_scat[i]:
-            d_tx = np.linalg.norm(tx_pos - scat[i], axis=1).min()
-            d_rx = np.linalg.norm(rx_pos - scat[i], axis=1).min()
-            if min(d_tx, d_rx) < _MIN_SEGMENT:
+    Scattered paths use the two-segment free-space amplitude product,
+    line-of-sight paths a single segment, and ``reflection_gain`` multiplies
+    each path.  Each path's distances are checked against ``_MIN_SEGMENT``
+    before they are used.
+    """
+    tx_pos = geometry.element_positions_tx
+    rx_pos = geometry.element_positions_rx
+    lam = geometry.wavelength
+    k = 2.0 * np.pi / lam
+    coef = lam / (4.0 * np.pi)
+    h = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=np.complex128)
+    for l, path in enumerate(paths):
+        refl = 1.0 if path.reflection_gain is None else path.reflection_gain
+        if path.scatterer_position is not None:
+            s = path.scatterer_position
+            d1 = np.linalg.norm(tx_pos - s, axis=1)  # (n_tx,)
+            d2 = np.linalg.norm(rx_pos - s, axis=1)  # (n_rx,)
+            if min(d1.min(), d2.min()) < _MIN_SEGMENT:
                 raise DegenerateGeometryError(
-                    f"scatterer {i} coincides with an antenna element"
+                    f"scatterer {l} coincides with an antenna element"
                 )
-        else:
-            d = np.linalg.norm(
-                rx_pos[:, None, :] - tx_pos[None, :, :], axis=2
-            ).min()
-            if d < _MIN_SEGMENT:
+            amp = refl * (coef / d1)[None, :] * (coef / d2)[:, None]
+            dist = d1[None, :] + d2[:, None]
+        elif path.is_los:
+            diff = rx_pos[:, None, :] - tx_pos[None, :, :]
+            dist = np.linalg.norm(diff, axis=2)
+            if dist.min() < _MIN_SEGMENT:
                 raise DegenerateGeometryError("tx and rx elements coincide")
+            amp = refl * coef / dist
+        else:
+            raise ValueError(
+                f"path {l} is not line-of-sight and carries no scatterer position"
+            )
+        h += amp * np.exp(-1j * k * dist)
+    return ChannelMatrix(entries=h, domain_tag=SPATIAL, geometry=geometry)
 
 
 def hpsm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
@@ -137,62 +167,79 @@ def hpsm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
     subarray-center geometry for paths that carry a scatterer position (or
     are line-of-sight); synthetic planar paths fall back to their stored
     full-array parameters with a center-offset phase correction.
+
+    Every (Rx subarray a, Tx subarray b, path l) triple gets a complex
+    amplitude alpha[a, b, l] and a pair of directions, and the blocks are
+    h[a, :, b, :] = sum_l alpha[a, b, l] * conj(a_r[a, b, l]) conj(a_t[a, b, l])^T.
     """
-    if len(paths) == 0:
+    paths = list(paths)
+    if not paths:
         raise ValueError("PathSet is empty")
     lam = geometry.wavelength
     k_wave = 2.0 * np.pi / lam
+    k_r, k_t = geometry.k_rx, geometry.k_tx
     n_sub_r, n_sub_t = geometry.n_rx_sub, geometry.n_tx_sub
     sub_scale = np.sqrt(n_sub_r * n_sub_t)
     full_scale = np.sqrt(geometry.n_rx * geometry.n_tx)
     coef = lam / (4.0 * np.pi)
+    c_r = geometry.subarray_centers_rx  # (k_r, 3)
+    c_t = geometry.subarray_centers_tx  # (k_t, 3)
 
-    h = np.zeros((geometry.n_rx, geometry.n_tx), dtype=np.complex128)
-    for kr in range(geometry.k_rx):
-        c_kr = geometry.subarray_centers_rx[kr]
-        for kt in range(geometry.k_tx):
-            c_kt = geometry.subarray_centers_tx[kt]
-            block = np.zeros((n_sub_r, n_sub_t), dtype=np.complex128)
-            for path in paths:
-                refl = 1.0 if path.reflection_gain is None else path.reflection_gain
-                if path.scatterer_position is not None:
-                    s = path.scatterer_position
-                    d1 = float(np.linalg.norm(s - c_kt))
-                    d2 = float(np.linalg.norm(c_kr - s))
-                    if min(d1, d2) < _MIN_SEGMENT:
-                        raise DegenerateGeometryError(
-                            "scatterer coincides with a subarray center"
-                        )
-                    gain = sub_scale * refl * (coef / d1) * (coef / d2)
-                    phase = k_wave * (d1 + d2)
-                    aod = direction_angles(c_kt, s)
-                    aoa = direction_angles(c_kr, s)
-                elif path.is_los:
-                    d = float(np.linalg.norm(c_kr - c_kt))
-                    if d < _MIN_SEGMENT:
-                        raise DegenerateGeometryError("subarray centers coincide")
-                    gain = sub_scale * refl * coef / d
-                    phase = k_wave * d
-                    aod = direction_angles(c_kt, c_kr)
-                    aoa = direction_angles(c_kr, c_kt)
-                else:
-                    # Planar path: stored angles everywhere, phase advanced to
-                    # the subarray centers.
-                    u_t = unit_direction(*path.aod)
-                    u_r = unit_direction(*path.aoa)
-                    gain = path.gain_magnitude * sub_scale / full_scale
-                    phase = (
-                        path.global_phase
-                        - k_wave * float((c_kr - geometry.rx_origin) @ u_r)
-                        - k_wave * float((c_kt - geometry.tx_origin) @ u_t)
-                    )
-                    aod = path.aod
-                    aoa = path.aoa
-                a_r = steering_vector(geometry, "rx", kr, *aoa)
-                a_t = steering_vector(geometry, "tx", kt, *aod)
-                block += gain * np.exp(-1j * phase) * np.outer(a_r.conj(), a_t.conj())
-            h[
-                kr * n_sub_r : (kr + 1) * n_sub_r,
-                kt * n_sub_t : (kt + 1) * n_sub_t,
-            ] = block
-    return ChannelMatrix(entries=h, domain_tag=SPATIAL, geometry=geometry)
+    scattered = [l for l, p in enumerate(paths) if p.scatterer_position is not None]
+    los = [l for l, p in enumerate(paths) if p.scatterer_position is None and p.is_los]
+    planar = [
+        l for l, p in enumerate(paths) if p.scatterer_position is None and not p.is_los
+    ]
+    refl = np.array(
+        [1.0 if p.reflection_gain is None else p.reflection_gain for p in paths]
+    )
+
+    shape = (k_r, k_t, len(paths))
+    alpha = np.empty(shape, dtype=np.complex128)
+    u_r = np.empty(shape + (3,))
+    u_t = np.empty(shape + (3,))
+
+    if scattered:
+        s = np.array([paths[l].scatterer_position for l in scattered])  # (S, 3)
+        to_t = s[None, None] - c_t[None, :, None]  # (1, k_t, S, 3)
+        to_r = s[None, None] - c_r[:, None, None]  # (k_r, 1, S, 3)
+        d1 = np.linalg.norm(to_t, axis=-1)
+        d2 = np.linalg.norm(to_r, axis=-1)
+        if min(d1.min(), d2.min()) < _MIN_SEGMENT:
+            raise DegenerateGeometryError("scatterer coincides with a subarray center")
+        gain = sub_scale * refl[scattered] * (coef / d1) * (coef / d2)
+        alpha[..., scattered] = gain * np.exp(-1j * (k_wave * (d1 + d2)))
+        u_t[:, :, scattered] = _round_trip_rows(to_t, d1)
+        u_r[:, :, scattered] = _round_trip_rows(to_r, d2)
+    if los:
+        delta = c_r[:, None] - c_t[None, :]  # (k_r, k_t, 3)
+        d = np.linalg.norm(delta, axis=-1)
+        if d.min() < _MIN_SEGMENT:
+            raise DegenerateGeometryError("subarray centers coincide")
+        gain = sub_scale * refl[los] * coef / d[..., None]
+        alpha[..., los] = gain * np.exp(-1j * (k_wave * d[..., None]))
+        u_t[:, :, los] = _round_trip_rows(delta, d)[:, :, None]
+        u_r[:, :, los] = _round_trip_rows(-delta, d)[:, :, None]
+    if planar:
+        # Planar paths: stored angles everywhere, phase advanced to the
+        # subarray centers.
+        p_r = _unit_rows([paths[l].aoa for l in planar])  # (P, 3)
+        p_t = _unit_rows([paths[l].aod for l in planar])
+        gain = np.array([paths[l].gain_magnitude for l in planar]) * sub_scale / full_scale
+        phase = (
+            np.array([paths[l].global_phase for l in planar])
+            - k_wave * ((c_r - geometry.rx_origin) @ p_r.T)[:, None, :]
+            - k_wave * ((c_t - geometry.tx_origin) @ p_t.T)[None, :, :]
+        )
+        alpha[..., planar] = gain * np.exp(-1j * phase)
+        u_r[:, :, planar] = p_r
+        u_t[:, :, planar] = p_t
+
+    off_r = geometry.element_positions_rx.reshape(k_r, n_sub_r, 3) - c_r[:, None]
+    off_t = geometry.element_positions_tx.reshape(k_t, n_sub_t, 3) - c_t[:, None]
+    a_r = _conj_responses("ani,abli->abln", off_r, u_r, lam)  # (k_r, k_t, L, n_sub_r)
+    a_t = _conj_responses("bni,abli->abln", off_t, u_t, lam)  # (k_r, k_t, L, n_sub_t)
+    h = np.einsum("abl,abli,ablj->aibj", alpha, a_r, a_t, optimize=True)
+    return ChannelMatrix(
+        entries=h.reshape(geometry.n_rx, geometry.n_tx), domain_tag=SPATIAL, geometry=geometry
+    )

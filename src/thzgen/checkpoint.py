@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class CheckpointMeta:
     master_seed: int = 0
     tx_origin: tuple = (0.0, 0.0, 0.0)
     geometry: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.tx_origin = tuple(self.tx_origin)
 
 
 @dataclass
@@ -86,6 +89,37 @@ class _Layout:
         return name, shape, self.take(4 * math.prod(shape))
 
 
+def _metadata_section(path, cls, name: str, values):
+    """Build ``cls`` from one metadata section; any fault names the file."""
+    if not isinstance(values, dict):
+        raise ValueError(f"checkpoint {path}: metadata {name!r} must be a JSON object")
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"checkpoint {path}: metadata {name!r} has unknown keys {unknown}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path}: metadata {name!r} is invalid: {exc}") from exc
+
+
+def _decode_metadata(path, blob: bytes) -> tuple[DitConfig, CheckpointMeta]:
+    try:
+        meta_json = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: metadata is not valid JSON: {exc}") from exc
+    if not isinstance(meta_json, dict):
+        raise ValueError(f"checkpoint {path}: metadata must be a JSON object")
+    if set(meta_json) != {"config", "meta"}:
+        raise ValueError(
+            f"checkpoint {path}: metadata must hold exactly the keys "
+            f"['config', 'meta'], it has {sorted(meta_json)}"
+        )
+    return (
+        _metadata_section(path, DitConfig, "config", meta_json["config"]),
+        _metadata_section(path, CheckpointMeta, "meta", meta_json["meta"]),
+    )
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     meta = {"config": asdict(ckpt.config), "meta": asdict(ckpt.meta)}
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -133,15 +167,11 @@ def load_checkpoint(path) -> Checkpoint:
             f"ends at {layout.pos}: {len(layout.buf) - layout.pos} trailing bytes"
         )
 
-    meta_json = json.loads(blob.decode("utf-8"))
+    config, meta = _decode_metadata(path, blob)
     records = {
         name: np.frombuffer(data, dtype="<f4").astype(float).reshape(shape)
         for name, shape, data in raw
     }
-    config = DitConfig(**meta_json["config"])
-    meta_dict = meta_json["meta"]
-    meta_dict["tx_origin"] = tuple(meta_dict.get("tx_origin", (0.0, 0.0, 0.0)))
-    meta = CheckpointMeta(**meta_dict)
 
     expected = {k: a.shape for k, a in init_params(config, np.random.default_rng(0)).items()}
     groups = {"param/": {}, "ema/": {}, "adam_m/": {}, "adam_v/": {}}
