@@ -17,7 +17,6 @@ from .channel import (
     swm_channel,
 )
 from .dataset import (
-    ChannelSample,
     Dataset,
     DatasetHeader,
     SamplingRegion,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dit import DitConfig, DitDenoiser, init_params
+from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
 
 MAGIC = b"THZW"
 VERSION = 1
@@ -153,10 +153,10 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         layout = _Layout(path, f.read())
     if layout.take(4) != MAGIC:
-        raise ValueError("not a checkpoint file: bad magic")
+        raise ValueError(f"{path} is not a checkpoint file: bad magic")
     (version,) = layout.unpack("<I")
     if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"checkpoint {path} has unsupported version {version}")
     (blob_len,) = layout.unpack("<I")
     blob = layout.take(blob_len)
     (n_records,) = layout.unpack("<I")
@@ -168,42 +168,28 @@ def load_checkpoint(path) -> Checkpoint:
         )
 
     config, meta = _decode_metadata(path, blob)
-    records = {
-        name: np.frombuffer(data, dtype="<f4").astype(float).reshape(shape)
-        for name, shape, data in raw
-    }
-
-    expected = {k: a.shape for k, a in init_params(config, np.random.default_rng(0)).items()}
     groups = {"param/": {}, "ema/": {}, "adam_m/": {}, "adam_v/": {}}
     step = 0
-    for name, data in records.items():
+    for name, shape, data in raw:
+        values = np.frombuffer(data, dtype="<f4").reshape(shape)
         if name == "step":
-            step = int(data[0])
+            step = int(values[0])
             continue
         prefix, _, key = name.partition("/")
-        prefix += "/"
-        if prefix not in groups:
-            raise ValueError(f"unknown checkpoint record {name!r}")
-        if key not in expected:
-            raise ValueError(f"unexpected parameter {key!r} in checkpoint")
-        if data.shape != expected[key]:
-            raise ValueError(
-                f"checkpoint tensor {name!r} has shape {data.shape}, "
-                f"config expects {expected[key]}"
-            )
-        groups[prefix][key] = data
-    for prefix, tensors in groups.items():
-        missing = set(expected) - set(tensors)
-        if missing:
-            raise ValueError(
-                f"checkpoint is missing {prefix} tensors: {sorted(missing)[:3]}..."
-            )
+        if prefix + "/" not in groups:
+            raise ValueError(f"checkpoint {path}: unknown record {name!r}")
+        groups[prefix + "/"][key] = values
+    shapes = param_shapes(config)
+    params, ema, adam_m, adam_v = (
+        FlatParams.copy_of(shapes, tensors, f"checkpoint {path} group {prefix!r}")
+        for prefix, tensors in groups.items()
+    )
     return Checkpoint(
         config=config,
-        params=groups["param/"],
-        ema_params=groups["ema/"],
-        adam_m=groups["adam_m/"],
-        adam_v=groups["adam_v/"],
+        params=params,
+        ema_params=ema,
+        adam_m=adam_m,
+        adam_v=adam_v,
         step=step,
         meta=meta,
     )

@@ -10,7 +10,7 @@ import numpy as np
 from .beamspace import dictionaries_for, to_beamspace
 from .channel import swm_channel
 from .errors import DegenerateGeometryError, InsufficientDataError
-from .geometry import CONDITION_DIM, ArrayGeometry, GeometryCondition, condition_vector
+from .geometry import CONDITION_DIM, ArrayGeometry, condition_vector
 from .paths import GscmConfig, draw_paths
 
 MAGIC = b"THZC"
@@ -54,12 +54,6 @@ class DatasetHeader:
 
 
 @dataclass
-class ChannelSample:
-    condition: GeometryCondition
-    tensor: np.ndarray  # (2, n_rx, n_tx): real then imaginary part
-
-
-@dataclass
 class Dataset:
     """In-memory dataset: stacked conditions (n, 8) and tensors (n, 2, Nr, Nt)."""
 
@@ -80,12 +74,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.header.sample_count
-
-    def sample(self, i: int) -> ChannelSample:
-        return ChannelSample(
-            condition=GeometryCondition(p=self.conditions[i].astype(float)),
-            tensor=self.tensors[i],
-        )
 
     def complex_matrices(self) -> np.ndarray:
         """(n, Nr, Nt) complex view of the stacked real/imag tensors."""
@@ -256,9 +244,9 @@ def read_dataset(path) -> Dataset:
             struct.unpack(_HEADER_FMT, f.read(header_size))
         )
         if magic != MAGIC:
-            raise ValueError(f"not a dataset file: bad magic {magic!r}")
+            raise ValueError(f"{path} is not a dataset file: bad magic {magic!r}")
         if version != VERSION:
-            raise ValueError(f"unsupported dataset version {version}")
+            raise ValueError(f"dataset {path} has unsupported version {version}")
         record_len = cond_dim + 2 * n_rx * n_tx
         expected = header_size + 4 * count * record_len
         if size != expected:

@@ -136,21 +136,14 @@ def euler_sample(
     return h
 
 
-def ema_update(shadow, current, decay: float):
-    """shadow <- decay * shadow + (1 - decay) * current, element-wise.
-
-    Accepts matching arrays or dicts of named arrays.
-    """
+def ema_update(shadow: np.ndarray, current: np.ndarray, decay: float) -> np.ndarray:
+    """shadow <- decay * shadow + (1 - decay) * current, in place; returns shadow."""
     if not 0.0 <= decay <= 1.0:
         raise ValueError(f"decay must be in [0, 1], got {decay}")
-    if isinstance(shadow, dict):
-        if shadow.keys() != current.keys():
-            raise ValueError("parameter name sets differ")
-        return {k: ema_update(shadow[k], current[k], decay) for k in shadow}
-    shadow = np.asarray(shadow, dtype=float)
-    current = np.asarray(current, dtype=float)
     if shadow.shape != current.shape:
         raise ValueError(
             f"shape mismatch: shadow {shadow.shape} vs current {current.shape}"
         )
-    return decay * shadow + (1.0 - decay) * current
+    shadow *= decay
+    shadow += (1.0 - decay) * current
+    return shadow

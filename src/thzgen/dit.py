@@ -1,14 +1,16 @@
 """Conditional diffusion transformer denoiser with hand-written gradients.
 
-Everything runs in float64 numpy.  The forward pass caches intermediates so
-``backward`` can produce exact parameter gradients (verified against central
-finite differences in the test suite).  Inference (``denoise``) runs the same
-forward pass over fixed-size slices of the batch and drops each slice's cache
-as soon as the next slice is done, so its working set does not grow with the
-batch.
+Everything runs in float64 numpy.  The parameters, and each gradient, live
+as named views into one flat vector (``FlatParams``) laid out by
+``param_shapes``.  ``forward`` caches intermediates so ``backward`` can
+produce exact parameter gradients (verified against central finite
+differences in the test suite).  Inference (``denoise``) runs the same block
+code over fixed-size slices of the batch and records no cache, so its
+working set does not grow with the batch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,46 +186,84 @@ def adaln(x: np.ndarray, c: np.ndarray, mod_w: np.ndarray, mod_b: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Parameter initialization.
+# Parameter layout and initialization.
 
-def init_params(config: DitConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Named parameter tensors; adaLN modulation maps and head start at zero."""
-    d = config.embed_dim
-    params: dict[str, np.ndarray] = {}
-
-    def w(shape):
-        # Fan-in scaling keeps activation magnitudes roughly unit regardless
-        # of layer width; a fixed small std starves narrow inputs (e.g. the
-        # patch embedding at small patch sizes) relative to the O(1)
-        # positional table.
-        return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
-
-    params["patch.w"] = w((config.patch_dim, d))
-    params["patch.b"] = np.zeros(d)
-    params["t_mlp.w1"] = w((d, d))
-    params["t_mlp.b1"] = np.zeros(d)
-    params["t_mlp.w2"] = w((d, d))
-    params["t_mlp.b2"] = np.zeros(d)
-    params["p_mlp.w1"] = w((config.condition_dim, d))
-    params["p_mlp.b1"] = np.zeros(d)
-    params["p_mlp.w2"] = w((d, d))
-    params["p_mlp.b2"] = np.zeros(d)
+def param_shapes(config: DitConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter layout: tensor name -> shape, in flat-vector order."""
+    d, f, pd = config.embed_dim, config.mlp_ratio * config.embed_dim, config.patch_dim
+    shapes = {
+        "patch.w": (pd, d), "patch.b": (d,),
+        "t_mlp.w1": (d, d), "t_mlp.b1": (d,),
+        "t_mlp.w2": (d, d), "t_mlp.b2": (d,),
+        "p_mlp.w1": (config.condition_dim, d), "p_mlp.b1": (d,),
+        "p_mlp.w2": (d, d), "p_mlp.b2": (d,),
+    }
     for i in range(config.depth):
         pre = f"block{i}."
-        params[pre + "mod.w"] = np.zeros((d, 6 * d))
-        params[pre + "mod.b"] = np.zeros(6 * d)
-        params[pre + "qkv.w"] = w((d, 3 * d))
-        params[pre + "qkv.b"] = np.zeros(3 * d)
-        params[pre + "proj.w"] = w((d, d))
-        params[pre + "proj.b"] = np.zeros(d)
-        params[pre + "fc1.w"] = w((d, config.mlp_ratio * d))
-        params[pre + "fc1.b"] = np.zeros(config.mlp_ratio * d)
-        params[pre + "fc2.w"] = w((config.mlp_ratio * d, d))
-        params[pre + "fc2.b"] = np.zeros(d)
-    params["final.mod.w"] = np.zeros((d, 2 * d))
-    params["final.mod.b"] = np.zeros(2 * d)
-    params["head.w"] = np.zeros((d, config.patch_dim))
-    params["head.b"] = np.zeros(config.patch_dim)
+        shapes.update({
+            pre + "mod.w": (d, 6 * d), pre + "mod.b": (6 * d,),
+            pre + "qkv.w": (d, 3 * d), pre + "qkv.b": (3 * d,),
+            pre + "proj.w": (d, d), pre + "proj.b": (d,),
+            pre + "fc1.w": (d, f), pre + "fc1.b": (f,),
+            pre + "fc2.w": (f, d), pre + "fc2.b": (d,),
+        })
+    shapes.update({
+        "final.mod.w": (d, 2 * d), "final.mod.b": (2 * d,),
+        "head.w": (d, pd), "head.b": (pd,),
+    })
+    return shapes
+
+
+class FlatParams(dict):
+    """Named, shaped views into one float64 vector, ``self.vector``.
+
+    Writing into ``params[name]`` writes the vector; assigning a new array to
+    a name only rebinds that entry, so the vector is trusted only by code
+    that built the mapping.
+    """
+
+    def __init__(self, shapes: dict, vector: np.ndarray | None = None):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.vector = np.zeros(sum(sizes)) if vector is None else vector
+        chunks = np.split(self.vector, np.cumsum(sizes)[:-1])
+        super().__init__(
+            (name, chunk.reshape(shape))
+            for (name, shape), chunk in zip(shapes.items(), chunks)
+        )
+
+    @classmethod
+    def copy_of(cls, shapes: dict, tensors, what: str = "DiT parameters") -> FlatParams:
+        """A new vector holding ``tensors``, after checking names and shapes.
+
+        The ValueError names each missing, unexpected or mis-shaped tensor.
+        """
+        faults = [f"missing tensor {n!r}" for n in shapes if n not in tensors]
+        faults += [f"unexpected tensor {n!r}" for n in tensors if n not in shapes]
+        faults += [
+            f"tensor {n!r} has shape {np.shape(a)}, the config expects {shapes[n]}"
+            for n, a in tensors.items() if n in shapes and np.shape(a) != shapes[n]
+        ]
+        if faults:
+            raise ValueError(f"{what}: {'; '.join(faults)}")
+        params = cls(shapes)
+        for name, view in params.items():
+            view[...] = tensors[name]
+        return params
+
+
+# Biases, the adaLN modulation maps and the head start at zero (adaLN-Zero).
+_ZERO_INIT = (".b", ".b1", ".b2", "mod.w", "head.w")
+
+
+def init_params(config: DitConfig, rng: np.random.Generator) -> FlatParams:
+    """Fan-in scaled normal weights, drawn in layout order; the rest zero."""
+    # Fan-in scaling keeps activation magnitudes roughly unit regardless of
+    # layer width; a fixed small std starves narrow inputs (e.g. the patch
+    # embedding at small patch sizes) relative to the O(1) positional table.
+    params = FlatParams(param_shapes(config))
+    for name, view in params.items():
+        if not name.endswith(_ZERO_INIT):
+            view[...] = rng.normal(0.0, 1.0 / np.sqrt(view.shape[0]), size=view.shape)
     return params
 
 
@@ -233,14 +273,13 @@ def _linear(x, w, b):
     return y
 
 
-def _linear_backward(dy, x, w):
-    """Returns (dx, dw, db); batch axes of x/dy are flattened for the weight grad."""
+def _linear_backward(dy, x, params, grads, w, b):
+    """dx; writes the grads of weight ``w`` and bias ``b`` (batch axes flattened)."""
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0)
-    dx = dy @ w.T
-    return dx, dw, db
+    np.matmul(x2.T, dy2, out=grads[w])
+    np.sum(dy2, axis=0, out=grads[b])
+    return dy @ params[w].T
 
 
 class DitDenoiser:
@@ -249,13 +288,15 @@ class DitDenoiser:
     def __init__(
         self,
         config: DitConfig,
-        params: dict[str, np.ndarray] | None = None,
+        params: dict | None = None,
         rng: np.random.Generator | None = None,
     ):
         self.config = config
+        self.shapes = param_shapes(config)
         if params is None:
-            params = init_params(config, rng or np.random.default_rng(0))
-        self.params = params
+            self.params = init_params(config, rng or np.random.default_rng(0))
+        else:
+            self.params = FlatParams.copy_of(self.shapes, params)
         self.pos = positional_table(config.grid, config.embed_dim)
 
     # -- preconditioning ----------------------------------------------------
@@ -294,6 +335,11 @@ class DitDenoiser:
 
     def forward(self, h: np.ndarray, sigma: np.ndarray, cond: np.ndarray):
         """Batched forward pass; returns (output, cache) for backward."""
+        cache = {"blocks": []}
+        return self._forward(h, sigma, cond, cache), cache
+
+    def _forward(self, h, sigma, cond, cache=None) -> np.ndarray:
+        """The forward pass; fills ``cache``, if given, with what ``backward`` needs."""
         cfg = self.config
         p = self.params
         h = np.asarray(h, dtype=float)
@@ -318,17 +364,12 @@ class DitDenoiser:
         c = e_t + e_p
         sc = silu(c)
 
-        cache = {
-            "h": h, "sigma": sigma, "cond": cond,
-            "c_skip": c_skip, "c_out": c_out, "c_in": c_in,
-            "patches": patches, "tfeat": tfeat, "t_pre": t_pre, "t_act": t_act,
-            "p_pre": p_pre, "p_act": p_act, "c": c, "sc": sc,
-            "blocks": [],
-        }
-
         for i in range(cfg.depth):
             tok, bcache = self._block_forward(tok, sc, i)
-            cache["blocks"].append(bcache)
+            if cache is not None:
+                cache["blocks"].append(bcache)
+            # Free an unrecorded block's activations before the next block runs.
+            del bcache
 
         mod = _linear(sc, p["final.mod.w"], p["final.mod.b"])
         gf, bf = np.split(mod, 2, axis=-1)
@@ -341,8 +382,13 @@ class DitDenoiser:
         if not np.all(np.isfinite(out)):
             raise _non_finite(0, sigma)
 
-        cache.update({"gf": gf, "lnf": lnf, "invf": invf, "y": y})
-        return out, cache
+        if cache is not None:
+            cache.update({
+                "cond": cond, "c_out": c_out, "patches": patches, "tfeat": tfeat,
+                "t_pre": t_pre, "t_act": t_act, "p_pre": p_pre, "p_act": p_act,
+                "c": c, "sc": sc, "gf": gf, "lnf": lnf, "invf": invf, "y": y,
+            })
+        return out
 
     def _block_forward(self, tok: np.ndarray, sc: np.ndarray, i: int):
         cfg = self.config
@@ -395,27 +441,25 @@ class DitDenoiser:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, cache, d_out: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache, d_out: np.ndarray) -> FlatParams:
         """Parameter gradients for a loss whose output gradient is d_out."""
         cfg = self.config
         p = self.params
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+        grads = FlatParams(self.shapes)
 
         c_out = cache["c_out"]
         d_f = c_out[:, None, None, None] * d_out
         d_patches_out = patchify(d_f, cfg.patch_size)
 
         # Output head and final adaLN.
-        d_y, grads["head.w"], grads["head.b"] = _linear_backward(
-            d_patches_out, cache["y"], p["head.w"]
-        )
+        d_y = _linear_backward(d_patches_out, cache["y"], p, grads, "head.w", "head.b")
         gf, lnf, invf = cache["gf"], cache["lnf"], cache["invf"]
         d_lnf = d_y * (1.0 + gf[:, None, :])
         d_gf = (d_y * lnf).sum(axis=1)
         d_bf = d_y.sum(axis=1)
         d_modf = np.concatenate([d_gf, d_bf], axis=-1)
-        d_sc, grads["final.mod.w"], grads["final.mod.b"] = _linear_backward(
-            d_modf, cache["sc"], p["final.mod.w"]
+        d_sc = _linear_backward(
+            d_modf, cache["sc"], p, grads, "final.mod.w", "final.mod.b"
         )
         d_tok = layer_norm_backward(d_lnf, lnf, invf)
 
@@ -426,26 +470,16 @@ class DitDenoiser:
             d_sc += d_sc_i
 
         # Patch embedding.
-        _, grads["patch.w"], grads["patch.b"] = _linear_backward(
-            d_tok, cache["patches"], p["patch.w"]
-        )
+        _linear_backward(d_tok, cache["patches"], p, grads, "patch.w", "patch.b")
 
         # Conditioning vector into both embedding MLPs.
         d_c = d_sc * dsilu(cache["c"])
-        d_ta, grads["t_mlp.w2"], grads["t_mlp.b2"] = _linear_backward(
-            d_c, cache["t_act"], p["t_mlp.w2"]
-        )
+        d_ta = _linear_backward(d_c, cache["t_act"], p, grads, "t_mlp.w2", "t_mlp.b2")
         d_tpre = d_ta * dsilu(cache["t_pre"])
-        _, grads["t_mlp.w1"], grads["t_mlp.b1"] = _linear_backward(
-            d_tpre, cache["tfeat"], p["t_mlp.w1"]
-        )
-        d_pa, grads["p_mlp.w2"], grads["p_mlp.b2"] = _linear_backward(
-            d_c, cache["p_act"], p["p_mlp.w2"]
-        )
+        _linear_backward(d_tpre, cache["tfeat"], p, grads, "t_mlp.w1", "t_mlp.b1")
+        d_pa = _linear_backward(d_c, cache["p_act"], p, grads, "p_mlp.w2", "p_mlp.b2")
         d_ppre = d_pa * dsilu(cache["p_pre"])
-        _, grads["p_mlp.w1"], grads["p_mlp.b1"] = _linear_backward(
-            d_ppre, cache["cond"], p["p_mlp.w1"]
-        )
+        _linear_backward(d_ppre, cache["cond"], p, grads, "p_mlp.w1", "p_mlp.b1")
         return grads
 
     def _block_backward(self, d_tok2, bc, sc, i, grads):
@@ -458,12 +492,12 @@ class DitDenoiser:
         a2 = bc["a2"]
         d_a2 = (d_tok2 * bc["ffn_out"]).sum(axis=1)
         d_ffn = d_tok2 * a2[:, None, :]
-        d_fact, grads[pre + "fc2.w"], grads[pre + "fc2.b"] = _linear_backward(
-            d_ffn, bc["f_act"], p[pre + "fc2.w"]
+        d_fact = _linear_backward(
+            d_ffn, bc["f_act"], p, grads, pre + "fc2.w", pre + "fc2.b"
         )
         d_fpre = d_fact * dgelu(bc["f_pre"], bc["f_erf"])
-        d_m2, grads[pre + "fc1.w"], grads[pre + "fc1.b"] = _linear_backward(
-            d_fpre, bc["m2"], p[pre + "fc1.w"]
+        d_m2 = _linear_backward(
+            d_fpre, bc["m2"], p, grads, pre + "fc1.w", pre + "fc1.b"
         )
         d_g2 = (d_m2 * bc["ln2"]).sum(axis=1)
         d_s2 = d_m2.sum(axis=1)
@@ -474,8 +508,8 @@ class DitDenoiser:
         a1 = bc["a1"]
         d_a1 = (d_tok1 * bc["attn_out"]).sum(axis=1)
         d_attn_out = d_tok1 * a1[:, None, :]
-        d_concat, grads[pre + "proj.w"], grads[pre + "proj.b"] = _linear_backward(
-            d_attn_out, bc["concat"], p[pre + "proj.w"]
+        d_concat = _linear_backward(
+            d_attn_out, bc["concat"], p, grads, pre + "proj.w", pre + "proj.b"
         )
         b, n, d = d_concat.shape
         d_heads = d_concat.reshape(b, n, nh, dh).transpose(0, 2, 1, 3)
@@ -491,18 +525,14 @@ class DitDenoiser:
             return x.transpose(0, 2, 1, 3).reshape(b, n, d)
 
         d_qkv = np.concatenate([merge(d_q), merge(d_k), merge(d_v)], axis=-1)
-        d_m1, grads[pre + "qkv.w"], grads[pre + "qkv.b"] = _linear_backward(
-            d_qkv, bc["m1"], p[pre + "qkv.w"]
-        )
+        d_m1 = _linear_backward(d_qkv, bc["m1"], p, grads, pre + "qkv.w", pre + "qkv.b")
         d_g1 = (d_m1 * bc["ln1"]).sum(axis=1)
         d_s1 = d_m1.sum(axis=1)
         d_ln1 = d_m1 * (1.0 + bc["g1"][:, None, :])
         d_tok = d_tok1 + layer_norm_backward(d_ln1, bc["ln1"], bc["inv1"])
 
         d_mod = np.concatenate([d_g1, d_s1, d_a1, d_g2, d_s2, d_a2], axis=-1)
-        d_sc, grads[pre + "mod.w"], grads[pre + "mod.b"] = _linear_backward(
-            d_mod, sc, p[pre + "mod.w"]
-        )
+        d_sc = _linear_backward(d_mod, sc, p, grads, pre + "mod.w", pre + "mod.b")
         return d_tok, d_sc
 
     # -- loss helpers -------------------------------------------------------
@@ -533,16 +563,16 @@ class DitDenoiser:
     # -- denoiser interface -------------------------------------------------
 
     def denoise(self, h: np.ndarray, sigma: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """``forward(h, sigma, cond)[0]`` without keeping a backward cache.
+        """``forward(h, sigma, cond)[0]`` without recording a backward cache.
 
-        Runs ``forward`` over consecutive slices of ``max(2, ROWS // n_tokens)``
-        samples and writes each slice into one output array, so at most two
-        slices' activations are alive at a time.  Every sample goes through
-        the same arithmetic as in a whole-batch ``forward``, so the result is
-        bit-for-bit the same.  That needs at least two samples per slice: on
-        one sample the per-sample matmuls take BLAS's matrix-vector path,
-        which rounds differently, so a lone last sample joins the slice
-        before it.
+        Runs the forward pass over consecutive slices of
+        ``max(2, ROWS // n_tokens)`` samples and writes each slice into one
+        output array, so only one slice's activations are alive at a time.
+        Every sample goes through the same arithmetic as in a whole-batch
+        ``forward``, so the result is bit-for-bit the same.  That needs at
+        least two samples per slice: on one sample the per-sample matmuls
+        take BLAS's matrix-vector path, which rounds differently, so a lone
+        last sample joins the slice before it.
         """
         h = np.asarray(h, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
@@ -550,14 +580,9 @@ class DitDenoiser:
         step = max(2, ROWS // self.config.n_tokens)
         edges = [*range(0, max(len(h) - 1, 1), step), len(h)]
         out = np.empty(h.shape)
-        cache = None
         for start, end in zip(edges, edges[1:]):
-            # Rebinding ``cache`` frees the previous slice's cache only after
-            # this slice's is allocated, so the allocator reuses that memory
-            # for the slice after instead of returning it to the OS and
-            # faulting it back in (over 10x fewer page faults at B=512).
             try:
-                out[start:end], cache = self.forward(
+                out[start:end] = self._forward(
                     h[start:end], sigma[start:end], cond[start:end]
                 )
             except NumericError:

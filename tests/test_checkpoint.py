@@ -85,15 +85,17 @@ def test_save_is_byte_deterministic(tmp_path):
 def test_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"XXXX" + b"\0" * 32)
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(ValueError, match="magic") as info:
         load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def test_rejects_unknown_version(tmp_path):
     path = tmp_path / "future.ckpt"
     path.write_bytes(b"THZW" + struct.pack("<I", 99) + b"\0" * 8)
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError, match="version 99") as info:
         load_checkpoint(path)
+    assert str(path) in str(info.value)
 
 
 def corrupt(raw: bytes, case: str) -> bytes:

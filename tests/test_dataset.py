@@ -147,8 +147,20 @@ def test_write_is_byte_deterministic(tmp_path):
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\0" * 60)
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(ValueError, match="magic") as info:
         read_dataset(path)
+    assert str(path) in str(info.value)
+
+
+def test_read_rejects_unknown_version(tmp_path):
+    path = tmp_path / "future.bin"
+    write_dataset(path, small_dataset(2))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 99)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="version 99") as info:
+        read_dataset(path)
+    assert str(path) in str(info.value)
 
 
 HEADER_BYTES = struct.calcsize(_HEADER_FMT)

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from thzgen.dit import (
     gelu,
     init_params,
     layer_norm,
+    param_shapes,
     patchify,
     positional_table,
     unpatchify,
@@ -56,6 +58,106 @@ def test_config_derived_sizes():
     assert cfg.n_tokens == 8
     assert cfg.patch_dim == 32
     assert cfg.head_dim == 16
+
+
+# -- parameter layout -------------------------------------------------------
+
+def assert_views_of_one_vector(params, shapes):
+    assert list(params) == list(shapes)
+    assert all(params[name].shape == shape for name, shape in shapes.items())
+    assert all(np.shares_memory(view, params.vector) for view in params.values())
+    np.testing.assert_array_equal(
+        np.concatenate([view.ravel() for view in params.values()]), params.vector
+    )
+
+
+def test_params_and_grads_are_views_of_one_vector_in_table_order():
+    cfg = small_config(depth=2)
+    shapes = param_shapes(cfg)
+    params = init_params(cfg, np.random.default_rng(0))
+    assert params.vector.shape == (sum(np.prod(s, dtype=int) for s in shapes.values()),)
+    assert_views_of_one_vector(params, shapes)
+    den = randomized_denoiser(cfg)
+    assert_views_of_one_vector(den.params, shapes)
+    rng = np.random.default_rng(1)
+    h0 = rng.normal(size=(2, 2, cfg.n_rx, cfg.n_tx))
+    _, grads = den.loss_and_grads(h0, rng.normal(size=(2, 8)), np.array([0.5, 2.0]),
+                                  rng.normal(size=h0.shape))
+    assert_views_of_one_vector(grads, shapes)
+    assert not np.shares_memory(grads.vector, den.params.vector)
+
+
+def test_init_params_keeps_the_draw_order():
+    # Fan-in scaled normal draws for these weights, in this order; the rest
+    # (biases, adaLN modulation maps, head) are zero.
+    cfg = small_config(depth=2)
+    rng = np.random.default_rng(4)
+    drawn = ["patch.w", "t_mlp.w1", "t_mlp.w2", "p_mlp.w1", "p_mlp.w2"]
+    for i in range(cfg.depth):
+        drawn += [f"block{i}.{layer}.w" for layer in ("qkv", "proj", "fc1", "fc2")]
+    shapes = param_shapes(cfg)
+    expected = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for name in drawn:
+        shape = shapes[name]
+        expected[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+    params = init_params(cfg, np.random.default_rng(4))
+    for name in shapes:
+        np.testing.assert_array_equal(params[name], expected[name], err_msg=name)
+    # Names, shapes and values as the per-tensor initializer produced them.
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(name.encode())
+        digest.update(str(params[name].shape).encode())
+        digest.update(params[name].tobytes())
+    assert digest.hexdigest() == (
+        "20fbe982f5e387421557c8fbb5dabb289d9063501c64748b7ebd1616ce3d82d9"
+    )
+
+
+@pytest.mark.parametrize("fault", ["missing", "unexpected", "shape"])
+def test_layout_check_names_the_tensor(fault):
+    cfg = small_config()
+    params = dict(init_params(cfg, np.random.default_rng(0)))
+    if fault == "missing":
+        del params["block0.fc1.b"]
+    elif fault == "unexpected":
+        params["block0.extra.w"] = np.zeros(3)
+    else:
+        params["block0.fc1.b"] = np.zeros(7)
+    name = "block0.extra.w" if fault == "unexpected" else "block0.fc1.b"
+    with pytest.raises(ValueError, match=fault) as info:
+        DitDenoiser(cfg, params=params)
+    assert name in str(info.value)
+
+
+def test_denoiser_copies_the_passed_tensors_not_their_vector():
+    cfg = small_config()
+    params = init_params(cfg, np.random.default_rng(0))
+    # Replacing an entry detaches it from params.vector; the model must
+    # still see the replacement.
+    params["head.w"] = np.full(params["head.w"].shape, 0.25)
+    den = DitDenoiser(cfg, params=params)
+    np.testing.assert_array_equal(den.params["head.w"], 0.25)
+    assert not np.shares_memory(den.params.vector, params.vector)
+    params["patch.w"][...] = 7.0
+    assert not np.any(den.params["patch.w"] == 7.0)
+    # A plain dict of arrays works the same way.
+    plain = DitDenoiser(cfg, params={k: v.copy() for k, v in den.params.items()})
+    np.testing.assert_array_equal(plain.params.vector, den.params.vector)
+
+
+def test_grads_are_fresh_per_call():
+    cfg = small_config()
+    den = randomized_denoiser(cfg)
+    rng = np.random.default_rng(2)
+    h0 = rng.normal(size=(2, 2, cfg.n_rx, cfg.n_tx))
+    args = (h0, rng.normal(size=(2, 8)), np.array([0.5, 2.0]), rng.normal(size=h0.shape))
+    _, first = den.loss_and_grads(*args)
+    kept = first.vector.copy()
+    den.params["head.w"] += 0.1
+    _, second = den.loss_and_grads(*args)
+    np.testing.assert_array_equal(first.vector, kept)
+    assert not np.array_equal(second.vector, kept)
 
 
 # -- tokenization -----------------------------------------------------------
