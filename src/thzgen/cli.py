@@ -1,17 +1,9 @@
 """Command-line interface: gen-data, train, sample, eval.
 
 All randomness flows from the declared seeds, so every command is
-reproducible bit-for-bit.  THZGEN_NUM_THREADS caps the BLAS thread pools
-(must be set before numpy is first imported, which this module guarantees
-when used as the entry point).
+reproducible bit-for-bit.
 """
 from __future__ import annotations
-
-import os
-
-if os.environ.get("THZGEN_NUM_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["THZGEN_NUM_THREADS"])
 
 import argparse
 import csv
@@ -39,7 +31,7 @@ from .dataset import (
     write_dataset,
 )
 from .diffusion import DiffusionSchedule, euler_sample
-from .dit import DitConfig
+from .dit import DitConfig, lane_count
 from .evaluation import SsimCdf, angular_power, compare_power, nmse, ssim_complex
 from .geometry import ArrayGeometry, condition_vector
 from .paths import GscmConfig
@@ -282,9 +274,11 @@ def cmd_sample(args) -> int:
     write_dataset(args.out, dataset)
     _print_header("generated", dataset.header)
     nfe = schedule.n_steps  # one denoiser call per Euler step
+    lanes = lane_count(ckpt.config, args.num)
     print(
         f"sampler: {nfe} denoiser calls (NFE) at batch {args.num}, "
-        f"{elapsed_ms / nfe:.1f} ms per call"
+        f"{elapsed_ms / nfe:.1f} ms per call on {lanes} inference "
+        f"thread{'s' if lanes > 1 else ''}"
     )
     return 0
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from thzgen import cli
+from thzgen import cli, dit
 from thzgen.checkpoint import load_checkpoint
 from thzgen.cli import main
 from thzgen.dataset import read_dataset
@@ -160,14 +160,21 @@ def test_sample_deterministic_and_seed_sensitive(workdir, tmp_path):
     assert (tmp_path / "a.bin").read_bytes() != (tmp_path / "c.bin").read_bytes()
 
 
-def test_sample_reports_nfe(workdir, tmp_path, capsys):
+def test_sample_reports_nfe(workdir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dit, "LANES", 2)
+    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
     args = ["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", "6.0,1.0,0.0",
-            "--num", "2", "--seed", "1", "--out", str(tmp_path / "gen.bin")]
-    assert main(args) == 0
+            "--seed", "1", "--out", str(tmp_path / "gen.bin")]
+    assert main(args + ["--num", "2"]) == 0
     out = capsys.readouterr().out
     assert "generated: 2 samples" in out
     assert "sampler: 100 denoiser calls (NFE) at batch 2, " in out
-    assert " ms per call" in out
+    assert " ms per call on 1 inference thread\n" in out
+    # 8 tokens, so 32 samples per slice: two slices, one per lane.
+    assert main(args + ["--num", "64"]) == 0
+    out = capsys.readouterr().out
+    assert "sampler: 100 denoiser calls (NFE) at batch 64, " in out
+    assert " ms per call on 2 inference threads\n" in out
 
 
 def test_sample_rejects_malformed_position(workdir, tmp_path, capsys):

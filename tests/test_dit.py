@@ -1,10 +1,17 @@
 import hashlib
+import os
+import select
+import signal
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from thzgen import dit
 from thzgen.dataset import Dataset, DatasetHeader
 from thzgen.dit import (
     ROWS,
@@ -475,3 +482,195 @@ def test_evaluate_peak_memory_is_bounded_by_slices():
     finally:
         tracemalloc.stop()
     assert peak_mb < 64.0
+
+
+# -- inference lanes --------------------------------------------------------
+
+def lane_case(b, seed=21):
+    """A 32-token config (8 samples per slice) and b random inputs."""
+    cfg = small_config(n_tx=16, patch_size=2, embed_dim=16, depth=2)
+    den = randomized_denoiser(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(b, 2, cfg.n_rx, cfg.n_tx))
+    cond = rng.normal(size=(b, cfg.condition_dim))
+    sigma = np.linspace(0.5, 2.0, b)
+    return den, h, sigma, cond
+
+
+def split_slices_0_and_1(monkeypatch, den, sigma):
+    """Run slice 0 on the calling thread and slice 1 on a helper lane, first.
+
+    Helper lanes start only once the caller is inside slice 0, and slice 0
+    waits until slice 1 has run.  Returns the thread id that ran each slice.
+    """
+    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    caller = threading.get_ident()
+    caller_in, slice_1_ran = threading.Event(), threading.Event()
+    starts = dit.slice_edges(den.config, len(sigma))[:-1]
+    index = {sigma[start]: i for i, start in enumerate(starts)}
+    threads = {}
+    pool, run = dit._helper_pool, den._forward
+
+    class HeldPool:
+        def submit(self, fn, *args):
+            def held():
+                if not caller_in.wait(timeout=60):
+                    raise TimeoutError("the caller never started slice 0")
+                return fn(*args)
+            return pool().submit(held)
+
+    def forward(h, sigma, cond, cache=None):
+        i = index[sigma[0]]
+        threads[i] = threading.get_ident()
+        if i == 0:
+            caller_in.set()
+            if not slice_1_ran.wait(timeout=60):
+                raise TimeoutError("no helper lane ran slice 1")
+        try:
+            return run(h, sigma, cond, cache)
+        finally:
+            if i == 1:
+                slice_1_ran.set()
+
+    monkeypatch.setattr(dit, "_helper_pool", HeldPool)
+    monkeypatch.setattr(den, "_forward", forward)
+    return caller, threads
+
+
+def test_evaluate_bytes_do_not_depend_on_lane_count(monkeypatch):
+    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    den, *_ = lane_case(1)
+    rng = np.random.default_rng(22)
+    cfg = den.config
+    for b in (1, 9, 33, 512):
+        h = rng.normal(size=(b, 2, cfg.n_rx, cfg.n_tx))
+        cond = rng.normal(size=(b, cfg.condition_dim))
+        sigma = np.exp(rng.uniform(-4.0, 2.0, size=b))
+        outs = []
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(dit, "LANES", lanes)
+            outs.append(den.evaluate(h, sigma, cond))
+        for lanes, out in zip((2, 3), outs[1:]):
+            np.testing.assert_array_equal(out, outs[0], err_msg=f"B={b}, {lanes} lanes")
+
+
+def test_more_lanes_than_cores_run_each_slice_once(monkeypatch):
+    den, h, sigma, cond = lane_case(8 * 60 + 3)
+    monkeypatch.setattr(dit, "LANES", 1)
+    expected = den.denoise(h, sigma, cond)
+    runs = []
+    run = den._forward
+
+    def counted(h, sigma, cond, cache=None):
+        runs.append(sigma[0])
+        return run(h, sigma, cond, cache)
+
+    monkeypatch.setattr(den, "_forward", counted)
+    monkeypatch.setattr(dit, "LANES", 2 * dit._usable_cpus() + 3)
+    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            runs.clear()
+            np.testing.assert_array_equal(den.denoise(h, sigma, cond), expected)
+            assert sorted(runs) == list(sigma[dit.slice_edges(den.config, len(h))[:-1]])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_short_calls_never_touch_the_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("the helper pool was used")
+
+    monkeypatch.setattr(dit, "_helper_pool", no_pool)
+    monkeypatch.setattr(dit, "LANES", 3)
+    per_lane = dit.SLICES_PER_LANE
+    den, h, sigma, cond = lane_case(8 * 3 * per_lane)  # 8 samples per slice
+    for slices, lanes in ((1, 1), (2 * per_lane - 1, 1), (2 * per_lane, 2),
+                          (3 * per_lane - 1, 2), (3 * per_lane, 3)):
+        assert dit.lane_count(den.config, 8 * slices) == lanes, slices
+    b = 8 * (2 * per_lane - 1)
+    den.evaluate(h[:b], sigma[:b], cond[:b])
+    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    assert dit.lane_count(den.config, 9) == 1  # 8 samples and a lone one
+    for b in (1, 8, 9):
+        den.evaluate(h[:b], sigma[:b], cond[:b])
+    monkeypatch.setattr(dit, "LANES", 1)
+    den.evaluate(h[:40], sigma[:40], cond[:40])  # five slices, one lane
+
+
+def test_lowest_failing_slice_is_named_whatever_finished_first(monkeypatch):
+    monkeypatch.setattr(dit, "LANES", 2)
+    den, h, sigma, cond = lane_case(24)  # slices 0-7, 8-15, 16-23
+    h[3] = np.inf
+    h[12] = np.inf
+    caller, threads = split_slices_0_and_1(monkeypatch, den, sigma)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError) as info:
+            den.denoise(h, sigma, cond)
+    assert threads[0] == caller != threads[1]
+    msg = str(info.value)
+    assert "samples 0-7 " in msg
+    assert f"sigma {sigma[0]:g} to {sigma[7]:g}" in msg
+
+
+def test_helper_lane_reraises_nonpositive_sigma(monkeypatch):
+    monkeypatch.setattr(dit, "LANES", 2)
+    den, h, sigma, cond = lane_case(24)
+    sigma[10] = -1.0
+    caller, threads = split_slices_0_and_1(monkeypatch, den, sigma)
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        den.denoise(h, sigma, cond)
+    assert threads[0] == caller != threads[1]
+
+
+def test_helper_lane_keeps_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(dit, "LANES", 2)
+    den, h, sigma, cond = lane_case(24)
+    h[10] = np.inf
+    caller, threads = split_slices_0_and_1(monkeypatch, den, sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="samples 8-15 "):
+                den.denoise(h, sigma, cond)
+    assert threads[0] == caller != threads[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_pooled_calls(monkeypatch):
+    monkeypatch.setattr(dit, "LANES", 2)
+    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    den, h, sigma, cond = lane_case(40)
+    expected = den.evaluate(h, sigma, cond).tobytes()  # starts the pool
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(den.evaluate(h, sigma, cond).tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    got, done = b"", False
+    try:
+        with os.fdopen(read_fd, "rb", buffering=0) as pipe:
+            while select.select([pipe], [], [], 60)[0]:
+                chunk = pipe.read(1 << 16)
+                if not chunk:
+                    done = True
+                    break
+                got += chunk
+    finally:
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    assert done, "the forked child's pooled call hung"
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert got == expected
