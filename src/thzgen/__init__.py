@@ -1,6 +1,5 @@
 """Geometry-conditioned diffusion-transformer generation of THz UM-MIMO channels."""
 
-from ._core import BACKEND as KERNEL_BACKEND
 from .beamspace import (
     BeamDictionary,
     block_dictionary,

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import BEAMSPACE, SPATIAL, ChannelMatrix
 
@@ -35,7 +34,9 @@ def block_dictionary(k: int, n_sub: int) -> BeamDictionary:
     if k < 1 or n_sub < 1:
         raise ValueError(f"counts must be >= 1, got k={k}, n_sub={n_sub}")
     block = dft_dictionary(n_sub).matrix
-    matrix = scipy.linalg.block_diag(*([block] * k))
+    matrix = np.zeros((k * n_sub, k * n_sub), dtype=complex)
+    for i in range(0, k * n_sub, n_sub):
+        matrix[i:i + n_sub, i:i + n_sub] = block
     return BeamDictionary(matrix=matrix, block_structure=(n_sub,) * k)
 
 

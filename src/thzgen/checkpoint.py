@@ -18,7 +18,9 @@ import numpy as np
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
 
 MAGIC = b"THZW"
-VERSION = 1
+# Version 2 has version 1's layout; a version-1 file holds weights trained
+# with the erf GELU, which the tanh-GELU model would misread.
+VERSION = 2
 
 
 @dataclass
@@ -155,6 +157,12 @@ def load_checkpoint(path) -> Checkpoint:
     if layout.take(4) != MAGIC:
         raise ValueError(f"{path} is not a checkpoint file: bad magic")
     (version,) = layout.unpack("<I")
+    if version == 1:
+        raise ValueError(
+            f"checkpoint {path} has version 1, which was written with the erf "
+            f"GELU; this model uses the tanh GELU (version {VERSION}), so "
+            f"retrain it"
+        )
     if version != VERSION:
         raise ValueError(f"checkpoint {path} has unsupported version {version}")
     (blob_len,) = layout.unpack("<I")

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError
 
@@ -133,10 +132,22 @@ def dsilu(x):
     return s * (1.0 + x * (1.0 - s))
 
 
+# tanh-approximation GELU (Hendrycks & Gimpel 2016), as in the DiT MLP.
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
 def gelu(x):
-    """Returns (gelu(x), 1 + erf(x/sqrt 2)); the second factor feeds dgelu."""
-    e = np.divide(x, np.sqrt(2.0))
-    erf(e, out=e)
+    """Returns (0.5*x*e, e) with e = 1 + tanh(sqrt(2/pi)*(x + 0.044715*x**3)).
+
+    ``e`` is built in one buffer, in place, and feeds ``dgelu``.
+    """
+    e = np.multiply(x, x)
+    e *= x
+    e *= _GELU_A
+    e += x
+    e *= _GELU_C
+    np.tanh(e, out=e)
     e += 1.0
     y = 0.5 * x
     y *= e
@@ -144,13 +155,21 @@ def gelu(x):
 
 
 def dgelu(x, e):
-    """GELU derivative at x, given e = 1 + erf(x/sqrt 2) from the forward pass."""
-    g = x**2
-    g *= -0.5
-    np.exp(g, out=g)
+    """Exact derivative of ``gelu`` at x, given its factor e = 1 + tanh(u).
+
+    d/dx = 0.5*e + 0.5*x*(1 - tanh(u)**2)*u', with 1 - tanh(u)**2 = e*(2 - e)
+    and u' = sqrt(2/pi)*(1 + 3*0.044715*x**2), so no second tanh is taken.
+    """
+    g = 2.0 - e
+    g *= e
     g *= x
-    g /= np.sqrt(2.0 * np.pi)
-    g += 0.5 * e
+    du = np.multiply(x, x)
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= 0.5 * _GELU_C
+    g *= du
+    np.multiply(e, 0.5, out=du)
+    g += du
     return g
 
 
@@ -222,18 +241,6 @@ def layer_norm_backward(dy: np.ndarray, x_hat: np.ndarray, inv: np.ndarray):
     m1 = dy.mean(axis=-1, keepdims=True)
     m2 = (dy * x_hat).mean(axis=-1, keepdims=True)
     return inv * (dy - m1 - x_hat * m2)
-
-
-def adaln(x: np.ndarray, c: np.ndarray, mod_w: np.ndarray, mod_b: np.ndarray):
-    """LayerNorm followed by condition-driven scale/shift.
-
-    The modulation map produces (gamma, beta) from silu(c); zero-initialized
-    maps make this an exact LayerNorm.
-    """
-    mod = silu(c) @ mod_w + mod_b
-    gamma, beta = np.split(mod, 2, axis=-1)
-    x_hat, _ = layer_norm(x)
-    return (1.0 + gamma[..., None, :]) * x_hat + beta[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +368,6 @@ class DitDenoiser:
         c_noise = np.log(sigma) / 4.0
         return c_skip, c_out, c_in, c_noise
 
-    # -- embeddings ---------------------------------------------------------
-
-    def embed_timestep(self, sigma) -> np.ndarray:
-        """(B,) noise levels -> (B, D) timestep embedding."""
-        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-        if np.any(sigma <= 0):
-            raise ValueError("sigma must be > 0")
-        p = self.params
-        feat = timestep_features(np.log(sigma) / 4.0, self.config.embed_dim)
-        return _linear(silu(_linear(feat, p["t_mlp.w1"], p["t_mlp.b1"])),
-                       p["t_mlp.w2"], p["t_mlp.b2"])
-
-    def embed_condition(self, cond) -> np.ndarray:
-        """(B, 8) conditioning vectors -> (B, D) geometry embedding."""
-        cond = np.atleast_2d(np.asarray(cond, dtype=float))
-        if not np.all(np.isfinite(cond)):
-            raise ValueError("condition vector contains non-finite values")
-        p = self.params
-        return _linear(silu(_linear(cond, p["p_mlp.w1"], p["p_mlp.b1"])),
-                       p["p_mlp.w2"], p["p_mlp.b2"])
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, h: np.ndarray, sigma: np.ndarray, cond: np.ndarray):
@@ -398,6 +384,8 @@ class DitDenoiser:
         cond = np.asarray(cond, dtype=float)
         if np.any(sigma <= 0):
             raise ValueError("sigma must be > 0")
+        if not np.all(np.isfinite(cond)):
+            raise ValueError("condition vector contains non-finite values")
 
         c_skip, c_out, c_in, c_noise = self._coeffs(sigma)
         x_in = c_in[:, None, None, None] * h
@@ -475,7 +463,7 @@ class DitDenoiser:
         m2 = (1.0 + g2[:, None, :]) * ln2
         m2 += s2[:, None, :]
         f_pre = _linear(m2, p[pre + "fc1.w"], p[pre + "fc1.b"])
-        f_act, f_erf = gelu(f_pre)
+        f_act, f_e = gelu(f_pre)
         ffn_out = _linear(f_act, p[pre + "fc2.w"], p[pre + "fc2.b"])
         tok2 = a2[:, None, :] * ffn_out
         tok2 += tok1
@@ -486,7 +474,7 @@ class DitDenoiser:
             "q": q, "k": k, "v": v, "attn": attn, "concat": concat,
             "attn_out": attn_out,
             "ln2": ln2, "inv2": inv2, "m2": m2,
-            "f_pre": f_pre, "f_erf": f_erf, "f_act": f_act, "ffn_out": ffn_out,
+            "f_pre": f_pre, "f_e": f_e, "f_act": f_act, "ffn_out": ffn_out,
         }
         return tok2, bcache
 
@@ -546,7 +534,7 @@ class DitDenoiser:
         d_fact = _linear_backward(
             d_ffn, bc["f_act"], p, grads, pre + "fc2.w", pre + "fc2.b"
         )
-        d_fpre = d_fact * dgelu(bc["f_pre"], bc["f_erf"])
+        d_fpre = d_fact * dgelu(bc["f_pre"], bc["f_e"])
         d_m2 = _linear_backward(
             d_fpre, bc["m2"], p, grads, pre + "fc1.w", pre + "fc1.b"
         )

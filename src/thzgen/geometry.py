@@ -4,11 +4,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DegenerateGeometryError
 
 CONDITION_DIM = 8
+
+# Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+SPEED_OF_LIGHT = 299792458.0
 
 
 @dataclass(frozen=True)

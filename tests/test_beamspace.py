@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzgen.beamspace import (
     block_dictionary,
@@ -57,6 +61,37 @@ def test_block_dictionary_single_block_is_plain_dft():
 def test_block_dictionary_unitary(k, n_sub):
     a = block_dictionary(k, n_sub).matrix
     assert np.abs(a.conj().T @ a - np.eye(k * n_sub)).max() < 1e-10
+
+
+def test_block_dictionary_bytes_are_pinned():
+    # The digest of scipy.linalg.block_diag's matrices over this grid; the
+    # slice-filled matrices must keep their bytes, -0.0 included.
+    digest = hashlib.sha256()
+    for k in (1, 2, 3, 4, 8):
+        for n_sub in (1, 2, 4, 8, 32):
+            m = block_dictionary(k, n_sub).matrix
+            digest.update(m.dtype.str.encode())
+            digest.update(str(m.shape).encode())
+            digest.update(np.ascontiguousarray(m).tobytes())
+    assert digest.hexdigest() == (
+        "38edafe209939412fd6920b86b6f52f550328b130fb864a4a45c88df5f2730e8"
+    )
+
+
+@settings(max_examples=64, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8))
+def test_block_dictionary_is_unitary_and_block_built(k, n_sub):
+    d = block_dictionary(k, n_sub)
+    block = dft_dictionary(n_sub).matrix
+    reference = np.zeros((k * n_sub, k * n_sub), dtype=complex)
+    for b in range(k):
+        for r in range(n_sub):
+            for c in range(n_sub):
+                reference[b * n_sub + r, b * n_sub + c] = block[r, c]
+    assert d.block_structure == (n_sub,) * k
+    assert d.matrix.tobytes() == reference.tobytes()
+    a = d.matrix
+    assert np.abs(a.conj().T @ a - np.eye(k * n_sub)).max() < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thzgen.checkpoint import (
+    VERSION,
     Checkpoint,
     CheckpointMeta,
     ema_denoiser,
@@ -98,6 +99,18 @@ def test_rejects_unknown_version(tmp_path):
     assert str(path) in str(info.value)
 
 
+def test_rejects_version_1_written_with_the_erf_gelu(tmp_path):
+    # Version 1 has the same layout, but its weights fit the erf GELU.
+    path = tmp_path / "v1.ckpt"
+    save_checkpoint(path, random_checkpoint())
+    raw = path.read_bytes()
+    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (2,)
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(ValueError, match="version 1, which was written with the erf GELU") as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 def corrupt(raw: bytes, case: str) -> bytes:
     """A checkpoint file's bytes with one kind of length damage."""
     (blob_len,) = struct.unpack("<I", raw[8:12])
@@ -184,7 +197,7 @@ def test_ema_denoiser_uses_ema_weights(tmp_path):
 def write_with_metadata(path, blob: bytes) -> None:
     """A checkpoint with a valid layout (no records) around raw metadata bytes."""
     path.write_bytes(
-        b"THZW" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 0)
+        b"THZW" + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<I", 0)
     )
 
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thzgen
 from thzgen import cli, dit
 from thzgen.checkpoint import load_checkpoint
 from thzgen.cli import main
@@ -277,3 +282,15 @@ def test_eval_rejects_dimension_mismatch(workdir, tmp_path, capsys):
         == 1
     )
     assert "dimension mismatch" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # numpy is the package's only dependency.
+    src = str(Path(thzgen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, thzgen, thzgen.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import select
 import signal
@@ -9,7 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzgen import dit
 from thzgen.dataset import Dataset, DatasetHeader
@@ -17,7 +19,6 @@ from thzgen.dit import (
     ROWS,
     DitConfig,
     DitDenoiser,
-    adaln,
     dgelu,
     gelu,
     init_params,
@@ -211,25 +212,42 @@ def test_positional_table_properties():
         positional_table((2, 2), 6)
 
 
-def test_timestep_embedding():
-    den = DitDenoiser(small_config())
-    e = den.embed_timestep([0.1, 1.0, 5.0])
-    assert e.shape == (3, 8)
-    assert not np.allclose(e[0], e[1])
-    with pytest.raises(ValueError):
-        den.embed_timestep([0.5, -1.0])
-    with pytest.raises(ValueError):
-        den.embed_timestep(0.0)
+def test_forward_embeds_each_noise_level():
+    # The conditioning vector c = e_t + e_p differs between samples that share
+    # the condition but not the noise level.
+    den = randomized_denoiser(small_config())
+    cond = np.tile(np.random.default_rng(2).normal(size=8), (3, 1))
+    _, cache = den.forward(np.zeros((3, 2, 8, 8)), np.array([0.1, 1.0, 5.0]), cond)
+    assert cache["c"].shape == (3, 8)
+    assert not np.allclose(cache["c"][0], cache["c"][1])
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        den.denoise(np.zeros((2, 2, 8, 8)), np.array([0.5, -1.0]), cond[:2])
+    with pytest.raises(ValueError, match="sigma must be > 0"):
+        den.evaluate(np.zeros((2, 8, 8)), 0.0, cond[0])
 
 
-def test_condition_embedding():
-    den = DitDenoiser(small_config())
+def test_forward_embeds_each_condition():
+    den = randomized_denoiser(small_config())
     cond = np.random.default_rng(2).normal(size=(3, 8))
-    e = den.embed_condition(cond)
-    assert e.shape == (3, 8)
-    assert not np.allclose(e[0], e[1])
-    with pytest.raises(ValueError):
-        den.embed_condition(np.full(8, np.nan))
+    _, cache = den.forward(np.zeros((3, 2, 8, 8)), np.ones(3), cond)
+    assert cache["c"].shape == (3, 8)
+    assert not np.allclose(cache["c"][0], cache["c"][1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_condition_is_a_value_error(bad):
+    # Rejected before the network runs, not reported as non-finite output.
+    den = randomized_denoiser(small_config())
+    h = np.zeros((3, 2, 8, 8))
+    cond = np.random.default_rng(2).normal(size=(3, 8))
+    cond[1, 4] = bad
+    msg = "condition vector contains non-finite values"
+    with pytest.raises(ValueError, match=msg):
+        den.forward(h, np.ones(3), cond)
+    with pytest.raises(ValueError, match=msg):
+        den.denoise(h, np.ones(3), cond)
+    with pytest.raises(ValueError, match=msg):
+        den.evaluate(h[0], 1.0, np.full(8, bad))
 
 
 # -- normalization ----------------------------------------------------------
@@ -241,12 +259,19 @@ def test_layer_norm_statistics():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-5)
 
 
-def test_adaln_zero_map_is_layer_norm():
+def test_zero_modulation_maps_leave_plain_layer_norm():
+    # adaLN-Zero: with a zero modulation map, adaLN is exactly LayerNorm.
+    cfg = small_config()
+    den = randomized_denoiser(cfg, seed=4)
+    for name in ("block0.mod.w", "block0.mod.b", "final.mod.w", "final.mod.b"):
+        den.params[name][...] = 0.0
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 5, 16))
-    c = rng.normal(size=(2, 16))
-    out = adaln(x, c, np.zeros((16, 32)), np.zeros(32))
-    np.testing.assert_array_equal(out, layer_norm(x)[0])
+    _, cache = den.forward(rng.normal(size=(2, 2, 8, 8)), np.array([0.5, 2.0]),
+                           rng.normal(size=(2, 8)))
+    block = cache["blocks"][0]
+    np.testing.assert_array_equal(block["m1"], block["ln1"])
+    np.testing.assert_array_equal(block["m2"], block["ln2"])
+    np.testing.assert_array_equal(cache["y"], cache["lnf"])
 
 
 # -- attention internals ----------------------------------------------------
@@ -386,19 +411,35 @@ def test_zero_loss_gives_zero_gradients():
 
 # -- GELU -------------------------------------------------------------------
 
-def test_gelu_returns_the_erf_factor_dgelu_reuses():
+def test_gelu_is_the_tanh_formula():
     x = np.random.default_rng(15).normal(0.0, 3.0, size=(4, 5, 16))
     act, e = gelu(x)
-    np.testing.assert_array_equal(act, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
-    np.testing.assert_array_equal(e, 1.0 + erf(x / np.sqrt(2.0)))
-    np.testing.assert_array_equal(
-        dgelu(x, e),
-        0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-        + x * np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi),
-    )
-    step = 1e-6
+    e_ref = 1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x)))
+    np.testing.assert_array_equal(e, e_ref)
+    np.testing.assert_array_equal(act, 0.5 * x * e_ref)
+
+
+def test_gelu_is_within_5e_4_of_the_erf_form():
+    x = np.linspace(-10.0, 10.0, 20001)
+    exact = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    assert np.abs(gelu(x)[0] - exact).max() <= 5e-4
+
+
+def assert_dgelu_matches_central_difference(x, step=1e-6):
     fd = (gelu(x + step)[0] - gelu(x - step)[0]) / (2 * step)
-    np.testing.assert_allclose(dgelu(x, e), fd, atol=1e-8)
+    np.testing.assert_allclose(dgelu(x, gelu(x)[1]), fd, atol=1e-8)
+
+
+def test_dgelu_matches_central_difference():
+    assert_dgelu_matches_central_difference(
+        np.random.default_rng(15).normal(0.0, 3.0, size=(4, 5, 16))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-10.0, max_value=10.0))
+def test_dgelu_matches_finite_difference_property(x0):
+    assert_dgelu_matches_central_difference(np.array([x0]))
 
 
 # -- cache-free inference ---------------------------------------------------

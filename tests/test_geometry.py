@@ -3,12 +3,17 @@ import pytest
 
 from thzgen.errors import DegenerateGeometryError
 from thzgen.geometry import (
+    SPEED_OF_LIGHT,
     ArrayGeometry,
     condition_vector,
     direction_angles,
     rayleigh_distance,
     unit_direction,
 )
+
+
+def test_speed_of_light_is_the_si_value():
+    assert SPEED_OF_LIGHT == 299792458.0
 
 
 def test_rayleigh_distance_reference_value():
