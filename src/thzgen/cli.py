@@ -297,6 +297,16 @@ def _pair_by_condition(gen: Dataset, ref: Dataset) -> list[tuple[int, int]]:
     return pairs
 
 
+def _check_finite(path, dataset: Dataset) -> None:
+    """Reject a dataset with a NaN or Inf in any sample's condition or tensor."""
+    finite = np.isfinite(dataset.conditions).all(axis=1)
+    finite &= np.isfinite(dataset.tensors).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise ValueError(
+            f"{path}: sample {int(np.argmin(finite))} holds a non-finite value"
+        )
+
+
 def cmd_eval(args) -> int:
     metrics = args.metrics.split(",")
     invalid = [m for m in metrics if m not in _VALID_METRICS]
@@ -306,6 +316,8 @@ def cmd_eval(args) -> int:
         )
     gen = read_dataset(args.gen)
     ref = read_dataset(args.ref)
+    for path, data in ((args.gen, gen), (args.ref, ref)):
+        _check_finite(path, data)
     if (gen.header.n_rx, gen.header.n_tx) != (ref.header.n_rx, ref.header.n_tx):
         raise ValueError(
             f"dimension mismatch: generated {gen.header.n_rx}x{gen.header.n_tx} "
@@ -315,6 +327,7 @@ def cmd_eval(args) -> int:
     gen_mats = gen.complex_matrices()
     ref_mats = ref.complex_matrices()
 
+    start = time.perf_counter()
     rows: list[tuple] = []
     if "ssim" in metrics:
         per_pair = [ssim_complex(gen_mats[i], ref_mats[j]) for i, j in pairs]
@@ -346,12 +359,17 @@ def cmd_eval(args) -> int:
         for idx, value in enumerate(values):
             rows.append(("nmse", "pair", idx, value))
         rows.append(("nmse", "mean", "", float(np.mean(values))))
+    elapsed = time.perf_counter() - start
 
     with open(args.out_csv, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["section", "key", "index", "value"])
         writer.writerows(rows)
     print(f"wrote {args.out_csv} ({len(rows)} rows)")
+    print(
+        f"scored {len(pairs)} pairs in {1e3 * elapsed:.1f} ms "
+        f"({len(pairs) / elapsed:.1f} pairs/s)"
+    )
     return 0
 
 

@@ -382,6 +382,9 @@ class DitDenoiser:
         h = np.asarray(h, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
         cond = np.asarray(cond, dtype=float)
+        finite = np.isfinite(sigma)
+        if not finite.all():
+            raise ValueError(f"sigma must be finite, got {sigma[~finite].flat[0]:g}")
         if np.any(sigma <= 0):
             raise ValueError("sigma must be > 0")
         if not np.all(np.isfinite(cond)):

@@ -17,18 +17,20 @@ class SsimParams:
     k2: float = 0.03
 
 
-def _gaussian_window(size_r: int, size_c: int, sigma: float) -> np.ndarray:
-    def g(n):
-        x = np.arange(n) - (n - 1) / 2.0
-        w = np.exp(-(x**2) / (2.0 * sigma**2))
-        return w / w.sum()
-
-    return np.outer(g(size_r), g(size_c))
+def _gaussian_taps(n: int, sigma: float) -> np.ndarray:
+    x = np.arange(n) - (n - 1) / 2.0
+    w = np.exp(-(x**2) / (2.0 * sigma**2))
+    return w / w.sum()
 
 
-def _windowed_moments(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    views = np.lib.stride_tricks.sliding_window_view(x, window.shape)
-    return np.tensordot(views, window, axes=([2, 3], [0, 1]))
+def _taps_pass(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Valid-mode filter of ``x`` along axis 1, as shifted multiply-adds."""
+    n = x.shape[1] - len(taps) + 1
+    out = np.multiply(x[:, :n], taps[0])
+    tmp = np.empty_like(out)
+    for i in range(1, len(taps)):
+        out += np.multiply(x[:, i : i + n], taps[i], out=tmp)
+    return out
 
 
 def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> float:
@@ -45,21 +47,20 @@ def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> flo
     if a.ndim != 2 or min(a.shape) < 3:
         raise ValueError(f"inputs must be at least 3x3 matrices, got {a.shape}")
 
-    h, w = a.shape
-    window = _gaussian_window(
-        min(params.window_size, h), min(params.window_size, w), params.window_sigma
-    )
     data_range = max(np.abs(a).max(), np.abs(b).max())
     if data_range == 0.0:
         return 1.0
     c1 = (params.k1 * data_range) ** 2
     c2 = (params.k2 * data_range) ** 2
 
-    mu_a = _windowed_moments(a, window)
-    mu_b = _windowed_moments(b, window)
-    var_a = _windowed_moments(a * a, window) - mu_a**2
-    var_b = _windowed_moments(b * b, window) - mu_b**2
-    cov = _windowed_moments(a * b, window) - mu_a * mu_b
+    # The window is separable: one valid-mode pass down the rows, one along the columns.
+    taps_r, taps_c = (_gaussian_taps(min(params.window_size, n), params.window_sigma)
+                      for n in a.shape)
+    rows = _taps_pass(np.stack((a, b, a * a, b * b, a * b)), taps_r)
+    mu_a, mu_b, var_a, var_b, cov = _taps_pass(rows.swapaxes(1, 2), taps_c).swapaxes(1, 2)
+    var_a -= mu_a**2
+    var_b -= mu_b**2
+    cov -= mu_a * mu_b
 
     ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)

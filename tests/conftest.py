@@ -1,5 +1,12 @@
 import sys
 
+from hypothesis import settings
+
+# No per-example deadline: CPU steal on a shared host must not fail a property
+# test on timing.  print_blob lets a failure be replayed with @reproduce_failure.
+settings.register_profile("thzgen", deadline=None, print_blob=True)
+settings.load_profile("thzgen")
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance-gate pass/fail lines after the test report."""

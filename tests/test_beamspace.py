@@ -78,7 +78,7 @@ def test_block_dictionary_bytes_are_pinned():
     )
 
 
-@settings(max_examples=64, deadline=None)
+@settings(max_examples=64)
 @given(st.integers(1, 8), st.integers(1, 8))
 def test_block_dictionary_is_unitary_and_block_built(k, n_sub):
     d = block_dictionary(k, n_sub)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import thzgen
 from thzgen import cli, dit
 from thzgen.checkpoint import load_checkpoint
 from thzgen.cli import main
-from thzgen.dataset import read_dataset
+from thzgen.dataset import Dataset, read_dataset, write_dataset
 
 CONFIG = {
     "seed": 3,
@@ -241,6 +242,36 @@ def test_eval_scores_each_pair_once(workdir, tmp_path, monkeypatch):
     per_pair = sorted(float(r["value"]) for r in rows if r["key"] == "pair")
     cdf = [float(r["value"]) for r in rows if r["section"] == "ssim_cdf" and r["key"] == "value"]
     assert cdf == per_pair
+
+
+def test_eval_reports_throughput(workdir, tmp_path, capsys):
+    assert main(["eval", "--gen", str(workdir / "data.test"), "--ref",
+                 str(workdir / "data.train"), "--out-csv", str(tmp_path / "m.csv")]) == 0
+    found = re.findall(r"^scored (\d+) pairs in ([\d.]+) ms \(([\d.]+) pairs/s\)$",
+                       capsys.readouterr().out, re.MULTILINE)
+    assert len(found) == 1
+    pairs, ms, rate = int(found[0][0]), float(found[0][1]), float(found[0][2])
+    assert pairs == len(read_dataset(workdir / "data.test"))
+    assert ms > 0 and rate == pytest.approx(pairs / (ms / 1e3), rel=0.1)
+
+
+@pytest.mark.parametrize("which", ["gen", "ref"])
+@pytest.mark.parametrize("part", ["tensors", "conditions"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_rejects_non_finite_input(workdir, tmp_path, capsys, which, part, bad):
+    clean = read_dataset(workdir / "data.test")
+    arrays = {"tensors": clean.tensors.copy(), "conditions": clean.conditions.copy()}
+    arrays[part][2].flat[1] = bad
+    arrays[part][4].flat[0] = bad
+    path = tmp_path / "bad.bin"
+    write_dataset(path, Dataset(header=clean.header, **arrays))
+    files = {"gen": str(workdir / "data.test"), "ref": str(workdir / "data.test")}
+    files[which] = str(path)
+    out = tmp_path / "x.csv"
+    assert main(["eval", "--gen", files["gen"], "--ref", files["ref"],
+                 "--out-csv", str(out)]) == 1
+    assert f"error: {path}: sample 2 holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_metric_subset(workdir, tmp_path):

@@ -250,6 +250,24 @@ def test_non_finite_condition_is_a_value_error(bad):
         den.evaluate(h[0], 1.0, np.full(8, bad))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sigma_is_a_value_error(bad):
+    # Named as a bad sigma, not reported as non-finite output after warnings.
+    den = randomized_denoiser(small_config())
+    h = np.zeros((3, 2, 8, 8))
+    cond = np.random.default_rng(2).normal(size=(3, 8))
+    sigma = np.array([1.0, bad, 0.5])
+    msg = f"sigma must be finite, got {bad:g}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=msg):
+            den.forward(h, sigma, cond)
+        with pytest.raises(ValueError, match=msg):
+            den.denoise(h, sigma, cond)
+        with pytest.raises(ValueError, match=msg):
+            den.evaluate(h[0], bad, cond[0])
+
+
 # -- normalization ----------------------------------------------------------
 
 def test_layer_norm_statistics():
@@ -436,7 +454,7 @@ def test_dgelu_matches_central_difference():
     )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.floats(min_value=-10.0, max_value=10.0))
 def test_dgelu_matches_finite_difference_property(x0):
     assert_dgelu_matches_central_difference(np.array([x0]))

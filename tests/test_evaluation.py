@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from thzgen.channel import BEAMSPACE, SPATIAL, ChannelMatrix
 from thzgen.evaluation import (
@@ -99,6 +103,79 @@ def test_ssim_cdf():
     assert out.values[-1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         ssim_cdf([])
+
+
+# The 2-D window SSIM that the separable filter replaced, kept as a reference.
+
+def reference_window(size_r, size_c, sigma):
+    def g(n):
+        x = np.arange(n) - (n - 1) / 2.0
+        w = np.exp(-(x**2) / (2.0 * sigma**2))
+        return w / w.sum()
+
+    return np.outer(g(size_r), g(size_c))
+
+
+def reference_moments(x, window):
+    views = np.lib.stride_tricks.sliding_window_view(x, window.shape)
+    return np.tensordot(views, window, axes=([2, 3], [0, 1]))
+
+
+def reference_ssim(a, b, params=SsimParams()):
+    h, w = a.shape
+    window = reference_window(
+        min(params.window_size, h), min(params.window_size, w), params.window_sigma
+    )
+    data_range = max(np.abs(a).max(), np.abs(b).max())
+    if data_range == 0.0:
+        return 1.0
+    c1 = (params.k1 * data_range) ** 2
+    c2 = (params.k2 * data_range) ** 2
+    mu_a = reference_moments(a, window)
+    mu_b = reference_moments(b, window)
+    var_a = reference_moments(a * a, window) - mu_a**2
+    var_b = reference_moments(b * b, window) - mu_b**2
+    cov = reference_moments(a * b, window) - mu_a * mu_b
+    ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    )
+    return float(ssim_map.mean())
+
+
+@given(
+    h=st.integers(3, 64),
+    w=st.integers(3, 256),
+    log_scale=st.floats(-3.0, 3.0),
+    noise=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=64, w=256, log_scale=0.0, noise=0.3, seed=0)  # the full 11x11 window
+@example(h=5, w=256, log_scale=-3.0, noise=0.1, seed=1)  # rows clamped
+@example(h=64, w=4, log_scale=3.0, noise=1.0, seed=2)  # columns clamped
+@example(h=3, w=10, log_scale=1.0, noise=0.0, seed=3)  # both clamped
+def test_ssim_matches_2d_window_reference(h, w, log_scale, noise, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    a = scale * (rng.normal(size=(h, w)) + 1j * rng.normal(size=(h, w)))
+    b = a + noise * scale * (rng.normal(size=(h, w)) + 1j * rng.normal(size=(h, w)))
+    assert abs(ssim(a.real, b.real) - reference_ssim(a.real, b.real)) <= 1e-12
+    assert abs(ssim_complex(a, b) - reference_ssim(np.abs(a), np.abs(b))) <= 1e-12
+    realimag = 0.5 * (reference_ssim(a.real, b.real) + reference_ssim(a.imag, b.imag))
+    assert abs(ssim_complex(a, b, mode="realimag") - realimag) <= 1e-12
+
+
+def test_ssim_complex_working_set_is_small():
+    # The 2-D window reference peaks at about 13.5 MB on this pair.
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(64, 256)) + 1j * rng.normal(size=(64, 256))
+    b = a + 0.5 * rng.normal(size=(64, 256))
+    tracemalloc.start()
+    try:
+        ssim_complex(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # -- angular power ----------------------------------------------------------
