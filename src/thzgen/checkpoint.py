@@ -1,26 +1,34 @@
 """Binary checkpoint format for the DiT denoiser.
 
-Layout: magic "THZW", u32 version, u32 JSON length + JSON metadata (the
-DitConfig plus dataset bookkeeping needed for sampling), u32 record count,
-then (u32 name length, name, u32 rank, rank x u64 shape, f32 data)
-records for raw weights, EMA weights, Adam moments, and the step counter.
-All integers and floats little-endian.
+Layout (version 3), all little-endian:
+
+- magic "THZW", u32 version, u32 JSON length, then JSON metadata with
+  exactly the sections "config" (the DitConfig), "meta" (dataset
+  bookkeeping needed for sampling) and "schedule" (the DiffusionSchedule
+  the model was trained with, which sampling reuses);
+- u64 step and u64 n, the parameter count of each group;
+- four n-element f8 vectors, each laid out by ``param_shapes(config)``:
+  params, ema_params, adam_m, adam_v.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
 
 MAGIC = b"THZW"
-# Version 2 has version 1's layout; a version-1 file holds weights trained
-# with the erf GELU, which the tanh-GELU model would misread.
-VERSION = 2
+# Versions 1 (erf GELU) and 2 (tanh GELU) stored one f4 record per tensor.
+VERSION = 3
+_HEAD = struct.Struct("<4sII")  # magic, version, JSON length
+_COUNTS = struct.Struct("<QQ")  # step, parameters per group
+_GROUPS = ("params", "ema_params", "adam_m", "adam_v")
 
 
 @dataclass
@@ -47,48 +55,7 @@ class Checkpoint:
     adam_v: dict
     step: int
     meta: CheckpointMeta
-
-
-def _write_record(f, name: str, array: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    f.write(struct.pack("<I", len(encoded)))
-    f.write(encoded)
-    shape = array.shape
-    f.write(struct.pack("<I", len(shape)))
-    for dim in shape:
-        f.write(struct.pack("<Q", dim))
-    np.ascontiguousarray(array, dtype="<f4").tofile(f)
-
-
-class _Layout:
-    """Bounds-checked cursor over the bytes of a checkpoint file."""
-
-    def __init__(self, path, buf: bytes):
-        self.path = path
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.buf):
-            raise ValueError(
-                f"checkpoint {self.path} is truncated: its layout needs at least "
-                f"{end} bytes, the file has {len(self.buf)}"
-            )
-        chunk = self.buf[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def record(self):
-        """(name, shape, raw little-endian f32 bytes) of the next record."""
-        (name_len,) = self.unpack("<I")
-        name = self.take(name_len).decode("utf-8")
-        (rank,) = self.unpack("<I")
-        shape = self.unpack(f"<{rank}Q")
-        return name, shape, self.take(4 * math.prod(shape))
+    schedule: DiffusionSchedule = field(default_factory=DiffusionSchedule)
 
 
 def _metadata_section(path, cls, name: str, values):
@@ -104,103 +71,101 @@ def _metadata_section(path, cls, name: str, values):
         raise ValueError(f"checkpoint {path}: metadata {name!r} is invalid: {exc}") from exc
 
 
-def _decode_metadata(path, blob: bytes) -> tuple[DitConfig, CheckpointMeta]:
+_SECTIONS = {"config": DitConfig, "meta": CheckpointMeta, "schedule": DiffusionSchedule}
+
+
+def _decode_metadata(path, blob: bytes) -> dict:
     try:
         meta_json = json.loads(blob.decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: metadata is not valid JSON: {exc}") from exc
     if not isinstance(meta_json, dict):
         raise ValueError(f"checkpoint {path}: metadata must be a JSON object")
-    if set(meta_json) != {"config", "meta"}:
+    if set(meta_json) != set(_SECTIONS):
         raise ValueError(
             f"checkpoint {path}: metadata must hold exactly the keys "
-            f"['config', 'meta'], it has {sorted(meta_json)}"
+            f"{sorted(_SECTIONS)}, it has {sorted(meta_json)}"
         )
-    return (
-        _metadata_section(path, DitConfig, "config", meta_json["config"]),
-        _metadata_section(path, CheckpointMeta, "meta", meta_json["meta"]),
-    )
+    return {
+        name: _metadata_section(path, cls, name, meta_json[name])
+        for name, cls in _SECTIONS.items()
+    }
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    meta = {"config": asdict(ckpt.config), "meta": asdict(ckpt.meta)}
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    records = []
-    for prefix, tensors in (
-        ("param/", ckpt.params),
-        ("ema/", ckpt.ema_params),
-        ("adam_m/", ckpt.adam_m),
-        ("adam_v/", ckpt.adam_v),
-    ):
-        for name in sorted(tensors):
-            records.append((prefix + name, np.asarray(tensors[name])))
-    records.append(("step", np.array([ckpt.step], dtype=float)))
+    """Write ``ckpt``; a group whose names or shapes miss the config is fatal.
 
+    Every group is checked before the file is opened.
+    """
+    shapes = param_shapes(ckpt.config)
+    vectors = [
+        FlatParams.copy_of(shapes, getattr(ckpt, name), f"checkpoint {path} group {name!r}")
+        .vector
+        for name in _GROUPS
+    ]
+    meta = {name: asdict(getattr(ckpt, name)) for name in _SECTIONS}
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(blob)))
+        f.write(_HEAD.pack(MAGIC, VERSION, len(blob)))
         f.write(blob)
-        f.write(struct.pack("<I", len(records)))
-        for name, array in records:
-            _write_record(f, name, array)
+        f.write(_COUNTS.pack(ckpt.step, vectors[0].size))
+        for vector in vectors:
+            vector.astype("<f8", copy=False).tofile(f)
+
+
+def _require(path, needed: int, size: int) -> None:
+    if size < needed:
+        raise ValueError(
+            f"checkpoint {path} is truncated: its layout needs at least {needed} "
+            f"bytes, the file has {size}"
+        )
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file shorter or longer than its layout is fatal.
 
-    The whole record layout is walked and checked against the file length
-    before any metadata or tensor is decoded.
+    The file size is checked against the layout the header declares before
+    the metadata is decoded or any vector is read.
     """
     with open(path, "rb") as f:
-        layout = _Layout(path, f.read())
-    if layout.take(4) != MAGIC:
-        raise ValueError(f"{path} is not a checkpoint file: bad magic")
-    (version,) = layout.unpack("<I")
-    if version == 1:
-        raise ValueError(
-            f"checkpoint {path} has version 1, which was written with the erf "
-            f"GELU; this model uses the tanh GELU (version {VERSION}), so "
-            f"retrain it"
-        )
-    if version != VERSION:
-        raise ValueError(f"checkpoint {path} has unsupported version {version}")
-    (blob_len,) = layout.unpack("<I")
-    blob = layout.take(blob_len)
-    (n_records,) = layout.unpack("<I")
-    raw = [layout.record() for _ in range(n_records)]
-    if layout.pos != len(layout.buf):
-        raise ValueError(
-            f"checkpoint {path} has {len(layout.buf)} bytes, but its layout "
-            f"ends at {layout.pos}: {len(layout.buf) - layout.pos} trailing bytes"
-        )
+        size = os.fstat(f.fileno()).st_size
+        _require(path, _HEAD.size, size)
+        magic, version, blob_len = _HEAD.unpack(f.read(_HEAD.size))
+        if magic != MAGIC:
+            raise ValueError(f"{path} is not a checkpoint file: bad magic")
+        if version in (1, 2):
+            raise ValueError(
+                f"checkpoint {path} has version {version}, which stores float32 "
+                f"weights per tensor; this reader takes version {VERSION} only, "
+                f"so retrain the model"
+            )
+        if version != VERSION:
+            raise ValueError(f"checkpoint {path} has unsupported version {version}")
+        vectors_at = _HEAD.size + blob_len + _COUNTS.size
+        _require(path, vectors_at, size)
+        blob = f.read(blob_len)
+        step, n = _COUNTS.unpack(f.read(_COUNTS.size))
+        end = vectors_at + 8 * len(_GROUPS) * n
+        _require(path, end, size)
+        if size > end:
+            raise ValueError(
+                f"checkpoint {path} has {size} bytes, but its layout ends at "
+                f"{end}: {size - end} trailing bytes"
+            )
 
-    config, meta = _decode_metadata(path, blob)
-    groups = {"param/": {}, "ema/": {}, "adam_m/": {}, "adam_v/": {}}
-    step = 0
-    for name, shape, data in raw:
-        values = np.frombuffer(data, dtype="<f4").reshape(shape)
-        if name == "step":
-            step = int(values[0])
-            continue
-        prefix, _, key = name.partition("/")
-        if prefix + "/" not in groups:
-            raise ValueError(f"checkpoint {path}: unknown record {name!r}")
-        groups[prefix + "/"][key] = values
-    shapes = param_shapes(config)
-    params, ema, adam_m, adam_v = (
-        FlatParams.copy_of(shapes, tensors, f"checkpoint {path} group {prefix!r}")
-        for prefix, tensors in groups.items()
-    )
-    return Checkpoint(
-        config=config,
-        params=params,
-        ema_params=ema,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        step=step,
-        meta=meta,
-    )
+        sections = _decode_metadata(path, blob)
+        shapes = param_shapes(sections["config"])
+        want = sum(math.prod(shape) for shape in shapes.values())
+        if n != want:
+            raise ValueError(
+                f"checkpoint {path} declares {n} parameters per group, but its "
+                f"config's layout has {want}"
+            )
+        groups = {
+            name: FlatParams(shapes, np.fromfile(f, dtype="<f8", count=n))
+            for name in _GROUPS
+        }
+    return Checkpoint(step=step, **groups, **sections)
 
 
 def ema_denoiser(ckpt: Checkpoint) -> DitDenoiser:

@@ -84,8 +84,28 @@ _CONFIG_DEFAULTS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_leaf(key: str, default, value) -> None:
+    """A config value must have the JSON type of its default."""
+    if isinstance(default, list):
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and all(map(_is_number, value)))
+        want = f"a list of {len(default)} numbers"
+    elif default is None:
+        ok, want = value is None or _is_number(value), "a number or null"
+    elif isinstance(default, int):
+        ok, want = _is_number(value) and isinstance(value, int), "an integer"
+    else:
+        ok, want = _is_number(value), "a number"
+    if not ok:
+        raise ValueError(f"config key {key} must be {want}, got {json.dumps(value)}")
+
+
 def _merge_strict(defaults, data, path=""):
-    """Overlay data on defaults; any key absent from defaults is fatal."""
+    """Overlay data on defaults; an unknown key or a mistyped value is fatal."""
     if not isinstance(data, dict):
         raise ValueError(f"config section {path or '<root>'} must be an object")
     merged = {}
@@ -94,6 +114,8 @@ def _merge_strict(defaults, data, path=""):
             value = data[key]
             if isinstance(default, dict) and default:
                 value = _merge_strict(default, value, f"{path}{key}.")
+            else:
+                _check_leaf(path + key, default, value)
             merged[key] = value
         else:
             merged[key] = default
@@ -222,6 +244,7 @@ def cmd_train(args) -> int:
             adam_v=result.adam_v,
             step=result.step,
             meta=meta,
+            schedule=cfg.schedule,
         ),
     )
     csv_path = args.out_csv or args.out_ckpt + ".csv"
@@ -241,10 +264,15 @@ def sample_channels(
     seed: int,
     schedule: DiffusionSchedule | None = None,
 ) -> Dataset:
-    """Generate de-normalized beamspace samples at one Rx position."""
+    """Generate de-normalized beamspace samples at one Rx position.
+
+    ``schedule`` defaults to the one the checkpoint was trained with.
+    """
+    if num < 1:
+        raise ValueError(f"sample count (--num) must be >= 1, got {num}")
     cond = condition_vector(ckpt.meta.tx_origin, position)
     denoiser = ema_denoiser(ckpt)
-    schedule = schedule or DiffusionSchedule()
+    schedule = ckpt.schedule if schedule is None else schedule
     rng = np.random.default_rng(seed)
     shape = (num, 2, ckpt.config.n_rx, ckpt.config.n_tx)
     samples = euler_sample(denoiser, cond.p, schedule, rng, shape)
@@ -267,13 +295,12 @@ def cmd_sample(args) -> int:
     position = tuple(float(v) for v in args.pos.split(","))
     if len(position) != 3:
         raise ValueError(f"--pos expects x,y,z, got {args.pos!r}")
-    schedule = DiffusionSchedule()
     start = time.perf_counter()
-    dataset = sample_channels(ckpt, position, args.num, args.seed, schedule)
+    dataset = sample_channels(ckpt, position, args.num, args.seed)
     elapsed_ms = 1e3 * (time.perf_counter() - start)
     write_dataset(args.out, dataset)
     _print_header("generated", dataset.header)
-    nfe = schedule.n_steps  # one denoiser call per Euler step
+    nfe = ckpt.schedule.n_steps  # one denoiser call per Euler step
     lanes = lane_count(ckpt.config, args.num)
     print(
         f"sampler: {nfe} denoiser calls (NFE) at batch {args.num}, "

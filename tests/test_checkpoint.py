@@ -1,9 +1,12 @@
+import hashlib
 import json
 import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thzgen.checkpoint import (
     VERSION,
@@ -14,7 +17,10 @@ from thzgen.checkpoint import (
     save_checkpoint,
 )
 from thzgen.cli import main
-from thzgen.dit import DitConfig, init_params
+from thzgen.dataset import Dataset, DatasetHeader
+from thzgen.diffusion import DiffusionSchedule
+from thzgen.dit import DitConfig, DitDenoiser, FlatParams, init_params, param_shapes
+from thzgen.training import TrainConfig, train
 
 CONFIG = DitConfig(n_rx=8, n_tx=16, patch_size=4, embed_dim=16, depth=1, n_heads=2,
                    mlp_ratio=2)
@@ -34,6 +40,7 @@ def random_checkpoint(seed=0):
         adam_m=group(-1.0),
         adam_v={k: np.abs(v) for k, v in group(0.5).items()},
         step=1234,
+        schedule=DiffusionSchedule(horizon=3.0, sigma_min=0.02, n_steps=7),
         meta=CheckpointMeta(
             normalization_scalar=2.5,
             k_rx=2,
@@ -45,10 +52,6 @@ def random_checkpoint(seed=0):
     )
 
 
-def as_f32(d):
-    return {k: v.astype(np.float32).astype(float) for k, v in d.items()}
-
-
 def test_round_trip(tmp_path):
     ckpt = random_checkpoint()
     path = tmp_path / "model.ckpt"
@@ -57,6 +60,7 @@ def test_round_trip(tmp_path):
 
     assert back.config == CONFIG
     assert back.step == 1234
+    assert back.schedule == DiffusionSchedule(horizon=3.0, sigma_min=0.02, n_steps=7)
     assert back.meta.normalization_scalar == 2.5
     assert back.meta.k_rx == 2 and back.meta.k_tx == 2
     assert back.meta.master_seed == 99
@@ -68,11 +72,9 @@ def test_round_trip(tmp_path):
         (ckpt.adam_m, back.adam_m),
         (ckpt.adam_v, back.adam_v),
     ):
-        assert set(mine) == set(theirs)
+        assert list(theirs) == list(param_shapes(CONFIG))
         for k in mine:
-            np.testing.assert_array_equal(
-                theirs[k], mine[k].astype(np.float32).astype(float)
-            )
+            np.testing.assert_array_equal(theirs[k], mine[k])
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -99,30 +101,41 @@ def test_rejects_unknown_version(tmp_path):
     assert str(path) in str(info.value)
 
 
-def test_rejects_version_1_written_with_the_erf_gelu(tmp_path):
-    # Version 1 has the same layout, but its weights fit the erf GELU.
-    path = tmp_path / "v1.ckpt"
+@pytest.mark.parametrize("version", [1, 2])
+def test_rejects_float32_layouts(tmp_path, version, capsys):
+    # Versions 1 and 2 share version 3's first 12 bytes: magic, version and
+    # metadata length, followed by per-tensor f4 records.
+    path = tmp_path / f"v{version}.ckpt"
     save_checkpoint(path, random_checkpoint())
     raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (2,)
-    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-    with pytest.raises(ValueError, match="version 1, which was written with the erf GELU") as info:
+    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (3,)
+    path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+    with pytest.raises(ValueError, match=f"version {version}, which stores float32") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
+    argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
+            "--out", str(tmp_path / "gen.bin")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"version {version}" in err and str(path) in err
 
 
 def corrupt(raw: bytes, case: str) -> bytes:
     """A checkpoint file's bytes with one kind of length damage."""
     (blob_len,) = struct.unpack("<I", raw[8:12])
+    vectors_at = 12 + blob_len + 16
     return {
         "short_header": raw[:6],
         "truncated_metadata": raw[: 12 + blob_len // 2],
-        "truncated_record": raw[:-2],  # inside the last record's data
+        "truncated_counts": raw[: vectors_at - 5],  # inside u64 step, u64 n
+        "truncated_params": raw[: vectors_at + 13],  # inside the first vector
+        "truncated_record": raw[:-2],  # inside the last vector, adam_v
         "trailing_bytes": raw + b"\0" * 7,
     }[case]
 
 
-CASES = ["short_header", "truncated_metadata", "truncated_record", "trailing_bytes"]
+CASES = ["short_header", "truncated_metadata", "truncated_counts", "truncated_params",
+         "truncated_record", "trailing_bytes"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -138,7 +151,7 @@ def test_rejects_wrong_length(tmp_path, case):
     assert str(path) in msg and f"{len(data)}" in msg
     if case == "trailing_bytes":
         assert f"ends at {len(raw)}" in msg
-    if case == "truncated_record":
+    if case in ("truncated_params", "truncated_record"):
         assert f"at least {len(raw)} bytes" in msg
 
 
@@ -154,31 +167,34 @@ def test_cli_reports_wrong_length(tmp_path, case, capsys):
     assert err.startswith("error:") and str(path) in err
 
 
+# A group whose names or shapes miss the config is refused when it is saved,
+# and no file is written.
+
 def test_rejects_missing_tensor(tmp_path):
     ckpt = random_checkpoint()
     del ckpt.ema_params["head.w"]
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, ckpt)
-    with pytest.raises(ValueError, match="missing"):
-        load_checkpoint(path)
+    with pytest.raises(ValueError, match="group 'ema_params': missing tensor 'head.w'"):
+        save_checkpoint(path, ckpt)
+    assert not path.exists()
 
 
 def test_rejects_unexpected_tensor(tmp_path):
     ckpt = random_checkpoint()
     ckpt.params["not_a_layer.w"] = np.zeros(3)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, ckpt)
-    with pytest.raises(ValueError, match="unexpected"):
-        load_checkpoint(path)
+    with pytest.raises(ValueError, match="unexpected tensor 'not_a_layer.w'"):
+        save_checkpoint(path, ckpt)
+    assert not path.exists()
 
 
 def test_rejects_shape_mismatch(tmp_path):
     ckpt = random_checkpoint()
-    ckpt.params["head.b"] = np.zeros(7)
+    ckpt.adam_v["head.b"] = np.zeros(7)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, ckpt)
-    with pytest.raises(ValueError, match="shape"):
-        load_checkpoint(path)
+    with pytest.raises(ValueError, match="group 'adam_v': tensor 'head.b' has shape"):
+        save_checkpoint(path, ckpt)
+    assert not path.exists()
 
 
 def test_ema_denoiser_uses_ema_weights(tmp_path):
@@ -187,41 +203,158 @@ def test_ema_denoiser_uses_ema_weights(tmp_path):
     save_checkpoint(path, ckpt)
     den = ema_denoiser(load_checkpoint(path))
     assert den.config == CONFIG
+    for name, tensor in ckpt.ema_params.items():
+        np.testing.assert_array_equal(den.params[name], tensor)
+    x = np.random.default_rng(1).normal(size=(2, 2, 8, 16))
+    cond = np.random.default_rng(2).normal(size=(2, 8))
     np.testing.assert_array_equal(
-        den.params["patch.w"], ckpt.ema_params["patch.w"].astype(np.float32)
+        den.evaluate(x, 1.0, cond),
+        DitDenoiser(CONFIG, params=ckpt.ema_params).evaluate(x, 1.0, cond),
     )
-    out = den.evaluate(np.zeros((2, 8, 16)), 1.0, np.zeros(8))
-    assert out.shape == (2, 8, 16)
 
 
-def write_with_metadata(path, blob: bytes) -> None:
-    """A checkpoint with a valid layout (no records) around raw metadata bytes."""
+def test_ema_denoiser_is_the_trained_one(tmp_path):
+    # A short run on random data; the reloaded EMA model is bit-for-bit it.
+    rng = np.random.default_rng(4)
+    header = DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=12)
+    data = Dataset(header=header, conditions=rng.normal(size=(12, 8)),
+                   tensors=rng.normal(size=(12, 2, 8, 16)))
+    schedule = DiffusionSchedule(horizon=3.0, sigma_min=0.01, n_steps=5)
+    result = train(data, data, CONFIG, schedule,
+                   TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=1))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Checkpoint(
+        config=CONFIG, params=result.model.params, ema_params=result.ema_params,
+        adam_m=result.adam_m, adam_v=result.adam_v, step=result.step,
+        meta=CheckpointMeta(), schedule=schedule,
+    ))
+    back = load_checkpoint(path)
+    assert back.step == result.step == 6 and back.schedule == schedule
+    x = rng.normal(size=(3, 2, 8, 16))
+    cond = rng.normal(size=(3, 8))
+    sigmas = np.array([0.05, 0.7, 2.5])
+    np.testing.assert_array_equal(
+        ema_denoiser(back).denoise(x, sigmas, cond),
+        DitDenoiser(CONFIG, params=result.ema_params).denoise(x, sigmas, cond),
+    )
+
+
+def test_file_bytes_are_pinned(tmp_path):
+    # Any change to the layout or the metadata encoding moves this digest.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, random_checkpoint(seed=5))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "135d0ac24041aa8aa05d3b6041d175a46f55c5705600c5925df429d86251e37b"
+    )
+
+
+SPECIALS = np.array([-0.0, 5e-324, -2.2e-308 / 3, 1e300, -1e300, np.finfo(float).max])
+
+
+@st.composite
+def small_configs(draw):
+    patch = draw(st.sampled_from([1, 2]))
+    heads = draw(st.sampled_from([1, 2]))
+    return DitConfig(
+        n_rx=patch * draw(st.integers(1, 3)),
+        n_tx=patch * draw(st.integers(1, 3)),
+        patch_size=patch,
+        embed_dim=4 * heads * draw(st.integers(1, 2)),
+        depth=draw(st.integers(0, 2)),
+        n_heads=heads,
+        mlp_ratio=draw(st.integers(1, 2)),
+    )
+
+
+@settings(max_examples=100)
+@given(
+    config=small_configs(),
+    seed=st.integers(0, 2**32 - 1),
+    step=st.integers(0, 2**63 - 1),
+    schedule=st.builds(
+        DiffusionSchedule,
+        horizon=st.floats(1.0, 100.0),
+        sigma_min=st.floats(1e-6, 0.5),
+        n_steps=st.integers(1, 10**6),
+    ),
+    scale=st.floats(1e-300, 1e300),
+)
+@example(config=CONFIG, seed=0, step=2**24 + 1, schedule=DiffusionSchedule(), scale=1.0)
+def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, scale):
+    rng = np.random.default_rng(seed)
+    shapes = param_shapes(config)
+    groups = {}
+    for name in ("params", "ema_params", "adam_m", "adam_v"):
+        group = FlatParams(shapes)
+        group.vector[:] = rng.normal(size=group.vector.size) * 10.0 ** rng.integers(
+            -320, 300, size=group.vector.size)
+        at = rng.choice(group.vector.size, size=min(len(SPECIALS), group.vector.size),
+                        replace=False)
+        group.vector[at] = SPECIALS[: len(at)]
+        groups[name] = group
+    meta = CheckpointMeta(normalization_scalar=scale, k_rx=3, k_tx=1, master_seed=seed,
+                          tx_origin=(scale, -0.0, 1.0), geometry={"n_tx": 4})
+    path = tmp_path_factory.mktemp("round_trip") / "model.ckpt"
+    save_checkpoint(path, Checkpoint(config=config, step=step, meta=meta,
+                                     schedule=schedule, **groups))
+    back = load_checkpoint(path)
+    assert (back.config, back.step, back.meta, back.schedule) == (config, step, meta, schedule)
+    for name, group in groups.items():
+        vector = getattr(back, name).vector
+        assert np.array_equal(vector, group.vector)
+        assert vector.tobytes() == group.vector.tobytes()  # -0.0 keeps its sign
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_truncation_or_extension_is_a_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("damaged") / "model.ckpt"
+    save_checkpoint(path, random_checkpoint())
+    raw = path.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        damaged = raw + data.draw(st.binary(min_size=1, max_size=64), label="tail")
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def write_with_metadata(path, blob: bytes, n: int = 0) -> None:
+    """A checkpoint with a valid layout (n-element zero vectors) around raw metadata."""
     path.write_bytes(
-        b"THZW" + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<I", 0)
+        b"THZW" + struct.pack("<II", VERSION, len(blob)) + blob
+        + struct.pack("<QQ", 0, n) + bytes(32 * n)
     )
 
 
 def metadata_case(case: str) -> bytes:
     config = asdict(CONFIG)
     meta = asdict(random_checkpoint().meta)
+    schedule = asdict(DiffusionSchedule())
+    good = {"config": config, "meta": meta, "schedule": schedule}
     doc = {
-        "missing_config": {"meta": meta},
-        "missing_meta": {"config": config},
-        "unknown_top_level_key": {"config": config, "meta": meta, "extra": 1},
-        "unknown_config_key": {"config": {**config, "width": 3}, "meta": meta},
-        "unknown_meta_key": {"config": config, "meta": {**meta, "owner": "x"}},
-        "missing_config_field": {"config": {"n_rx": 8}, "meta": meta},
-        "config_not_object": {"config": [8, 16], "meta": meta},
-        "bad_tx_origin": {"config": config, "meta": {**meta, "tx_origin": 5}},
+        "missing_config": {"meta": meta, "schedule": schedule},
+        "missing_meta": {"config": config, "schedule": schedule},
+        "missing_schedule": {"config": config, "meta": meta},
+        "unknown_top_level_key": {**good, "extra": 1},
+        "unknown_config_key": {**good, "config": {**config, "width": 3}},
+        "unknown_meta_key": {**good, "meta": {**meta, "owner": "x"}},
+        "missing_config_field": {**good, "config": {"n_rx": 8}},
+        "config_not_object": {**good, "config": [8, 16]},
+        "bad_tx_origin": {**good, "meta": {**meta, "tx_origin": 5}},
+        "fractional_n_steps": {**good, "schedule": {**schedule, "n_steps": 2.5}},
+        "bad_horizon": {**good, "schedule": {**schedule, "horizon": "x"}},
         "not_an_object": [config, meta],
     }.get(case)
     return b"{not json" if doc is None else json.dumps(doc).encode("utf-8")
 
 
 METADATA_CASES = [
-    "missing_config", "missing_meta", "unknown_top_level_key", "unknown_config_key",
-    "unknown_meta_key", "missing_config_field", "config_not_object", "bad_tx_origin",
-    "not_an_object", "not_json",
+    "missing_config", "missing_meta", "missing_schedule", "unknown_top_level_key",
+    "unknown_config_key", "unknown_meta_key", "missing_config_field", "config_not_object",
+    "bad_tx_origin", "fractional_n_steps", "bad_horizon", "not_an_object", "not_json",
 ]
 
 
@@ -245,11 +378,18 @@ def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     assert err.startswith("error:") and str(path) in err
 
 
-def test_well_formed_metadata_with_no_records_reaches_the_tensor_check(tmp_path):
-    # The same hand-written layout with good metadata gets past the
-    # metadata and fails only on the missing tensors.
+def test_header_n_must_match_the_config(tmp_path):
+    # The same hand-written layout with good metadata gets past the length
+    # and metadata checks and fails only on the parameter count.
     path = tmp_path / "model.ckpt"
-    meta = asdict(random_checkpoint().meta)
-    write_with_metadata(path, json.dumps({"config": asdict(CONFIG), "meta": meta}).encode())
-    with pytest.raises(ValueError, match="missing"):
-        load_checkpoint(path)
+    want = FlatParams(param_shapes(CONFIG)).vector.size
+    blob = json.dumps({"config": asdict(CONFIG), "meta": asdict(CheckpointMeta()),
+                       "schedule": asdict(DiffusionSchedule())}).encode()
+    for n in (0, want - 1, want + 1):
+        write_with_metadata(path, blob, n=n)
+        with pytest.raises(ValueError, match=f"declares {n} parameters per group, "
+                                             f"but its config's layout has {want}") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+    write_with_metadata(path, blob, n=want)
+    assert load_checkpoint(path).params.vector.size == want

@@ -11,9 +11,11 @@ import pytest
 
 import thzgen
 from thzgen import cli, dit
-from thzgen.checkpoint import load_checkpoint
+from thzgen.checkpoint import ema_denoiser, load_checkpoint
 from thzgen.cli import main
 from thzgen.dataset import Dataset, read_dataset, write_dataset
+from thzgen.diffusion import DiffusionSchedule, euler_sample
+from thzgen.geometry import condition_vector
 
 CONFIG = {
     "seed": 3,
@@ -84,6 +86,44 @@ def test_unknown_config_key_is_fatal(tmp_path, capsys):
     cfg.write_text(json.dumps({"dataset": {"countt": 10}}))
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "unknown config key: dataset.countt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("schedule.horizon", "x"),
+    ("training.epochs", "3"),
+    ("dit.patch_size", "4"),
+    ("gscm.n_clusters", "2"),
+    ("dataset.test_fraction", "0.1"),
+    ("training.batch_size", 2.5),
+    ("seed", "a"),
+    ("dataset.count", "10"),
+    ("region.low", [1, 2]),
+    ("schedule.n_steps", 2.5),
+    ("geometry.intra_spacing", "0.1"),
+    ("training.epochs", True),
+])
+def test_mistyped_config_value_is_fatal(tmp_path, capsys, key, value):
+    # Each value must have the JSON type of its default.
+    doc = value
+    for part in reversed(key.split(".")):
+        doc = {part: doc}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} must be ")
+    assert not (tmp_path / "x.train").exists()
+
+
+def test_well_typed_config_values_are_accepted():
+    # An int where a float is expected, and null or a number for an optional.
+    cfg = cli._merge_strict(cli._CONFIG_DEFAULTS, {
+        "schedule": {"horizon": 3}, "region": {"low": [4, -3.0, -0.5]},
+        "geometry": {"intra_spacing": 0.001, "inter_spacing": None},
+    })
+    assert cfg["schedule"] == {"horizon": 3, "sigma_min": 0.01, "n_steps": 100}
+    assert cfg["region"]["low"] == [4, -3.0, -0.5]
+    assert cfg["geometry"]["intra_spacing"] == 0.001
 
 
 def test_indivisible_subarrays_are_fatal(tmp_path, capsys):
@@ -174,13 +214,57 @@ def test_sample_reports_nfe(workdir, tmp_path, capsys, monkeypatch):
     assert main(args + ["--num", "2"]) == 0
     out = capsys.readouterr().out
     assert "generated: 2 samples" in out
-    assert "sampler: 100 denoiser calls (NFE) at batch 2, " in out
+    assert "sampler: 20 denoiser calls (NFE) at batch 2, " in out
     assert " ms per call on 1 inference thread\n" in out
     # 8 tokens, so 32 samples per slice: two slices, one per lane.
     assert main(args + ["--num", "64"]) == 0
     out = capsys.readouterr().out
-    assert "sampler: 100 denoiser calls (NFE) at batch 64, " in out
+    assert "sampler: 20 denoiser calls (NFE) at batch 64, " in out
     assert " ms per call on 2 inference threads\n" in out
+
+
+def test_sample_uses_the_trained_schedule(tmp_path, capsys):
+    # Criterion 9's config trains at horizon 3 with 10 steps, and sample
+    # integrates on that grid, not on DiffusionSchedule()'s.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"count": 120, "test_fraction": 0.1, "cell_size": 0.5},
+        "dit": {"patch_size": 4, "embed_dim": 16, "depth": 1, "n_heads": 2,
+                "mlp_ratio": 2},
+        "schedule": {"horizon": 3.0, "sigma_min": 0.01, "n_steps": 10},
+        "training": {"learning_rate": 1e-3, "epochs": 2, "batch_size": 8},
+    }))
+    ckpt_path = tmp_path / "model.ckpt"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "data"),
+                 "--out-ckpt", str(ckpt_path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "gen.bin"
+    assert main(["sample", "--ckpt", str(ckpt_path), "--pos", "6.0,1.0,0.0",
+                 "--num", "2", "--seed", "5", "--out", str(out)]) == 0
+    assert "sampler: 10 denoiser calls (NFE) at batch 2, " in capsys.readouterr().out
+
+    ckpt = load_checkpoint(ckpt_path)
+    schedule = DiffusionSchedule(horizon=3.0, sigma_min=0.01, n_steps=10)
+    assert ckpt.schedule == schedule
+    cond = condition_vector(ckpt.meta.tx_origin, (6.0, 1.0, 0.0))
+    want = euler_sample(ema_denoiser(ckpt), cond.p, schedule, np.random.default_rng(5),
+                        (2, 2, 8, 16)) * ckpt.meta.normalization_scalar
+    got = read_dataset(out).tensors
+    np.testing.assert_array_equal(got, want.astype(np.float32).astype(float))
+
+
+@pytest.mark.parametrize("num", ["0", "-1"])
+def test_sample_rejects_num_below_one(workdir, tmp_path, capsys, monkeypatch, num):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking --num")
+
+    monkeypatch.setattr(cli, "euler_sample", no_sampling)
+    out = tmp_path / "gen.bin"
+    assert main(["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", "6.0,1.0,0.0",
+                 "--num", num, "--out", str(out)]) == 1
+    assert f"error: sample count (--num) must be >= 1, got {num}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_rejects_malformed_position(workdir, tmp_path, capsys):

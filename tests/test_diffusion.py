@@ -37,6 +37,13 @@ def test_schedule_invariants():
         DiffusionSchedule(n_steps=0)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, 3.0, "3", True, None])
+def test_schedule_n_steps_must_be_an_integer(n_steps):
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        DiffusionSchedule(n_steps=n_steps)
+    assert DiffusionSchedule(n_steps=np.int64(3)).n_steps == 3
+
+
 def test_schedule_grid_endpoints():
     s = DiffusionSchedule(horizon=10.0, sigma_min=0.01, n_steps=4)
     g = s.time_grid()
