@@ -41,7 +41,6 @@ from .evaluation import (
     compare_power,
     nmse,
     ssim,
-    ssim_cdf,
     ssim_complex,
 )
 from .geometry import (

@@ -3,9 +3,11 @@
 Layout (version 3), all little-endian:
 
 - magic "THZW", u32 version, u32 JSON length, then JSON metadata with
-  exactly the sections "config" (the DitConfig), "meta" (dataset
-  bookkeeping needed for sampling) and "schedule" (the DiffusionSchedule
-  the model was trained with, which sampling reuses);
+  exactly the sections "config" (the DitConfig), "meta" (the
+  CheckpointMeta, dataset bookkeeping needed for sampling) and "schedule"
+  (the DiffusionSchedule the model was trained with, which sampling
+  reuses).  Each section is built through its dataclass, which checks its
+  values, so bad metadata fails as a ValueError naming the file;
 - u64 step and u64 n, the parameter count of each group;
 - four n-element f8 vectors, each laid out by ``param_shapes(config)``:
   params, ema_params, adam_m, adam_v.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -31,6 +34,11 @@ _COUNTS = struct.Struct("<QQ")  # step, parameters per group
 _GROUPS = ("params", "ema_params", "adam_m", "adam_v")
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class CheckpointMeta:
     """Dataset-side bookkeeping carried along with the weights."""
@@ -43,7 +51,21 @@ class CheckpointMeta:
     geometry: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.tx_origin = tuple(self.tx_origin)
+        scale = self.normalization_scalar
+        if not (_is_finite_number(scale) and scale > 0):
+            raise ValueError(
+                f"normalization_scalar must be a finite number > 0, got {scale!r}")
+        for name in ("k_rx", "k_tx"):
+            k = getattr(self, name)
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
+        try:
+            origin = tuple(self.tx_origin)
+        except TypeError:
+            origin = ()
+        if len(origin) != 3 or not all(map(_is_finite_number, origin)):
+            raise ValueError(f"tx_origin must be 3 finite numbers, got {self.tx_origin!r}")
+        self.tx_origin = origin
 
 
 @dataclass

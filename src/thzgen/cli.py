@@ -1,7 +1,10 @@
 """Command-line interface: gen-data, train, sample, eval.
 
-All randomness flows from the declared seeds, so every command is
-reproducible bit-for-bit.
+A JSON config overlays defaults read from the config dataclasses, and
+``load_config`` builds every section at once; each dataclass checks itself
+when built, so a bad value in any section fails every command before it
+does any work.  All randomness flows from the declared seeds, so every
+command is reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .checkpoint import (
 from .dataset import (
     Dataset,
     DatasetHeader,
+    SamplingRegion,
     build_dataset,
     normalize,
     read_dataset,
@@ -32,10 +36,10 @@ from .dataset import (
 )
 from .diffusion import DiffusionSchedule, euler_sample
 from .dit import DitConfig, lane_count
+from .errors import NumericError
 from .evaluation import SsimCdf, angular_power, compare_power, nmse, ssim_complex
 from .geometry import ArrayGeometry, condition_vector
 from .paths import GscmConfig
-from .dataset import SamplingRegion
 from .training import TrainConfig, train
 
 _CONFIG_DEFAULTS = {
@@ -51,36 +55,18 @@ _CONFIG_DEFAULTS = {
         "tx_origin": [0.0, 0.0, 0.0],
         "axis": [0.0, 1.0, 0.0],
     },
-    "gscm": {
-        "n_clusters": 3,
-        "rays_per_cluster": 5,
-        "k_factor_mean_db": 10.0,
-        "k_factor_std_db": 3.0,
-        "azimuth_spread": 0.05,
-        "elevation_spread": 0.05,
-        "path_loss_exponent": 2.0,
-        "scatterer_radius_min": 1.0,
-        "scatterer_radius_max": 5.0,
-    },
+    "gscm": asdict(GscmConfig()),
     "region": {"low": [4.0, -3.0, -0.5], "high": [10.0, 3.0, 0.5]},
     "dataset": {"count": 1000, "test_fraction": 0.1, "cell_size": 0.5},
+    # Only these DitConfig fields are config keys; n_rx and n_tx come from
+    # the geometry.
     "dit": {
-        "patch_size": 4,
-        "embed_dim": 64,
-        "depth": 4,
-        "n_heads": 4,
-        "mlp_ratio": 4,
+        f.name: f.default
+        for f in fields(DitConfig)
+        if f.name in ("patch_size", "embed_dim", "depth", "n_heads", "mlp_ratio")
     },
-    "schedule": {"horizon": 10.0, "sigma_min": 0.01, "n_steps": 100},
-    "training": {
-        "learning_rate": 1e-4,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-3,
-        "ema_decay": 0.999,
-        "epochs": 100,
-        "batch_size": 8,
-    },
+    "schedule": asdict(DiffusionSchedule()),
+    "training": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
 }
 
 
@@ -133,7 +119,7 @@ class RunConfig:
     gscm: GscmConfig
     region: SamplingRegion
     dataset: dict
-    dit: dict
+    dit: DitConfig
     schedule: DiffusionSchedule
     training: TrainConfig
 
@@ -147,7 +133,6 @@ def load_config(path: str | None) -> RunConfig:
 
     g = cfg["geometry"]
     region = SamplingRegion(low=tuple(cfg["region"]["low"]), high=tuple(cfg["region"]["high"]))
-    region.validate()
     center = (np.asarray(region.low) + np.asarray(region.high)) / 2.0
     geometry = ArrayGeometry.uniform_linear(
         carrier_frequency=g["carrier_frequency"],
@@ -161,26 +146,17 @@ def load_config(path: str | None) -> RunConfig:
         rx_origin=tuple(center),
         axis=tuple(g["axis"]),
     )
-    gscm = GscmConfig(**cfg["gscm"])
-    gscm.validate()
-    training = TrainConfig(seed=cfg["seed"], **cfg["training"])
-    training.validate()
-    schedule = DiffusionSchedule(**cfg["schedule"])
     return RunConfig(
         seed=cfg["seed"],
         geometry=geometry,
         geometry_raw=g,
-        gscm=gscm,
+        gscm=GscmConfig(**cfg["gscm"]),
         region=region,
         dataset=cfg["dataset"],
-        dit=cfg["dit"],
-        schedule=schedule,
-        training=training,
+        dit=DitConfig(n_rx=geometry.n_rx, n_tx=geometry.n_tx, **cfg["dit"]),
+        schedule=DiffusionSchedule(**cfg["schedule"]),
+        training=TrainConfig(seed=cfg["seed"], **cfg["training"]),
     )
-
-
-def _dit_config(cfg: RunConfig, header: DatasetHeader) -> DitConfig:
-    return DitConfig(n_rx=header.n_rx, n_tx=header.n_tx, **cfg.dit)
 
 
 def _print_header(label: str, header: DatasetHeader) -> None:
@@ -220,12 +196,11 @@ def cmd_train(args) -> int:
             raise ValueError(
                 f"dataset {name}={got} does not match config {name}={want}"
             )
-    dit_cfg = _dit_config(cfg, header)
 
     def progress(epoch, train_loss, test_loss):
         print(f"epoch {epoch}: train {train_loss:.5f} test {test_loss:.5f}")
 
-    result = train(train_set, test_set, dit_cfg, cfg.schedule, cfg.training, progress)
+    result = train(train_set, test_set, cfg.dit, cfg.schedule, cfg.training, progress)
     meta = CheckpointMeta(
         normalization_scalar=header.normalization_scalar,
         k_rx=header.k_rx,
@@ -237,7 +212,7 @@ def cmd_train(args) -> int:
     save_checkpoint(
         args.out_ckpt,
         Checkpoint(
-            config=dit_cfg,
+            config=cfg.dit,
             params=result.model.params,
             ema_params=result.ema_params,
             adam_m=result.adam_m,
@@ -444,7 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,11 @@
-"""Dataset construction, normalization, position-disjoint splitting, and file IO."""
+"""Dataset construction, normalization, position-disjoint splitting, and file IO.
+
+``SamplingRegion`` and ``DatasetHeader`` check themselves when built;
+``read_dataset`` names the file in any fault of its header or length.
+"""
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -25,10 +30,11 @@ class SamplingRegion:
     low: tuple[float, float, float]
     high: tuple[float, float, float]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         low = np.asarray(self.low, dtype=float)
         high = np.asarray(self.high, dtype=float)
-        if np.all(high <= low):
+        # A flat axis (low == high) is allowed; a single point is not.
+        if not np.all(low <= high) or np.all(low == high):
             raise ValueError(f"degenerate sampling region: low={low}, high={high}")
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
@@ -46,11 +52,12 @@ class DatasetHeader:
     master_seed: int = 0
     condition_dim: int = CONDITION_DIM
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if self.normalization_scalar <= 0:
-            raise ValueError("normalization_scalar must be > 0")
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        scale = self.normalization_scalar
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"normalization_scalar must be a finite number > 0, got {scale}")
 
 
 @dataclass
@@ -99,8 +106,6 @@ def build_dataset(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    region.validate()
-    gscm.validate()
     rx_dict, tx_dict = dictionaries_for(geometry)
 
     conditions = np.empty((n, CONDITION_DIM))
@@ -204,7 +209,6 @@ def split(
 
 def write_dataset(path, dataset: Dataset) -> None:
     header = dataset.header
-    header.validate()
     n = header.sample_count
     record = np.empty(
         (n, header.condition_dim + 2 * header.n_rx * header.n_tx), dtype="<f4"
@@ -231,7 +235,7 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Read a dataset file; a length other than the header declares is fatal."""
+    """Read a dataset file; a bad header, or a length other than it declares, is fatal."""
     header_size = struct.calcsize(_HEADER_FMT)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -254,19 +258,16 @@ def read_dataset(path) -> Dataset:
                 f"dataset {path} has {size} bytes, but its header declares "
                 f"{count} records of {4 * record_len} bytes, {expected} bytes in all"
             )
+        try:
+            header = DatasetHeader(
+                n_rx=n_rx, n_tx=n_tx, k_rx=k_rx, k_tx=k_tx, sample_count=count,
+                normalization_scalar=scalar, master_seed=seed, condition_dim=cond_dim,
+            )
+        except ValueError as exc:
+            raise ValueError(f"dataset {path} has an invalid header: {exc}") from exc
         record = np.fromfile(f, dtype="<f4", count=count * record_len).reshape(
             count, record_len
         )
-    header = DatasetHeader(
-        n_rx=n_rx,
-        n_tx=n_tx,
-        k_rx=k_rx,
-        k_tx=k_tx,
-        sample_count=count,
-        normalization_scalar=scalar,
-        master_seed=seed,
-        condition_dim=cond_dim,
-    )
     conditions = record[:, :cond_dim].astype(float)
     tensors = record[:, cond_dim:].astype(float).reshape(count, 2, n_rx, n_tx)
     return Dataset(header=header, conditions=conditions, tensors=tensors)

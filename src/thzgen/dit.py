@@ -89,6 +89,8 @@ class DitConfig:
     sigma_data: float = 1.0
 
     def __post_init__(self):
+        if min(self.patch_size, self.embed_dim, self.n_heads, self.mlp_ratio) < 1:
+            raise ValueError("patch_size, embed_dim, n_heads and mlp_ratio must be >= 1")
         if self.n_rx % self.patch_size or self.n_tx % self.patch_size:
             raise ValueError(
                 f"patch size {self.patch_size} must divide ({self.n_rx}, {self.n_tx})"

@@ -104,11 +104,6 @@ class SsimCdf:
         return cls(values=values, cdf=cdf, mean=float(values.mean()))
 
 
-def ssim_cdf(pairs, params: SsimParams = SsimParams(), mode: str = "magnitude") -> SsimCdf:
-    """Empirical CDF of per-pair SSIM values over (generated, reference) pairs."""
-    return SsimCdf.from_values([ssim_complex(gen, ref, params, mode) for gen, ref in pairs])
-
-
 @dataclass
 class AngularPowerMap:
     tx_profile: np.ndarray  # (n_tx,) column marginals of mean |Hb|^2

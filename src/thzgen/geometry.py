@@ -19,7 +19,9 @@ class ArrayGeometry:
 
     Each side has ``n`` antennas organized into ``k`` subarrays: elements
     inside a subarray are closely spaced (``intra_spacing``), subarray
-    centers are widely spaced (``inter_spacing``).
+    centers are widely spaced (``inter_spacing``).  ``uniform_linear``
+    builds one and checks its counts and spacings; ``with_rx_origin`` copies
+    a built one.
     """
 
     carrier_frequency: float
@@ -47,20 +49,6 @@ class ArrayGeometry:
     @property
     def n_rx_sub(self) -> int:
         return self.n_rx // self.k_rx
-
-    def validate(self) -> None:
-        if self.n_tx % self.k_tx != 0 or self.n_rx % self.k_rx != 0:
-            raise ValueError(
-                f"antenna counts must divide into subarrays: "
-                f"n_tx={self.n_tx}, k_tx={self.k_tx}, n_rx={self.n_rx}, k_rx={self.k_rx}"
-            )
-        if self.intra_spacing <= 0:
-            raise ValueError(f"intra_spacing must be > 0, got {self.intra_spacing}")
-        if self.inter_spacing < self.intra_spacing:
-            raise ValueError(
-                f"inter_spacing ({self.inter_spacing}) must be >= "
-                f"intra_spacing ({self.intra_spacing})"
-            )
 
     def aperture(self, side: str) -> float:
         """Largest pairwise element distance of the full array on one side."""
@@ -120,16 +108,25 @@ class ArrayGeometry:
         Defaults: half-wavelength pitch inside a subarray, 16-wavelength
         pitch between subarray centers.
         """
-        if n_tx % k_tx != 0 or n_rx % k_rx != 0:
+        if min(k_tx, k_rx) < 1 or n_tx % k_tx != 0 or n_rx % k_rx != 0:
             raise ValueError(
                 f"antenna counts must divide into subarrays: "
                 f"n_tx={n_tx}, k_tx={k_tx}, n_rx={n_rx}, k_rx={k_rx}"
             )
+        if carrier_frequency <= 0:
+            raise ValueError(f"carrier_frequency must be > 0, got {carrier_frequency}")
         wavelength = SPEED_OF_LIGHT / carrier_frequency
         if intra_spacing is None:
             intra_spacing = wavelength / 2.0
         if inter_spacing is None:
             inter_spacing = 16.0 * wavelength
+        if intra_spacing <= 0:
+            raise ValueError(f"intra_spacing must be > 0, got {intra_spacing}")
+        if inter_spacing < intra_spacing:
+            raise ValueError(
+                f"inter_spacing ({inter_spacing}) must be >= "
+                f"intra_spacing ({intra_spacing})"
+            )
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
         tx_origin = np.asarray(tx_origin, dtype=float)
@@ -148,7 +145,7 @@ class ArrayGeometry:
 
         el_tx, c_tx = layout(n_tx, k_tx, tx_origin)
         el_rx, c_rx = layout(n_rx, k_rx, rx_origin)
-        geom = ArrayGeometry(
+        return ArrayGeometry(
             carrier_frequency=carrier_frequency,
             n_tx=n_tx,
             n_rx=n_rx,
@@ -163,8 +160,6 @@ class ArrayGeometry:
             subarray_centers_tx=c_tx,
             subarray_centers_rx=c_rx,
         )
-        geom.validate()
-        return geom
 
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
@@ -206,14 +201,6 @@ class GeometryCondition:
         if p.shape != (CONDITION_DIM,):
             raise ValueError(f"condition vector must have shape (8,), got {p.shape}")
         object.__setattr__(self, "p", p)
-
-    @property
-    def distance(self) -> float:
-        return float(self.p[0])
-
-    @property
-    def offset(self) -> np.ndarray:
-        return self.p[1:4]
 
 
 def condition_vector(tx_origin, rx_origin) -> GeometryCondition:

@@ -1,4 +1,8 @@
-"""Stochastic multipath generation (GSCM-lite) and path containers."""
+"""Stochastic multipath generation (GSCM-lite) and path containers.
+
+``GscmConfig`` checks its statistics when built and is frozen, so
+``draw_paths`` takes it as valid.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -55,7 +59,7 @@ class PathSet:
         return any(p.is_los for p in self.paths)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GscmConfig:
     """Statistics of the stochastic scatterer layout.
 
@@ -74,7 +78,7 @@ class GscmConfig:
     scatterer_radius_min: float = 1.0
     scatterer_radius_max: float = 5.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_clusters < 1 or self.rays_per_cluster < 1:
             raise ValueError("n_clusters and rays_per_cluster must be >= 1")
         if self.azimuth_spread <= 0 or self.elevation_spread <= 0:
@@ -100,7 +104,6 @@ def draw_paths(
     (d/1m)^(-(ple-2)/2) factor so total power follows the free-space law
     adjusted by the configured path-loss exponent.
     """
-    config.validate()
     tx = geometry.tx_origin
     rx = geometry.rx_origin
     lam = geometry.wavelength

@@ -1,4 +1,8 @@
-"""Adam optimizer and the seeded training loop for the DiT denoiser."""
+"""Adam optimizer and the seeded training loop for the DiT denoiser.
+
+``TrainConfig`` checks itself when built; a non-finite loss is a
+``NumericError`` naming the epoch, the batch and its noise levels.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -11,7 +15,7 @@ from .dit import DitConfig, DitDenoiser, FlatParams
 from .errors import NumericError
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
     beta1: float = 0.9
@@ -22,7 +26,7 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.learning_rate < 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("invalid training configuration")
         for name in ("beta1", "beta2", "ema_decay"):
@@ -106,7 +110,6 @@ def train(
     The per-epoch test loss is computed with the EMA weights on a fixed set
     of noise draws so the curve reflects parameter movement only.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     model = DitDenoiser(dit_config, rng=rng)
     params = model.params
@@ -134,7 +137,8 @@ def train(
             loss, grads = model.loss_and_grads(h0, cond, sigmas, noise)
             if not np.isfinite(loss):
                 raise NumericError(
-                    f"training diverged at epoch {epoch}, batch {n_batches}"
+                    f"training diverged at epoch {epoch}, batch {n_batches} "
+                    f"(sigma {float(sigmas.min()):g} to {float(sigmas.max()):g})"
                 )
             step += 1
             adam_step(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -365,6 +366,18 @@ def test_draw_paths_count():
     ps = draw_paths(np.random.default_rng(0), cfg, g)
     assert len(ps) == 16
     assert ps.includes_los
+
+
+def test_gscm_config_checks_itself():
+    for bad in (
+        {"n_clusters": 0},
+        {"elevation_spread": 0.0},
+        {"scatterer_radius_min": 5.0, "scatterer_radius_max": 1.0},
+    ):
+        with pytest.raises(ValueError):
+            GscmConfig(**bad)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        GscmConfig().n_clusters = 0
 
 
 def test_draw_paths_deterministic():

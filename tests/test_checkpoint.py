@@ -346,6 +346,13 @@ def metadata_case(case: str) -> bytes:
         "bad_tx_origin": {**good, "meta": {**meta, "tx_origin": 5}},
         "fractional_n_steps": {**good, "schedule": {**schedule, "n_steps": 2.5}},
         "bad_horizon": {**good, "schedule": {**schedule, "horizon": "x"}},
+        "string_scale": {**good, "meta": {**meta, "normalization_scalar": "2.5"}},
+        "zero_scale": {**good, "meta": {**meta, "normalization_scalar": 0.0}},
+        "nan_scale": {**good, "meta": {**meta, "normalization_scalar": float("nan")}},
+        "zero_k_rx": {**good, "meta": {**meta, "k_rx": 0}},
+        "fractional_k_tx": {**good, "meta": {**meta, "k_tx": 1.5}},
+        "short_tx_origin": {**good, "meta": {**meta, "tx_origin": [0.0, 0.0]}},
+        "string_tx_origin": {**good, "meta": {**meta, "tx_origin": "abc"}},
         "not_an_object": [config, meta],
     }.get(case)
     return b"{not json" if doc is None else json.dumps(doc).encode("utf-8")
@@ -355,22 +362,29 @@ METADATA_CASES = [
     "missing_config", "missing_meta", "missing_schedule", "unknown_top_level_key",
     "unknown_config_key", "unknown_meta_key", "missing_config_field", "config_not_object",
     "bad_tx_origin", "fractional_n_steps", "bad_horizon", "not_an_object", "not_json",
+    "string_scale", "zero_scale", "nan_scale", "zero_k_rx", "fractional_k_tx",
+    "short_tx_origin", "string_tx_origin",
 ]
+
+
+# Vectors of the length CONFIG's layout needs, so that only the metadata is bad.
+N_PARAMS = FlatParams(param_shapes(CONFIG)).vector.size
 
 
 @pytest.mark.parametrize("case", METADATA_CASES)
 def test_rejects_bad_metadata(tmp_path, case):
     path = tmp_path / "model.ckpt"
-    write_with_metadata(path, metadata_case(case))
-    with pytest.raises(ValueError, match="metadata") as info:
+    write_with_metadata(path, metadata_case(case), n=N_PARAMS)
+    with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-    assert str(path) in str(info.value)
+    assert str(info.value).startswith(f"checkpoint {path}: metadata ")
 
 
-@pytest.mark.parametrize("case", ["missing_config", "unknown_config_key", "not_an_object"])
+@pytest.mark.parametrize("case", ["missing_config", "unknown_config_key", "not_an_object",
+                                  "string_scale"])
 def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     path = tmp_path / "model.ckpt"
-    write_with_metadata(path, metadata_case(case))
+    write_with_metadata(path, metadata_case(case), n=N_PARAMS)
     argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
             "--out", str(tmp_path / "gen.bin")]
     assert main(argv) == 1

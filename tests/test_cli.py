@@ -16,6 +16,8 @@ from thzgen.cli import main
 from thzgen.dataset import Dataset, read_dataset, write_dataset
 from thzgen.diffusion import DiffusionSchedule, euler_sample
 from thzgen.geometry import condition_vector
+from thzgen.paths import GscmConfig
+from thzgen.training import TrainConfig
 
 CONFIG = {
     "seed": 3,
@@ -126,6 +128,61 @@ def test_well_typed_config_values_are_accepted():
     assert cfg["geometry"]["intra_spacing"] == 0.001
 
 
+def flatten(section, prefix=""):
+    out = {}
+    for key, value in section.items():
+        if isinstance(value, dict) and value:
+            out.update(flatten(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def test_config_keys_and_defaults_are_unchanged():
+    # Every config key with its default; a new key is a new knob.
+    pinned = {
+        "seed": 0,
+        "geometry.carrier_frequency": 0.3e12, "geometry.n_tx": 16, "geometry.n_rx": 8,
+        "geometry.k_tx": 2, "geometry.k_rx": 2, "geometry.intra_spacing": None,
+        "geometry.inter_spacing": None, "geometry.tx_origin": [0.0, 0.0, 0.0],
+        "geometry.axis": [0.0, 1.0, 0.0],
+        "gscm.n_clusters": 3, "gscm.rays_per_cluster": 5, "gscm.k_factor_mean_db": 10.0,
+        "gscm.k_factor_std_db": 3.0, "gscm.azimuth_spread": 0.05,
+        "gscm.elevation_spread": 0.05, "gscm.path_loss_exponent": 2.0,
+        "gscm.scatterer_radius_min": 1.0, "gscm.scatterer_radius_max": 5.0,
+        "region.low": [4.0, -3.0, -0.5], "region.high": [10.0, 3.0, 0.5],
+        "dataset.count": 1000, "dataset.test_fraction": 0.1, "dataset.cell_size": 0.5,
+        "dit.patch_size": 4, "dit.embed_dim": 64, "dit.depth": 4, "dit.n_heads": 4,
+        "dit.mlp_ratio": 4,
+        "schedule.horizon": 10.0, "schedule.sigma_min": 0.01, "schedule.n_steps": 100,
+        "training.learning_rate": 1e-4, "training.beta1": 0.9, "training.beta2": 0.999,
+        "training.eps": 1e-3, "training.ema_decay": 0.999, "training.epochs": 100,
+        "training.batch_size": 8,
+    }
+    got = flatten(cli._CONFIG_DEFAULTS)
+    assert got == pinned
+    # Each default keeps its JSON type, which _check_leaf enforces: an int
+    # stays an int.
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in pinned.items()}
+    cfg = cli.load_config(None)
+    assert cfg.gscm == GscmConfig()
+    assert cfg.schedule == DiffusionSchedule()
+    assert cfg.training == TrainConfig(seed=0)
+    assert cfg.dit == dit.DitConfig(n_rx=8, n_tx=16)
+
+
+@pytest.mark.parametrize("value", [
+    {"patch_size": 3}, {"embed_dim": 10}, {"patch_size": 0},
+])
+def test_bad_dit_section_is_fatal_for_gen_data(tmp_path, capsys, value):
+    # gen-data builds no model, but the config it loads is checked whole.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"dit": value}))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.train").exists()
+
+
 def test_indivisible_subarrays_are_fatal(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"geometry": {"n_tx": 10, "k_tx": 4}}))
@@ -176,6 +233,21 @@ def test_train_rejects_mismatched_dataset(workdir, tmp_path, capsys):
         == 1
     )
     assert "does not match config" in capsys.readouterr().err
+
+
+def test_diverged_training_is_an_error_line(workdir, tmp_path, capsys):
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({**CONFIG, "training": {**CONFIG["training"],
+                                                      "learning_rate": 1e300}}))
+    ckpt = tmp_path / "x.ckpt"
+    argv = ["train", "--config", str(cfg), "--data", str(workdir / "data"),
+            "--out-ckpt", str(ckpt)]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: training diverged at epoch 1, batch \d+ "
+                        r"\(sigma \S+ to \S+\)\n", err)
+    assert not ckpt.exists() and not (tmp_path / "x.ckpt.csv").exists()
 
 
 # -- sample -----------------------------------------------------------------

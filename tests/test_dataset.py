@@ -214,13 +214,37 @@ def test_cli_reports_wrong_length(tmp_path, dataset_bytes, case, capsys):
     assert err.startswith("error:") and str(bad) in err
 
 
+@pytest.mark.parametrize("count, scale, match", [
+    (0, 1.0, "sample_count must be >= 1, got 0"),
+    (3, float("nan"), "normalization_scalar must be a finite number > 0, got nan"),
+])
+def test_read_rejects_invalid_header(tmp_path, dataset_bytes, count, scale, match):
+    # The length matches what the header declares; the header itself is bad.
+    fields = list(struct.unpack(_HEADER_FMT, dataset_bytes[:HEADER_BYTES]))
+    fields[7:9] = count, scale
+    path = tmp_path / "bad_header.bin"
+    path.write_bytes(struct.pack(_HEADER_FMT, *fields)
+                     + dataset_bytes[HEADER_BYTES:HEADER_BYTES + count * RECORD_BYTES])
+    with pytest.raises(ValueError, match=match) as info:
+        read_dataset(path)
+    assert str(path) in str(info.value)
+
+
 def test_header_validation():
-    with pytest.raises(ValueError):
-        DatasetHeader(
-            n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=1, normalization_scalar=0.0
-        ).validate()
+    for count, scale in ((0, 1.0), (1, 0.0), (1, -2.0), (1, float("nan")), (1, float("inf"))):
+        with pytest.raises(ValueError):
+            DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=count,
+                          normalization_scalar=scale)
 
 
 def test_region_validation():
-    with pytest.raises(ValueError):
-        SamplingRegion((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)).validate()
+    for low, high in (
+        ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),  # inverted on every axis
+        ((0.0, 0.0, 1.0), (1.0, 1.0, 0.0)),  # inverted on one axis
+        ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)),  # a single point
+    ):
+        with pytest.raises(ValueError, match="degenerate sampling region"):
+            SamplingRegion(low, high)
+    # A flat axis is allowed.
+    region = SamplingRegion((4.0, -3.0, 0.0), (10.0, 3.0, 0.0))
+    assert region.draw(np.random.default_rng(0))[2] == 0.0

@@ -58,6 +58,9 @@ def test_config_validation():
         DitConfig(n_rx=8, n_tx=16, embed_dim=64, n_heads=5)
     with pytest.raises(ValueError, match="divisible by 4"):
         DitConfig(n_rx=8, n_tx=16, embed_dim=6, n_heads=2)
+    for name in ("patch_size", "embed_dim", "n_heads", "mlp_ratio"):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            DitConfig(n_rx=8, n_tx=16, **{name: 0})
 
 
 def test_config_derived_sizes():

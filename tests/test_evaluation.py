@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from thzgen.channel import BEAMSPACE, SPATIAL, ChannelMatrix
 from thzgen.evaluation import (
+    SsimCdf,
     SsimParams,
     angular_power,
     compare_power,
     nmse,
     ssim,
-    ssim_cdf,
     ssim_complex,
 )
 
@@ -95,14 +95,15 @@ def test_ssim_complex_modes():
 def test_ssim_cdf():
     rng = np.random.default_rng(9)
     ref = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    pairs = [(ref + s * rng.normal(size=(8, 8)), ref) for s in (0.0, 0.3, 1.0)]
-    out = ssim_cdf(pairs)
+    values = [ssim_complex(ref + s * rng.normal(size=(8, 8)), ref) for s in (1.0, 0.0, 0.3)]
+    out = SsimCdf.from_values(values)
     assert np.all(np.diff(out.values) >= 0)
+    np.testing.assert_array_equal(out.values, sorted(values))
     np.testing.assert_allclose(out.cdf, [1 / 3, 2 / 3, 1.0])
     assert out.mean == pytest.approx(out.values.mean())
     assert out.values[-1] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        ssim_cdf([])
+        SsimCdf.from_values([])
 
 
 # The 2-D window SSIM that the separable filter replaced, kept as a reference.

@@ -72,8 +72,21 @@ def test_uniform_linear_layout():
 
 
 def test_uniform_linear_rejects_indivisible_counts():
-    with pytest.raises(ValueError, match="n_tx"):
-        ArrayGeometry.uniform_linear(0.3e12, n_tx=10, n_rx=8, k_tx=3, k_rx=2)
+    # k_tx=4 would fail in the layout's reshape if the count check came later.
+    for k_tx in (3, 4, 0):
+        with pytest.raises(ValueError, match="n_tx"):
+            ArrayGeometry.uniform_linear(0.3e12, n_tx=10, n_rx=8, k_tx=k_tx, k_rx=2)
+
+
+@pytest.mark.parametrize("carrier, intra, inter, match", [
+    (0.0, None, None, "carrier_frequency must be > 0"),
+    (0.3e12, 0.0, None, "intra_spacing must be > 0"),
+    (0.3e12, 1e-3, 1e-4, "inter_spacing"),
+])
+def test_uniform_linear_rejects_bad_spacings(carrier, intra, inter, match):
+    with pytest.raises(ValueError, match=match):
+        ArrayGeometry.uniform_linear(carrier, n_tx=16, n_rx=8, k_tx=2, k_rx=2,
+                                     intra_spacing=intra, inter_spacing=inter)
 
 
 def test_with_rx_origin_translates_everything():

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -73,12 +74,13 @@ def test_adam_rejects_bad_inputs():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1.0).validate()
+        TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError, match="beta2"):
-        TrainConfig(beta2=1.5).validate()
-    TrainConfig().validate()
+        TrainConfig(beta2=1.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().epochs = 0
 
 
 # -- training loop ----------------------------------------------------------
