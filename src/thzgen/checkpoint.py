@@ -1,13 +1,14 @@
 """Binary checkpoint format for the DiT denoiser.
 
-Layout (version 3), all little-endian:
+Layout (version 4), all little-endian:
 
 - magic "THZW", u32 version, u32 JSON length, then JSON metadata with
   exactly the sections "config" (the DitConfig), "meta" (the
-  CheckpointMeta, dataset bookkeeping needed for sampling) and "schedule"
+  CheckpointMeta, dataset bookkeeping needed for sampling), "schedule"
   (the DiffusionSchedule the model was trained with, which sampling
-  reuses).  Each section is built through its dataclass, which checks its
-  values, so bad metadata fails as a ValueError naming the file;
+  reuses) and "curves" ([epoch, train_loss, test_loss] rows).  Each
+  section is checked as it is built, so bad metadata fails as a
+  ValueError naming the file;
 - u64 step and u64 n, the parameter count of each group;
 - four n-element f8 vectors, each laid out by ``param_shapes(config)``:
   params, ema_params, adam_m, adam_v.
@@ -27,16 +28,19 @@ from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
 
 MAGIC = b"THZW"
-# Versions 1 (erf GELU) and 2 (tanh GELU) stored one f4 record per tensor.
-VERSION = 3
+# Versions 1 and 2 stored one f4 record per tensor; version 3 had no curves.
+VERSION = 4
 _HEAD = struct.Struct("<4sII")  # magic, version, JSON length
 _COUNTS = struct.Struct("<QQ")  # step, parameters per group
 _GROUPS = ("params", "ema_params", "adam_m", "adam_v")
 
 
 def _is_finite_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    try:  # a JSON integer can be too large for a float64
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -70,14 +74,22 @@ class CheckpointMeta:
 
 @dataclass
 class Checkpoint:
+    """One training run's state: what ``train`` advances and the file holds."""
+
     config: DitConfig
     params: dict
     ema_params: dict
     adam_m: dict
     adam_v: dict
     step: int
-    meta: CheckpointMeta
+    meta: CheckpointMeta = field(default_factory=CheckpointMeta)
     schedule: DiffusionSchedule = field(default_factory=DiffusionSchedule)
+    curves: list = field(default_factory=list)  # (epoch, train_loss, test_loss)
+
+    @property
+    def model(self) -> DitDenoiser:
+        """A denoiser holding a copy of the trained (not the EMA) weights."""
+        return DitDenoiser(self.config, params=self.params)
 
 
 def _metadata_section(path, cls, name: str, values):
@@ -96,6 +108,22 @@ def _metadata_section(path, cls, name: str, values):
 _SECTIONS = {"config": DitConfig, "meta": CheckpointMeta, "schedule": DiffusionSchedule}
 
 
+def _checked_curves(path, curves) -> list:
+    """The curves as ``(epoch, train_loss, test_loss)`` tuples, or a ValueError."""
+    fault = f"checkpoint {path}: metadata 'curves'"
+    if not isinstance(curves, (list, tuple)):
+        raise ValueError(f"{fault} must be a list of rows, got {type(curves).__name__}")
+    for i, row in enumerate(curves):
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise ValueError(
+                f"{fault} row {i} must be [epoch, train_loss, test_loss], got {row!r}")
+        if isinstance(row[0], bool) or not isinstance(row[0], numbers.Integral):
+            raise ValueError(f"{fault} row {i} has a non-integer epoch {row[0]!r}")
+        if not all(map(_is_finite_number, row[1:])):
+            raise ValueError(f"{fault} row {i} has a non-finite loss in {row[1:]!r}")
+    return [(int(epoch), float(train), float(test)) for epoch, train, test in curves]
+
+
 def _decode_metadata(path, blob: bytes) -> dict:
     try:
         meta_json = json.loads(blob.decode("utf-8"))
@@ -103,21 +131,22 @@ def _decode_metadata(path, blob: bytes) -> dict:
         raise ValueError(f"checkpoint {path}: metadata is not valid JSON: {exc}") from exc
     if not isinstance(meta_json, dict):
         raise ValueError(f"checkpoint {path}: metadata must be a JSON object")
-    if set(meta_json) != set(_SECTIONS):
+    if set(meta_json) != {*_SECTIONS, "curves"}:
         raise ValueError(
             f"checkpoint {path}: metadata must hold exactly the keys "
-            f"{sorted(_SECTIONS)}, it has {sorted(meta_json)}"
+            f"{sorted([*_SECTIONS, 'curves'])}, it has {sorted(meta_json)}"
         )
-    return {
+    sections = {
         name: _metadata_section(path, cls, name, meta_json[name])
         for name, cls in _SECTIONS.items()
     }
+    return {**sections, "curves": _checked_curves(path, meta_json["curves"])}
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write ``ckpt``; a group whose names or shapes miss the config is fatal.
 
-    Every group is checked before the file is opened.
+    Every group and the curves are checked before the file is opened.
     """
     shapes = param_shapes(ckpt.config)
     vectors = [
@@ -126,6 +155,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         for name in _GROUPS
     ]
     meta = {name: asdict(getattr(ckpt, name)) for name in _SECTIONS}
+    meta["curves"] = _checked_curves(path, ckpt.curves)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_HEAD.pack(MAGIC, VERSION, len(blob)))
@@ -155,11 +185,10 @@ def load_checkpoint(path) -> Checkpoint:
         magic, version, blob_len = _HEAD.unpack(f.read(_HEAD.size))
         if magic != MAGIC:
             raise ValueError(f"{path} is not a checkpoint file: bad magic")
-        if version in (1, 2):
+        if 0 < version < VERSION:
             raise ValueError(
-                f"checkpoint {path} has version {version}, which stores float32 "
-                f"weights per tensor; this reader takes version {VERSION} only, "
-                f"so retrain the model"
+                f"checkpoint {path} has version {version}, an older layout; this "
+                f"reader takes version {VERSION} only, so retrain the model"
             )
         if version != VERSION:
             raise ValueError(f"checkpoint {path} has unsupported version {version}")

@@ -200,8 +200,8 @@ def cmd_train(args) -> int:
     def progress(epoch, train_loss, test_loss):
         print(f"epoch {epoch}: train {train_loss:.5f} test {test_loss:.5f}")
 
-    result = train(train_set, test_set, cfg.dit, cfg.schedule, cfg.training, progress)
-    meta = CheckpointMeta(
+    state = train(train_set, test_set, cfg.dit, cfg.schedule, cfg.training, progress)
+    state.meta = CheckpointMeta(
         normalization_scalar=header.normalization_scalar,
         k_rx=header.k_rx,
         k_tx=header.k_tx,
@@ -209,24 +209,12 @@ def cmd_train(args) -> int:
         tx_origin=tuple(cfg.geometry.tx_origin),
         geometry=cfg.geometry_raw,
     )
-    save_checkpoint(
-        args.out_ckpt,
-        Checkpoint(
-            config=cfg.dit,
-            params=result.model.params,
-            ema_params=result.ema_params,
-            adam_m=result.adam_m,
-            adam_v=result.adam_v,
-            step=result.step,
-            meta=meta,
-            schedule=cfg.schedule,
-        ),
-    )
+    save_checkpoint(args.out_ckpt, state)
     csv_path = args.out_csv or args.out_ckpt + ".csv"
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "train_loss", "test_loss"])
-        for epoch, train_loss, test_loss in result.curves:
+        for epoch, train_loss, test_loss in state.curves:
             writer.writerow([epoch, f"{train_loss:.10g}", f"{test_loss:.10g}"])
     print(f"wrote {args.out_ckpt} and {csv_path}")
     return 0

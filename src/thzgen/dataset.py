@@ -170,6 +170,8 @@ def split(
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if not 0.0 < cell_size < math.inf:
+        raise ValueError(f"cell_size must be a finite number > 0, got {cell_size}")
     n = len(dataset)
     cells: dict[tuple, list[int]] = {}
     for i in range(n):

@@ -87,9 +87,7 @@ def denoising_loss(
     """Mean-square-per-entry denoising loss over a batch.
 
     ``sigmas`` overrides the schedule's log-uniform draw (used by tests and
-    by fixed-noise evaluation).  Returns (loss, context) where the context
-    records the per-sample noisy inputs and noise levels for callers that
-    backpropagate through a concrete denoiser.
+    by fixed-noise evaluation).  Returns the loss and the per-sample sigmas.
     """
     batch = np.asarray(h0_batch, dtype=float)
     if batch.shape[0] == 0:
@@ -99,20 +97,14 @@ def denoising_loss(
     sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (batch.shape[0],))
 
     total = 0.0
-    noisy = np.empty_like(batch)
-    predictions = np.empty_like(batch)
     for i in range(batch.shape[0]):
         h_t = perturb(batch[i], float(sigmas[i]), rng)
         cond = None if conditions is None else conditions[i]
         pred = denoiser.evaluate(h_t, float(sigmas[i]), cond)
         if not np.all(np.isfinite(pred)):
             raise NumericError(f"denoiser produced non-finite output for sample {i}")
-        noisy[i] = h_t
-        predictions[i] = pred
         total += np.mean((pred - batch[i]) ** 2)
-    loss = total / batch.shape[0]
-    context = {"noisy": noisy, "sigmas": sigmas, "predictions": predictions}
-    return loss, context
+    return total / batch.shape[0], sigmas
 
 
 def euler_sample(

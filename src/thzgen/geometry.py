@@ -128,7 +128,10 @@ class ArrayGeometry:
                 f"intra_spacing ({intra_spacing})"
             )
         axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
+        norm = np.linalg.norm(axis)
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"axis must have a finite length > 0, got {axis.tolist()}")
+        axis = axis / norm
         tx_origin = np.asarray(tx_origin, dtype=float)
         rx_origin = np.asarray(rx_origin, dtype=float)
 

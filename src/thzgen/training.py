@@ -1,14 +1,16 @@
 """Adam optimizer and the seeded training loop for the DiT denoiser.
 
+``train`` returns the run's state as the ``Checkpoint`` the CLI saves.
 ``TrainConfig`` checks itself when built; a non-finite loss is a
 ``NumericError`` naming the epoch, the batch and its noise levels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import Checkpoint, ema_denoiser
 from .dataset import Dataset
 from .diffusion import DiffusionSchedule, ema_update
 from .dit import DitConfig, DitDenoiser, FlatParams
@@ -68,16 +70,6 @@ def adam_step(
         p -= lr * (m_c / bc1) / (np.sqrt(v_c / bc2) + eps)
 
 
-@dataclass
-class TrainResult:
-    model: DitDenoiser
-    ema_params: dict
-    curves: list = field(default_factory=list)  # (epoch, train_loss, test_loss)
-    adam_m: dict = field(default_factory=dict)
-    adam_v: dict = field(default_factory=dict)
-    step: int = 0
-
-
 def evaluate_loss(
     model: DitDenoiser,
     dataset: Dataset,
@@ -104,26 +96,27 @@ def train(
     schedule: DiffusionSchedule,
     cfg: TrainConfig,
     progress=None,
-) -> TrainResult:
+) -> Checkpoint:
     """Epoch loop: seeded shuffle, Adam updates, EMA tracking, loss curves.
 
+    Returns the run's state, which the caller saves once it sets ``meta``.
     The per-epoch test loss is computed with the EMA weights on a fixed set
     of noise draws so the curve reflects parameter movement only.
     """
     rng = np.random.default_rng(cfg.seed)
     model = DitDenoiser(dit_config, rng=rng)
-    params = model.params
-    ema = FlatParams(model.shapes, params.vector.copy())
-    m = FlatParams(model.shapes)
-    v = FlatParams(model.shapes)
+    state = Checkpoint(
+        config=dit_config, params=model.params,
+        ema_params=FlatParams(model.shapes, model.params.vector.copy()),
+        adam_m=FlatParams(model.shapes), adam_v=FlatParams(model.shapes),
+        step=0, schedule=schedule,
+    )
 
     eval_rng = np.random.default_rng([cfg.seed, 0xE7A1])
     eval_sigmas = schedule.draw_sigma(eval_rng, len(test_set))
     eval_noise = eval_rng.standard_normal(test_set.tensors.shape)
 
     n = len(train_set)
-    step = 0
-    curves = []
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         epoch_loss = 0.0
@@ -140,26 +133,18 @@ def train(
                     f"training diverged at epoch {epoch}, batch {n_batches} "
                     f"(sigma {float(sigmas.min()):g} to {float(sigmas.max()):g})"
                 )
-            step += 1
+            state.step += 1
             adam_step(
-                params.vector, grads.vector, m.vector, v.vector, step,
+                state.params.vector, grads.vector, state.adam_m.vector,
+                state.adam_v.vector, state.step,
                 cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
             )
-            ema_update(ema.vector, params.vector, cfg.ema_decay)
+            ema_update(state.ema_params.vector, state.params.vector, cfg.ema_decay)
             epoch_loss += loss
             n_batches += 1
         train_loss = epoch_loss / n_batches
-        ema_model = DitDenoiser(dit_config, params=ema)
-        test_loss = evaluate_loss(ema_model, test_set, eval_sigmas, eval_noise)
-        curves.append((epoch, train_loss, test_loss))
+        test_loss = evaluate_loss(ema_denoiser(state), test_set, eval_sigmas, eval_noise)
+        state.curves.append((epoch, train_loss, test_loss))
         if progress is not None:
             progress(epoch, train_loss, test_loss)
-
-    return TrainResult(
-        model=model,
-        ema_params=ema,
-        curves=curves,
-        adam_m=m,
-        adam_v=v,
-        step=step,
-    )
+    return state

@@ -291,6 +291,7 @@ def toy_run():
     }
 
 
+@pytest.mark.slow
 def test_criterion_7_toy_training(toy_run):
     curves = toy_run["curves"]
     test_losses = np.array([c[2] for c in curves])
@@ -310,6 +311,7 @@ def test_criterion_7_toy_training(toy_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_conditional_fidelity(toy_run):
     t0 = time.perf_counter()
     test_set = toy_run["test_set"]

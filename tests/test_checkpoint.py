@@ -41,6 +41,7 @@ def random_checkpoint(seed=0):
         adam_v={k: np.abs(v) for k, v in group(0.5).items()},
         step=1234,
         schedule=DiffusionSchedule(horizon=3.0, sigma_min=0.02, n_steps=7),
+        curves=[(1, 0.5, 0.25), (2, 0.375, 0.125)],
         meta=CheckpointMeta(
             normalization_scalar=2.5,
             k_rx=2,
@@ -66,6 +67,7 @@ def test_round_trip(tmp_path):
     assert back.meta.master_seed == 99
     assert back.meta.tx_origin == (0.0, 1.0, 2.0)
     assert back.meta.geometry["carrier_frequency"] == 0.3e12
+    assert back.curves == [(1, 0.5, 0.25), (2, 0.375, 0.125)]
     for mine, theirs in (
         (ckpt.params, back.params),
         (ckpt.ema_params, back.ema_params),
@@ -101,16 +103,17 @@ def test_rejects_unknown_version(tmp_path):
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_rejects_float32_layouts(tmp_path, version, capsys):
-    # Versions 1 and 2 share version 3's first 12 bytes: magic, version and
-    # metadata length, followed by per-tensor f4 records.
+    # Versions 1-3 share version 4's first 12 bytes: magic, version and
+    # metadata length.  Versions 1 and 2 followed them with per-tensor f4
+    # records; version 3 had version 4's layout without the curves.
     path = tmp_path / f"v{version}.ckpt"
     save_checkpoint(path, random_checkpoint())
     raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (3,)
+    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (4,)
     path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
-    with pytest.raises(ValueError, match=f"version {version}, which stores float32") as info:
+    with pytest.raises(ValueError, match=f"version {version}, an older layout") as info:
         load_checkpoint(path)
     assert str(path) in str(info.value)
     argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
@@ -214,7 +217,8 @@ def test_ema_denoiser_uses_ema_weights(tmp_path):
 
 
 def test_ema_denoiser_is_the_trained_one(tmp_path):
-    # A short run on random data; the reloaded EMA model is bit-for-bit it.
+    # A short run on random data; what train returns is what the file holds,
+    # and the reloaded EMA model is bit-for-bit the trained one.
     rng = np.random.default_rng(4)
     header = DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=12)
     data = Dataset(header=header, conditions=rng.normal(size=(12, 8)),
@@ -222,14 +226,15 @@ def test_ema_denoiser_is_the_trained_one(tmp_path):
     schedule = DiffusionSchedule(horizon=3.0, sigma_min=0.01, n_steps=5)
     result = train(data, data, CONFIG, schedule,
                    TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=1))
+    result.meta = CheckpointMeta(normalization_scalar=0.5, k_rx=2, k_tx=2, master_seed=6)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, Checkpoint(
-        config=CONFIG, params=result.model.params, ema_params=result.ema_params,
-        adam_m=result.adam_m, adam_v=result.adam_v, step=result.step,
-        meta=CheckpointMeta(), schedule=schedule,
-    ))
+    save_checkpoint(path, result)
     back = load_checkpoint(path)
-    assert back.step == result.step == 6 and back.schedule == schedule
+    assert (back.config, back.step, back.meta, back.schedule) == (
+        CONFIG, 6, result.meta, schedule)
+    assert back.curves == result.curves and [e for e, _, _ in back.curves] == [1, 2]
+    for name in ("params", "ema_params", "adam_m", "adam_v"):
+        assert getattr(back, name).vector.tobytes() == getattr(result, name).vector.tobytes()
     x = rng.normal(size=(3, 2, 8, 16))
     cond = rng.normal(size=(3, 8))
     sigmas = np.array([0.05, 0.7, 2.5])
@@ -239,12 +244,33 @@ def test_ema_denoiser_is_the_trained_one(tmp_path):
     )
 
 
+def test_model_is_a_copy_of_the_trained_weights():
+    ckpt = Checkpoint(config=CONFIG, params=init_params(CONFIG, np.random.default_rng(2)),
+                      ema_params={}, adam_m={}, adam_v={}, step=0)
+    assert ckpt.meta == CheckpointMeta() and ckpt.curves == []
+    model = ckpt.model
+    assert model.config == CONFIG
+    np.testing.assert_array_equal(model.params.vector, ckpt.params.vector)
+    model.params.vector[:] = 0.0
+    assert np.any(ckpt.params.vector != 0.0)
+
+
+@pytest.mark.parametrize("loss", [float("nan"), float("inf")])
+def test_save_refuses_non_finite_curves(tmp_path, loss):
+    ckpt = random_checkpoint()
+    ckpt.curves.append((3, 0.25, loss))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="metadata 'curves' row 2 has a non-finite loss"):
+        save_checkpoint(path, ckpt)
+    assert not path.exists()
+
+
 def test_file_bytes_are_pinned(tmp_path):
     # Any change to the layout or the metadata encoding moves this digest.
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, random_checkpoint(seed=5))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "135d0ac24041aa8aa05d3b6041d175a46f55c5705600c5925df429d86251e37b"
+        "e7c184d1ae7feefe25eb28cb6eab0fbe71e9744f2e2eb17ceec7e09821793d81"
     )
 
 
@@ -278,9 +304,12 @@ def small_configs(draw):
         n_steps=st.integers(1, 10**6),
     ),
     scale=st.floats(1e-300, 1e300),
+    curves=st.lists(st.tuples(st.integers(), *[st.floats(allow_nan=False,
+                                                         allow_infinity=False)] * 2)),
 )
-@example(config=CONFIG, seed=0, step=2**24 + 1, schedule=DiffusionSchedule(), scale=1.0)
-def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, scale):
+@example(config=CONFIG, seed=0, step=2**24 + 1, schedule=DiffusionSchedule(), scale=1.0,
+         curves=[(1, 5e-324, -0.0), (2**70, 1e308, 0.1)])
+def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, scale, curves):
     rng = np.random.default_rng(seed)
     shapes = param_shapes(config)
     groups = {}
@@ -296,9 +325,10 @@ def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, sca
                           tx_origin=(scale, -0.0, 1.0), geometry={"n_tx": 4})
     path = tmp_path_factory.mktemp("round_trip") / "model.ckpt"
     save_checkpoint(path, Checkpoint(config=config, step=step, meta=meta,
-                                     schedule=schedule, **groups))
+                                     schedule=schedule, curves=curves, **groups))
     back = load_checkpoint(path)
-    assert (back.config, back.step, back.meta, back.schedule) == (config, step, meta, schedule)
+    assert (back.config, back.step, back.meta, back.schedule, back.curves) == (
+        config, step, meta, schedule, curves)
     for name, group in groups.items():
         vector = getattr(back, name).vector
         assert np.array_equal(vector, group.vector)
@@ -329,15 +359,24 @@ def write_with_metadata(path, blob: bytes, n: int = 0) -> None:
     )
 
 
+CURVES = [[1, 0.5, 0.25], [2, 0.375, 0.125]]
+
+
 def metadata_case(case: str) -> bytes:
+    """Metadata with one fault; every other section, the curves too, is valid."""
     config = asdict(CONFIG)
     meta = asdict(random_checkpoint().meta)
     schedule = asdict(DiffusionSchedule())
-    good = {"config": config, "meta": meta, "schedule": schedule}
+    good = {"config": config, "meta": meta, "schedule": schedule, "curves": CURVES}
+
+    def without(key):
+        return {k: v for k, v in good.items() if k != key}
+
     doc = {
-        "missing_config": {"meta": meta, "schedule": schedule},
-        "missing_meta": {"config": config, "schedule": schedule},
-        "missing_schedule": {"config": config, "meta": meta},
+        "missing_config": without("config"),
+        "missing_meta": without("meta"),
+        "missing_schedule": without("schedule"),
+        "missing_curves": without("curves"),
         "unknown_top_level_key": {**good, "extra": 1},
         "unknown_config_key": {**good, "config": {**config, "width": 3}},
         "unknown_meta_key": {**good, "meta": {**meta, "owner": "x"}},
@@ -353,18 +392,49 @@ def metadata_case(case: str) -> bytes:
         "fractional_k_tx": {**good, "meta": {**meta, "k_tx": 1.5}},
         "short_tx_origin": {**good, "meta": {**meta, "tx_origin": [0.0, 0.0]}},
         "string_tx_origin": {**good, "meta": {**meta, "tx_origin": "abc"}},
+        "curves_not_list": {**good, "curves": {"1": [0.5, 0.25]}},
+        "short_curve_row": {**good, "curves": [CURVES[0], [2, 0.375]]},
+        "fractional_epoch": {**good, "curves": [[1.5, 0.5, 0.25]]},
+        "nan_loss": {**good, "curves": [[1, float("nan"), 0.25]]},
+        "inf_loss": {**good, "curves": [CURVES[0], [2, 0.375, float("inf")]]},
+        "huge_integer_loss": {**good, "curves": [[1, 10**400, 0.25]]},
+        "huge_integer_scale": {**good, "meta": {**meta, "normalization_scalar": 10**400}},
         "not_an_object": [config, meta],
     }.get(case)
     return b"{not json" if doc is None else json.dumps(doc).encode("utf-8")
 
 
-METADATA_CASES = [
-    "missing_config", "missing_meta", "missing_schedule", "unknown_top_level_key",
-    "unknown_config_key", "unknown_meta_key", "missing_config_field", "config_not_object",
-    "bad_tx_origin", "fractional_n_steps", "bad_horizon", "not_an_object", "not_json",
-    "string_scale", "zero_scale", "nan_scale", "zero_k_rx", "fractional_k_tx",
-    "short_tx_origin", "string_tx_origin",
-]
+# Each case and a fragment of the message that names its own fault.
+METADATA_CASES = {
+    "missing_config": "it has ['curves', 'meta', 'schedule']",
+    "missing_meta": "it has ['config', 'curves', 'schedule']",
+    "missing_schedule": "it has ['config', 'curves', 'meta']",
+    "missing_curves": "it has ['config', 'meta', 'schedule']",
+    "unknown_top_level_key": "it has ['config', 'curves', 'extra', 'meta', 'schedule']",
+    "unknown_config_key": "'config' has unknown keys ['width']",
+    "unknown_meta_key": "'meta' has unknown keys ['owner']",
+    "missing_config_field": "'config' is invalid",
+    "config_not_object": "'config' must be a JSON object",
+    "bad_tx_origin": "tx_origin must be 3 finite numbers",
+    "fractional_n_steps": "'schedule' is invalid",
+    "bad_horizon": "'schedule' is invalid",
+    "not_an_object": "metadata must be a JSON object",
+    "not_json": "not valid JSON",
+    "string_scale": "normalization_scalar must be a finite number > 0, got '2.5'",
+    "zero_scale": "normalization_scalar must be a finite number > 0, got 0.0",
+    "nan_scale": "normalization_scalar must be a finite number > 0, got nan",
+    "zero_k_rx": "k_rx must be an integer >= 1, got 0",
+    "fractional_k_tx": "k_tx must be an integer >= 1, got 1.5",
+    "short_tx_origin": "tx_origin must be 3 finite numbers, got [0.0, 0.0]",
+    "string_tx_origin": "tx_origin must be 3 finite numbers, got 'abc'",
+    "curves_not_list": "'curves' must be a list of rows, got dict",
+    "short_curve_row": "'curves' row 1 must be [epoch, train_loss, test_loss]",
+    "fractional_epoch": "'curves' row 0 has a non-integer epoch 1.5",
+    "nan_loss": "'curves' row 0 has a non-finite loss",
+    "inf_loss": "'curves' row 1 has a non-finite loss",
+    "huge_integer_loss": "'curves' row 0 has a non-finite loss",
+    "huge_integer_scale": "normalization_scalar must be a finite number > 0, got 1000",
+}
 
 
 # Vectors of the length CONFIG's layout needs, so that only the metadata is bad.
@@ -378,10 +448,13 @@ def test_rejects_bad_metadata(tmp_path, case):
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"checkpoint {path}: metadata ")
+    assert METADATA_CASES[case] in str(info.value)
 
 
 @pytest.mark.parametrize("case", ["missing_config", "unknown_config_key", "not_an_object",
-                                  "string_scale"])
+                                  "string_scale", "missing_curves", "curves_not_list",
+                                  "short_curve_row", "fractional_epoch", "nan_loss",
+                                  "inf_loss", "huge_integer_scale"])
 def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     path = tmp_path / "model.ckpt"
     write_with_metadata(path, metadata_case(case), n=N_PARAMS)
@@ -398,7 +471,7 @@ def test_header_n_must_match_the_config(tmp_path):
     path = tmp_path / "model.ckpt"
     want = FlatParams(param_shapes(CONFIG)).vector.size
     blob = json.dumps({"config": asdict(CONFIG), "meta": asdict(CheckpointMeta()),
-                       "schedule": asdict(DiffusionSchedule())}).encode()
+                       "schedule": asdict(DiffusionSchedule()), "curves": CURVES}).encode()
     for n in (0, want - 1, want + 1):
         write_with_metadata(path, blob, n=n)
         with pytest.raises(ValueError, match=f"declares {n} parameters per group, "

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,22 @@ def test_indivisible_subarrays_are_fatal(tmp_path, capsys):
     cfg.write_text(json.dumps({"geometry": {"n_tx": 10, "k_tx": 4}}))
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "n_tx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("geometry", "axis", [0.0, 0.0, 0.0]),
+    ("dataset", "cell_size", 0.0),
+])
+def test_degenerate_axis_or_cell_size_is_fatal(tmp_path, capsys, section, key, value):
+    # Refused by name, before numpy warns about a division by zero.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    argv = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x"), "--count", "20"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
 
 
 # -- train ------------------------------------------------------------------

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from thzgen.cli import main
 from thzgen.dataset import (
@@ -117,6 +119,52 @@ def test_split_rejects_bad_fraction():
     for f in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError):
             split(ds, f)
+
+
+def positions_dataset(positions, seed=0):
+    """Samples at the given Rx offsets; sample i's tensor holds the value i."""
+    n = len(positions)
+    conditions = np.zeros((n, 8))
+    conditions[:, 1:4] = positions
+    return Dataset(
+        header=DatasetHeader(n_rx=1, n_tx=1, k_rx=1, k_tx=1, sample_count=n,
+                             master_seed=seed),
+        conditions=conditions,
+        tensors=np.broadcast_to(np.arange(n, dtype=float)[:, None, None, None],
+                                (n, 2, 1, 1)).copy(),
+    )
+
+
+@given(
+    points=st.lists(st.tuples(*[st.floats(-5.0, 5.0)] * 3), min_size=40, max_size=120),
+    repeats=st.lists(st.integers(0, 39), max_size=20),
+    test_fraction=st.floats(0.05, 0.95),
+    cell_size=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_keeps_cells_disjoint_and_indices_whole(points, repeats, test_fraction,
+                                                      cell_size, seed):
+    # Repeated points put several samples in one cell.
+    ds = positions_dataset(points + [points[i] for i in repeats], seed)
+    try:
+        train, test = split(ds, test_fraction, cell_size)
+    except InsufficientDataError:
+        assume(False)
+
+    def cells(d):
+        return {tuple(np.floor(p / cell_size).astype(int)) for p in d.conditions[:, 1:4]}
+
+    assert not cells(train) & cells(test)
+    index = np.concatenate([train.tensors[:, 0, 0, 0], test.tensors[:, 0, 0, 0]])
+    assert sorted(index) == list(range(len(ds)))
+    for side in (train, test):
+        assert side.header.sample_count == len(side.conditions) == len(side.tensors)
+
+
+@pytest.mark.parametrize("cell_size", [0.0, -0.5, float("nan"), float("inf")])
+def test_split_rejects_bad_cell_size(cell_size):
+    with pytest.raises(ValueError, match="cell_size must be a finite number > 0"):
+        split(positions_dataset([(0.0, 0.0, 0.0)] * 10), 0.1, cell_size)
 
 
 def test_file_round_trip(tmp_path):

@@ -110,6 +110,17 @@ def test_identity_denoiser_loss_is_sigma_squared():
     assert loss == pytest.approx(sigma**2, rel=0.03)
 
 
+def test_loss_returns_the_sigmas_it_used():
+    h0 = np.zeros((5, 1, 2, 2))
+    schedule = DiffusionSchedule()
+    _, drawn = denoising_loss(IdentityDenoiser(), h0, None, schedule,
+                              np.random.default_rng(9))
+    np.testing.assert_array_equal(drawn, schedule.draw_sigma(np.random.default_rng(9), 5))
+    _, given = denoising_loss(IdentityDenoiser(), h0, None, schedule,
+                              np.random.default_rng(9), sigmas=0.5)
+    np.testing.assert_array_equal(given, np.full(5, 0.5))
+
+
 def test_zero_denoiser_small_sigma_limit():
     h0 = np.random.default_rng(4).normal(size=(64, 2, 4, 4))
     loss, _ = denoising_loss(

@@ -78,15 +78,20 @@ def test_uniform_linear_rejects_indivisible_counts():
             ArrayGeometry.uniform_linear(0.3e12, n_tx=10, n_rx=8, k_tx=k_tx, k_rx=2)
 
 
-@pytest.mark.parametrize("carrier, intra, inter, match", [
-    (0.0, None, None, "carrier_frequency must be > 0"),
-    (0.3e12, 0.0, None, "intra_spacing must be > 0"),
-    (0.3e12, 1e-3, 1e-4, "inter_spacing"),
+@pytest.mark.parametrize("carrier, intra, inter, match, axis", [
+    (0.0, None, None, "carrier_frequency must be > 0", (0.0, 1.0, 0.0)),
+    (0.3e12, 0.0, None, "intra_spacing must be > 0", (0.0, 1.0, 0.0)),
+    (0.3e12, 1e-3, 1e-4, "inter_spacing", (0.0, 1.0, 0.0)),
+    pytest.param(0.3e12, None, None, "axis must have a finite length > 0",
+                 (0.0, 0.0, 0.0), id="zero_axis"),
+    pytest.param(0.3e12, None, None, "axis must have a finite length > 0",
+                 (0.0, float("nan"), 0.0), id="nan_axis"),
 ])
-def test_uniform_linear_rejects_bad_spacings(carrier, intra, inter, match):
+def test_uniform_linear_rejects_bad_spacings(carrier, intra, inter, match, axis):
     with pytest.raises(ValueError, match=match):
         ArrayGeometry.uniform_linear(carrier, n_tx=16, n_rx=8, k_tx=2, k_rx=2,
-                                     intra_spacing=intra, inter_spacing=inter)
+                                     intra_spacing=intra, inter_spacing=inter,
+                                     axis=axis)
 
 
 def test_with_rx_origin_translates_everything():
