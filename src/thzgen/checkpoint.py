@@ -35,7 +35,8 @@ _COUNTS = struct.Struct("<QQ")  # step, parameters per group
 _GROUPS = ("params", "ema_params", "adam_m", "adam_v")
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
+    """A real number, not a bool, that is finite as a float64."""
     try:  # a JSON integer can be too large for a float64
         return (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and math.isfinite(value))
@@ -56,7 +57,7 @@ class CheckpointMeta:
 
     def __post_init__(self):
         scale = self.normalization_scalar
-        if not (_is_finite_number(scale) and scale > 0):
+        if not (is_finite_number(scale) and scale > 0):
             raise ValueError(
                 f"normalization_scalar must be a finite number > 0, got {scale!r}")
         for name in ("k_rx", "k_tx"):
@@ -67,7 +68,7 @@ class CheckpointMeta:
             origin = tuple(self.tx_origin)
         except TypeError:
             origin = ()
-        if len(origin) != 3 or not all(map(_is_finite_number, origin)):
+        if len(origin) != 3 or not all(map(is_finite_number, origin)):
             raise ValueError(f"tx_origin must be 3 finite numbers, got {self.tx_origin!r}")
         self.tx_origin = origin
 
@@ -119,7 +120,7 @@ def _checked_curves(path, curves) -> list:
                 f"{fault} row {i} must be [epoch, train_loss, test_loss], got {row!r}")
         if isinstance(row[0], bool) or not isinstance(row[0], numbers.Integral):
             raise ValueError(f"{fault} row {i} has a non-integer epoch {row[0]!r}")
-        if not all(map(_is_finite_number, row[1:])):
+        if not all(map(is_finite_number, row[1:])):
             raise ValueError(f"{fault} row {i} has a non-finite loss in {row[1:]!r}")
     return [(int(epoch), float(train), float(test)) for epoch, train, test in curves]
 
@@ -219,5 +220,11 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(step=step, **groups, **sections)
 
 
+# The dtype sampling and the test loss run the network in; the weights are
+# cast to it once, when the denoiser is built.
+INFERENCE_DTYPE = np.dtype(np.float32)
+
+
 def ema_denoiser(ckpt: Checkpoint) -> DitDenoiser:
-    return DitDenoiser(ckpt.config, params=ckpt.ema_params)
+    """An inference denoiser holding the EMA weights in ``INFERENCE_DTYPE``."""
+    return DitDenoiser(ckpt.config, params=ckpt.ema_params, dtype=INFERENCE_DTYPE)

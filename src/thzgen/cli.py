@@ -18,9 +18,11 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .checkpoint import (
+    INFERENCE_DTYPE,
     Checkpoint,
     CheckpointMeta,
     ema_denoiser,
+    is_finite_number,
     load_checkpoint,
     save_checkpoint,
 )
@@ -75,7 +77,11 @@ def _is_number(value) -> bool:
 
 
 def _check_leaf(key: str, default, value) -> None:
-    """A config value must have the JSON type of its default."""
+    """A config value must have the JSON type of its default, and be finite.
+
+    ``json.load`` accepts the NaN and Infinity literals and integers of any
+    size; no config key takes them.
+    """
     if isinstance(default, list):
         ok = (isinstance(value, list) and len(value) == len(default)
               and all(map(_is_number, value)))
@@ -88,6 +94,9 @@ def _check_leaf(key: str, default, value) -> None:
         ok, want = _is_number(value), "a number"
     if not ok:
         raise ValueError(f"config key {key} must be {want}, got {json.dumps(value)}")
+    items = value if isinstance(value, list) else [value]
+    if not all(v is None or is_finite_number(v) for v in items):
+        raise ValueError(f"config key {key} must be a finite number")
 
 
 def _merge_strict(defaults, data, path=""):
@@ -268,7 +277,7 @@ def cmd_sample(args) -> int:
     print(
         f"sampler: {nfe} denoiser calls (NFE) at batch {args.num}, "
         f"{elapsed_ms / nfe:.1f} ms per call on {lanes} inference "
-        f"thread{'s' if lanes > 1 else ''}"
+        f"thread{'s' if lanes > 1 else ''} in {INFERENCE_DTYPE}"
     )
     return 0
 

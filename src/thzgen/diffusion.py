@@ -118,6 +118,8 @@ def euler_sample(
     """Integrate the probability-flow ODE from N(0, horizon^2 I) down to sigma_min.
 
     Euler steps H <- H + dt * t * score(H, t) on a uniform decreasing grid.
+    A non-finite update is a ``NumericError`` naming the step, t and the
+    first and last non-finite sample (index along the first axis of ``shape``).
     """
     grid = schedule.time_grid(n_steps)
     h = schedule.horizon * rng.standard_normal(shape)
@@ -127,8 +129,16 @@ def euler_sample(
         d = denoiser.evaluate(h, t, condition)
         h = h + dt * t * score_from_denoiser(d, h, t)
         if not np.all(np.isfinite(h)):
-            raise NumericError(f"sampler diverged at step {step} (t={t:g})")
+            raise _diverged(h, step, t)
     return h
+
+
+def _diverged(h: np.ndarray, step: int, t: float) -> NumericError:
+    """The error for a sampler step that left ``h`` non-finite; axis 0 is the sample."""
+    bad = np.flatnonzero(~np.isfinite(h).reshape(len(h), -1).all(axis=1))
+    return NumericError(
+        f"sampler diverged at step {step} (t={t:g}) for samples {bad[0]}-{bad[-1]}"
+    )
 
 
 def ema_update(shadow: np.ndarray, current: np.ndarray, decay: float) -> np.ndarray:

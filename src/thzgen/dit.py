@@ -1,13 +1,15 @@
 """Conditional diffusion transformer denoiser with hand-written gradients.
 
-Everything runs in float64 numpy.  The parameters, and each gradient, live
-as named views into one flat vector (``FlatParams``) laid out by
+Training runs in float64 numpy.  The parameters, and each gradient, live as
+named views into one flat vector (``FlatParams``) laid out by
 ``param_shapes``.  ``forward`` caches intermediates so ``backward`` can
 produce exact parameter gradients (verified against central finite
 differences in the test suite).  Inference (``denoise``) runs the same block
 code over fixed-size slices of the batch and records no cache, so its
 working set does not grow with the batch; the slices of one call run on one
-lane (thread) per usable CPU.
+lane (thread) per usable CPU.  A denoiser runs its network in the dtype of
+the weights it holds: sampling and the test loss use float32 weights, while
+the preconditioning and the skip path ``c_skip*h + c_out*F`` stay float64.
 """
 from __future__ import annotations
 
@@ -275,16 +277,16 @@ def param_shapes(config: DitConfig) -> dict[str, tuple[int, ...]]:
 
 
 class FlatParams(dict):
-    """Named, shaped views into one float64 vector, ``self.vector``.
+    """Named, shaped views into one vector, ``self.vector`` (float64 by default).
 
     Writing into ``params[name]`` writes the vector; assigning a new array to
     a name only rebinds that entry, so the vector is trusted only by code
     that built the mapping.
     """
 
-    def __init__(self, shapes: dict, vector: np.ndarray | None = None):
+    def __init__(self, shapes: dict, vector: np.ndarray | None = None, dtype=np.float64):
         sizes = [math.prod(shape) for shape in shapes.values()]
-        self.vector = np.zeros(sum(sizes)) if vector is None else vector
+        self.vector = np.zeros(sum(sizes), dtype) if vector is None else vector
         chunks = np.split(self.vector, np.cumsum(sizes)[:-1])
         super().__init__(
             (name, chunk.reshape(shape))
@@ -292,8 +294,10 @@ class FlatParams(dict):
         )
 
     @classmethod
-    def copy_of(cls, shapes: dict, tensors, what: str = "DiT parameters") -> FlatParams:
-        """A new vector holding ``tensors``, after checking names and shapes.
+    def copy_of(
+        cls, shapes: dict, tensors, what: str = "DiT parameters", dtype=np.float64
+    ) -> FlatParams:
+        """A new ``dtype`` vector holding ``tensors``, after checking names and shapes.
 
         The ValueError names each missing, unexpected or mis-shaped tensor.
         """
@@ -305,7 +309,7 @@ class FlatParams(dict):
         ]
         if faults:
             raise ValueError(f"{what}: {'; '.join(faults)}")
-        params = cls(shapes)
+        params = cls(shapes, dtype=dtype)
         for name, view in params.items():
             view[...] = tensors[name]
         return params
@@ -343,21 +347,27 @@ def _linear_backward(dy, x, params, grads, w, b):
 
 
 class DitDenoiser:
-    """Preconditioned conditional DiT: D(h, sigma, p) = c_skip*h + c_out*F(...)."""
+    """Preconditioned conditional DiT: D(h, sigma, p) = c_skip*h + c_out*F(...).
+
+    F runs in ``dtype``, the dtype of the weights it holds.  Only a float64
+    denoiser trains: ``forward``, ``backward`` and ``loss_and_grads`` refuse
+    any other, which is for inference (``denoise``, ``evaluate``) only.
+    """
 
     def __init__(
         self,
         config: DitConfig,
         params: dict | None = None,
         rng: np.random.Generator | None = None,
+        dtype=np.float64,
     ):
         self.config = config
         self.shapes = param_shapes(config)
+        self.dtype = np.dtype(dtype)
         if params is None:
-            self.params = init_params(config, rng or np.random.default_rng(0))
-        else:
-            self.params = FlatParams.copy_of(self.shapes, params)
-        self.pos = positional_table(config.grid, config.embed_dim)
+            params = init_params(config, rng or np.random.default_rng(0))
+        self.params = FlatParams.copy_of(self.shapes, params, dtype=self.dtype)
+        self.pos = positional_table(config.grid, config.embed_dim).astype(self.dtype)
 
     # -- preconditioning ----------------------------------------------------
 
@@ -372,13 +382,25 @@ class DitDenoiser:
 
     # -- forward ------------------------------------------------------------
 
+    def _require_float64(self, what: str) -> None:
+        if self.dtype != np.float64:
+            raise ValueError(
+                f"{what} needs float64 weights; a {self.dtype} denoiser is for "
+                f"inference only (denoise, evaluate)"
+            )
+
     def forward(self, h: np.ndarray, sigma: np.ndarray, cond: np.ndarray):
         """Batched forward pass; returns (output, cache) for backward."""
+        self._require_float64("forward")
         cache = {"blocks": []}
         return self._forward(h, sigma, cond, cache), cache
 
     def _forward(self, h, sigma, cond, cache=None) -> np.ndarray:
-        """The forward pass; fills ``cache``, if given, with what ``backward`` needs."""
+        """The forward pass; fills ``cache``, if given, with what ``backward`` needs.
+
+        F runs in the weights' dtype; the preconditioning coefficients and
+        the skip path stay float64, so the output is float64.
+        """
         cfg = self.config
         p = self.params
         h = np.asarray(h, dtype=float)
@@ -392,13 +414,15 @@ class DitDenoiser:
         if not np.all(np.isfinite(cond)):
             raise ValueError("condition vector contains non-finite values")
 
+        dt = self.dtype
+        cond = cond.astype(dt, copy=False)
         c_skip, c_out, c_in, c_noise = self._coeffs(sigma)
-        x_in = c_in[:, None, None, None] * h
+        x_in = (c_in[:, None, None, None] * h).astype(dt, copy=False)
         patches = patchify(x_in, cfg.patch_size)
         tok = _linear(patches, p["patch.w"], p["patch.b"])
         tok += self.pos
 
-        tfeat = timestep_features(c_noise, cfg.embed_dim)
+        tfeat = timestep_features(c_noise, cfg.embed_dim).astype(dt, copy=False)
         t_pre = _linear(tfeat, p["t_mlp.w1"], p["t_mlp.b1"])
         t_act = silu(t_pre)
         e_t = _linear(t_act, p["t_mlp.w2"], p["t_mlp.b2"])
@@ -454,7 +478,7 @@ class DitDenoiser:
         v = v.reshape(b, n, nh, dh).transpose(0, 2, 1, 3)
         # Softmax in place: scale, shift by the row max, exp, normalise.
         attn = q @ k.transpose(0, 1, 3, 2)
-        attn /= np.sqrt(dh)
+        attn /= math.sqrt(dh)  # a Python float keeps attn in the weights' dtype
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
@@ -487,6 +511,7 @@ class DitDenoiser:
 
     def backward(self, cache, d_out: np.ndarray) -> FlatParams:
         """Parameter gradients for a loss whose output gradient is d_out."""
+        self._require_float64("backward")
         cfg = self.config
         p = self.params
         grads = FlatParams(self.shapes)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thzgen.checkpoint import (
+    INFERENCE_DTYPE,
     VERSION,
     Checkpoint,
     CheckpointMeta,
@@ -205,14 +206,14 @@ def test_ema_denoiser_uses_ema_weights(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
     den = ema_denoiser(load_checkpoint(path))
-    assert den.config == CONFIG
+    assert den.config == CONFIG and den.dtype == INFERENCE_DTYPE == np.float32
     for name, tensor in ckpt.ema_params.items():
-        np.testing.assert_array_equal(den.params[name], tensor)
+        np.testing.assert_array_equal(den.params[name], tensor.astype(np.float32))
     x = np.random.default_rng(1).normal(size=(2, 2, 8, 16))
     cond = np.random.default_rng(2).normal(size=(2, 8))
     np.testing.assert_array_equal(
         den.evaluate(x, 1.0, cond),
-        DitDenoiser(CONFIG, params=ckpt.ema_params).evaluate(x, 1.0, cond),
+        DitDenoiser(CONFIG, params=ckpt.ema_params, dtype=np.float32).evaluate(x, 1.0, cond),
     )
 
 
@@ -240,7 +241,8 @@ def test_ema_denoiser_is_the_trained_one(tmp_path):
     sigmas = np.array([0.05, 0.7, 2.5])
     np.testing.assert_array_equal(
         ema_denoiser(back).denoise(x, sigmas, cond),
-        DitDenoiser(CONFIG, params=result.ema_params).denoise(x, sigmas, cond),
+        DitDenoiser(CONFIG, params=result.ema_params, dtype=np.float32)
+        .denoise(x, sigmas, cond),
     )
 
 

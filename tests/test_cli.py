@@ -118,6 +118,26 @@ def test_mistyped_config_value_is_fatal(tmp_path, capsys, key, value):
     assert not (tmp_path / "x.train").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("geometry.carrier_frequency", 10**400),  # too large for a float64
+    ("seed", -(10**400)),
+    ("training.learning_rate", float("nan")),
+    ("schedule.horizon", float("inf")),
+    ("geometry.intra_spacing", float("-inf")),
+    ("region.low", [4.0, float("-inf"), -0.5]),
+])
+def test_non_finite_config_number_is_fatal(tmp_path, capsys, key, value):
+    # json.load takes the NaN and Infinity literals and integers of any size.
+    doc = value
+    for part in reversed(key.split(".")):
+        doc = {part: doc}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: config key {key} must be a finite number\n"
+    assert not (tmp_path / "x.train").exists()
+
+
 def test_well_typed_config_values_are_accepted():
     # An int where a float is expected, and null or a number for an optional.
     cfg = cli._merge_strict(cli._CONFIG_DEFAULTS, {
@@ -304,12 +324,12 @@ def test_sample_reports_nfe(workdir, tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "generated: 2 samples" in out
     assert "sampler: 20 denoiser calls (NFE) at batch 2, " in out
-    assert " ms per call on 1 inference thread\n" in out
+    assert " ms per call on 1 inference thread in float32\n" in out
     # 8 tokens, so 32 samples per slice: two slices, one per lane.
     assert main(args + ["--num", "64"]) == 0
     out = capsys.readouterr().out
     assert "sampler: 20 denoiser calls (NFE) at batch 64, " in out
-    assert " ms per call on 2 inference threads\n" in out
+    assert " ms per call on 2 inference threads in float32\n" in out
 
 
 def test_sample_uses_the_trained_schedule(tmp_path, capsys):
@@ -498,3 +518,14 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_python_m_thzgen_runs_the_cli():
+    src = str(Path(thzgen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "thzgen", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.startswith("usage: thzgen ")
+    for command in ("gen-data", "train", "sample", "eval"):
+        assert command in proc.stdout

@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thzgen.cli import main
@@ -260,6 +260,21 @@ def test_cli_reports_wrong_length(tmp_path, dataset_bytes, case, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_cut_or_extended_file_is_a_value_error(tmp_path_factory, dataset_bytes, data):
+    if data.draw(st.booleans(), label="cut"):
+        damaged = dataset_bytes[: data.draw(st.integers(0, len(dataset_bytes) - 1),
+                                            label="length")]
+    else:
+        damaged = dataset_bytes + data.draw(st.binary(min_size=1, max_size=64), label="tail")
+    path = tmp_path_factory.mktemp("damaged") / "data.bin"
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError) as info:
+        read_dataset(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("count, scale, match", [

@@ -234,6 +234,19 @@ def test_euler_reports_divergence_step():
         euler_sample(Explodes(), None, DiffusionSchedule(), np.random.default_rng(0), (2,))
 
 
+def test_euler_divergence_names_the_samples():
+    class ExplodesOnTwo:
+        def evaluate(self, h_t, sigma, condition=None):
+            d = np.zeros_like(h_t)
+            d[[2, 5], 1] = np.inf
+            return d
+
+    schedule = DiffusionSchedule(horizon=3.0, sigma_min=0.01, n_steps=4)
+    with pytest.raises(NumericError) as info:
+        euler_sample(ExplodesOnTwo(), None, schedule, np.random.default_rng(0), (8, 2, 3))
+    assert str(info.value) == "sampler diverged at step 0 (t=3) for samples 2-5"
+
+
 # -- EMA --------------------------------------------------------------------
 
 def test_ema_decay_extremes():

@@ -197,6 +197,19 @@ def test_patchify_round_trip():
     np.testing.assert_array_equal(unpatchify(patchify(x, 2), 2, 8, 16), x)
 
 
+@given(data=st.data(), lead=st.lists(st.integers(1, 3), max_size=2),
+       channels=st.integers(1, 3), n_rx=st.integers(1, 24), n_tx=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_patchify_round_trip_property(data, lead, channels, n_rx, n_tx, seed):
+    divisors = [p for p in range(1, min(n_rx, n_tx) + 1) if n_rx % p == 0 == n_tx % p]
+    p = data.draw(st.sampled_from(divisors), label="patch_size")
+    x = np.random.default_rng(seed).normal(size=(*lead, channels, n_rx, n_tx))
+    patches = patchify(x, p)
+    assert patches.shape == (*lead, (n_rx // p) * (n_tx // p), channels * p * p)
+    back = unpatchify(patches, p, n_rx, n_tx)
+    assert back.shape == x.shape and back.tobytes() == x.tobytes()
+
+
 def test_patchify_rejects_indivisible():
     with pytest.raises(ValueError):
         patchify(np.zeros((2, 9, 16)), 4)
@@ -507,6 +520,86 @@ def test_evaluate_loss_matches_forward_reference():
                              sigmas[sl], ds.conditions[sl])
         total += float(np.sum((out - h0) ** 2) / h0[0].size)
     assert evaluate_loss(den, ds, sigmas, noise) == total / n
+
+
+# -- float32 inference ------------------------------------------------------
+
+def float32_twin(den):
+    """A float32 denoiser holding ``den``'s weights."""
+    return DitDenoiser(den.config, params=den.params, dtype=np.float32)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_float32_denoise_and_evaluate_equal_whole_batch_forward(monkeypatch, lanes):
+    monkeypatch.setattr(dit, "LANES", lanes)
+    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    cfg = small_config(patch_size=2, depth=2)
+    den = float32_twin(randomized_denoiser(cfg, seed=4))
+    s = slice_samples(cfg)
+    rng = np.random.default_rng(23)
+    for b in (1, s - 1, s, s + 1, 3 * s + 5):
+        h = rng.normal(size=(b, 2, cfg.n_rx, cfg.n_tx))
+        cond = rng.normal(size=(b, cfg.condition_dim))
+        sigma = np.exp(rng.uniform(-4.0, 2.0, size=b))
+        ref = den._forward(h, sigma, cond)
+        assert ref.dtype == np.float64
+        np.testing.assert_array_equal(den.denoise(h, sigma, cond), ref, err_msg=str(b))
+        np.testing.assert_array_equal(den.evaluate(h, sigma, cond), ref, err_msg=str(b))
+        ref = den._forward(h, np.full(b, 0.8), np.tile(cond[0], (b, 1)))
+        np.testing.assert_array_equal(den.evaluate(h, 0.8, cond[0]), ref, err_msg=str(b))
+
+
+def test_float32_denoise_is_close_to_float64_forward():
+    # The toy sampling config, over noise levels from 0.02 to 7.
+    cfg = DitConfig(n_rx=8, n_tx=16, patch_size=2, embed_dim=64, depth=4, n_heads=4)
+    den = randomized_denoiser(cfg, seed=9)
+    rng = np.random.default_rng(24)
+    h = 3.0 * rng.normal(size=(24, 2, cfg.n_rx, cfg.n_tx))
+    cond = rng.normal(size=(24, cfg.condition_dim))
+    sigma = np.exp(np.linspace(-4.0, 2.0, 24))
+    ref, _ = den.forward(h, sigma, cond)
+    got = float32_twin(den).denoise(h, sigma, cond)
+    assert 0.0 < np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_float32_forward_holds_no_float64_activation(monkeypatch):
+    cfg = small_config(patch_size=2, depth=2)
+    den = float32_twin(randomized_denoiser(cfg, seed=10))
+    assert den.params.vector.dtype == den.pos.dtype == np.float32
+    inputs = []
+    linear = dit._linear
+    monkeypatch.setattr(dit, "_linear", lambda x, w, b: inputs.append(x.dtype)
+                        or linear(x, w, b))
+    rng = np.random.default_rng(25)
+    h = rng.normal(size=(4, 2, cfg.n_rx, cfg.n_tx))
+    cache = {"blocks": []}  # records every activation backward would read
+    out = den._forward(h, np.exp(rng.uniform(-4.0, 2.0, size=4)),
+                       rng.normal(size=(4, cfg.condition_dim)), cache)
+    assert out.dtype == np.float64
+    assert inputs and set(inputs) == {np.dtype(np.float32)}
+    wide = [name for name, a in cache.items() if name != "blocks" and a.dtype != np.float32]
+    wide += [f"block{i}.{name}" for i, bc in enumerate(cache["blocks"])
+             for name, a in bc.items() if a.dtype != np.float32]
+    assert wide == ["c_out"]
+
+
+def test_float32_denoiser_is_for_inference_only():
+    cfg = small_config()
+    den64 = randomized_denoiser(cfg, seed=11)
+    den = float32_twin(den64)
+    rng = np.random.default_rng(26)
+    h0 = rng.normal(size=(2, 2, cfg.n_rx, cfg.n_tx))
+    cond, sigmas = rng.normal(size=(2, 8)), np.array([0.5, 2.0])
+    out, cache = den64.forward(h0, sigmas, cond)
+    for call in (lambda: den.forward(h0, sigmas, cond),
+                 lambda: den.backward(cache, np.ones_like(out)),
+                 lambda: den.loss_and_grads(h0, cond, sigmas, rng.normal(size=h0.shape))):
+        with pytest.raises(ValueError, match="a float32 denoiser is for inference only"):
+            call()
+    # A float32 denoiser built from a seed holds the float64 draws, rounded.
+    np.testing.assert_array_equal(
+        DitDenoiser(cfg, rng=np.random.default_rng(3), dtype=np.float32).params.vector,
+        DitDenoiser(cfg, rng=np.random.default_rng(3)).params.vector.astype(np.float32))
 
 
 def test_non_finite_output_names_samples_and_sigma():

@@ -162,8 +162,8 @@ def reference_train(train_set, test_set, dit_config, schedule, cfg):
             ema = {k: cfg.ema_decay * ema[k] + (1.0 - cfg.ema_decay) * params[k]
                    for k in ema}
             losses.append(loss)
-        test_loss = evaluate_loss(DitDenoiser(dit_config, params=ema), test_set,
-                                  eval_sigmas, eval_noise)
+        test_loss = evaluate_loss(DitDenoiser(dit_config, params=ema, dtype=np.float32),
+                                  test_set, eval_sigmas, eval_noise)
         curves.append((epoch, sum(losses) / len(losses), test_loss))
     return params, ema, m, v, curves
 
