@@ -1,7 +1,6 @@
 """Geometry-conditioned diffusion-transformer generation of THz UM-MIMO channels."""
 
 from .beamspace import (
-    BeamDictionary,
     block_dictionary,
     dft_dictionary,
     dictionaries_for,
@@ -36,7 +35,6 @@ from .diffusion import (
 )
 from .dit import DitConfig, DitDenoiser
 from .evaluation import (
-    SsimParams,
     angular_power,
     compare_power,
     nmse,
@@ -45,7 +43,6 @@ from .evaluation import (
 )
 from .geometry import (
     ArrayGeometry,
-    GeometryCondition,
     condition_vector,
     rayleigh_distance,
 )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -26,6 +25,7 @@ import numpy as np
 
 from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
+from .errors import is_finite_number, is_integer
 
 MAGIC = b"THZW"
 # Versions 1 and 2 stored one f4 record per tensor; version 3 had no curves.
@@ -33,15 +33,6 @@ VERSION = 4
 _HEAD = struct.Struct("<4sII")  # magic, version, JSON length
 _COUNTS = struct.Struct("<QQ")  # step, parameters per group
 _GROUPS = ("params", "ema_params", "adam_m", "adam_v")
-
-
-def is_finite_number(value) -> bool:
-    """A real number, not a bool, that is finite as a float64."""
-    try:  # a JSON integer can be too large for a float64
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:
-        return False
 
 
 @dataclass
@@ -62,7 +53,7 @@ class CheckpointMeta:
                 f"normalization_scalar must be a finite number > 0, got {scale!r}")
         for name in ("k_rx", "k_tx"):
             k = getattr(self, name)
-            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            if not is_integer(k) or k < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
         try:
             origin = tuple(self.tx_origin)
@@ -118,7 +109,7 @@ def _checked_curves(path, curves) -> list:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise ValueError(
                 f"{fault} row {i} must be [epoch, train_loss, test_loss], got {row!r}")
-        if isinstance(row[0], bool) or not isinstance(row[0], numbers.Integral):
+        if not is_integer(row[0]):
             raise ValueError(f"{fault} row {i} has a non-integer epoch {row[0]!r}")
         if not all(map(is_finite_number, row[1:])):
             raise ValueError(f"{fault} row {i} has a non-finite loss in {row[1:]!r}")

@@ -22,7 +22,6 @@ from .checkpoint import (
     Checkpoint,
     CheckpointMeta,
     ema_denoiser,
-    is_finite_number,
     load_checkpoint,
     save_checkpoint,
 )
@@ -38,8 +37,8 @@ from .dataset import (
 )
 from .diffusion import DiffusionSchedule, euler_sample
 from .dit import DitConfig, lane_count
-from .errors import NumericError
-from .evaluation import SsimCdf, angular_power, compare_power, nmse, ssim_complex
+from .errors import NumericError, is_finite_number
+from .evaluation import angular_power, compare_power, nmse, ssim_complex
 from .geometry import ArrayGeometry, condition_vector
 from .paths import GscmConfig
 from .training import TrainConfig, train
@@ -247,7 +246,7 @@ def sample_channels(
     schedule = ckpt.schedule if schedule is None else schedule
     rng = np.random.default_rng(seed)
     shape = (num, 2, ckpt.config.n_rx, ckpt.config.n_tx)
-    samples = euler_sample(denoiser, cond.p, schedule, rng, shape)
+    samples = euler_sample(denoiser, cond, schedule, rng, shape)
     samples = samples * ckpt.meta.normalization_scalar
     header = DatasetHeader(
         n_rx=ckpt.config.n_rx,
@@ -258,7 +257,7 @@ def sample_channels(
         normalization_scalar=ckpt.meta.normalization_scalar,
         master_seed=seed,
     )
-    conditions = np.broadcast_to(cond.p, (num, cond.p.shape[0])).copy()
+    conditions = np.broadcast_to(cond, (num, len(cond))).copy()
     return Dataset(header=header, conditions=conditions, tensors=samples)
 
 
@@ -330,13 +329,15 @@ def cmd_eval(args) -> int:
     rows: list[tuple] = []
     if "ssim" in metrics:
         per_pair = [ssim_complex(gen_mats[i], ref_mats[j]) for i, j in pairs]
-        result = SsimCdf.from_values(per_pair)
         for idx, value in enumerate(per_pair):
             rows.append(("ssim", "pair", idx, value))
-        rows.append(("ssim", "mean", "", result.mean))
-        for idx, (value, ordinate) in enumerate(zip(result.values, result.cdf)):
+        # The empirical CDF, sorted values at ordinates (i + 1) / n; the mean is
+        # summed in sorted order too.
+        values = np.sort(per_pair)
+        rows.append(("ssim", "mean", "", float(values.mean())))
+        for idx, value in enumerate(values):
             rows.append(("ssim_cdf", "value", idx, value))
-            rows.append(("ssim_cdf", "ordinate", idx, ordinate))
+            rows.append(("ssim_cdf", "ordinate", idx, (idx + 1) / len(values)))
     if "angular" in metrics:
         gen_map = angular_power(gen_mats)
         ref_map = angular_power(ref_mats)

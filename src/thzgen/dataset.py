@@ -55,6 +55,10 @@ class DatasetHeader:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.condition_dim != CONDITION_DIM:
+            raise ValueError(
+                f"condition_dim must be {CONDITION_DIM}, got {self.condition_dim}"
+            )
         scale = self.normalization_scalar
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"normalization_scalar must be a finite number > 0, got {scale}")
@@ -122,7 +126,7 @@ def build_dataset(
         hb = to_beamspace(h, rx_dict, tx_dict).entries
         tensors[i, 0] = hb.real
         tensors[i, 1] = hb.imag
-        conditions[i] = condition_vector(geometry.tx_origin, pos).p
+        conditions[i] = condition_vector(geometry.tx_origin, pos)
 
     header = DatasetHeader(
         n_rx=geometry.n_rx,

@@ -5,12 +5,11 @@ score recovery, probability-flow ODE Euler sampler, and EMA of parameters.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, is_integer
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,7 @@ class DiffusionSchedule:
             raise ValueError(
                 f"need 0 < sigma_min < horizon, got {self.sigma_min}, {self.horizon}"
             )
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+        if not is_integer(self.n_steps):
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, is_integer
 
 LN_EPS = 1e-6
 
@@ -91,6 +91,13 @@ class DitConfig:
     sigma_data: float = 1.0
 
     def __post_init__(self):
+        for name in ("n_rx", "n_tx", "patch_size", "embed_dim", "depth", "n_heads",
+                     "mlp_ratio", "condition_dim"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
         if min(self.patch_size, self.embed_dim, self.n_heads, self.mlp_ratio) < 1:
             raise ValueError("patch_size, embed_dim, n_heads and mlp_ratio must be >= 1")
         if self.n_rx % self.patch_size or self.n_tx % self.patch_size:

@@ -1,20 +1,18 @@
-"""Fidelity metrics: SSIM (+ CDF), beamspace angular power profiles, NMSE."""
+"""Fidelity metrics on numpy arrays: SSIM, beamspace angular power profiles, NMSE.
+
+SSIM's Gaussian window and stabilizing constants are the module constants below.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BEAMSPACE, ChannelMatrix
-from .dataset import Dataset
-
-
-@dataclass(frozen=True)
-class SsimParams:
-    window_size: int = 11
-    window_sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
+# Window taps per axis (before clamping) and sigma; C1 = (K1 * range)^2, C2 = (K2 * range)^2.
+WINDOW_SIZE = 11
+WINDOW_SIGMA = 1.5
+K1 = 0.01
+K2 = 0.03
 
 
 def _gaussian_taps(n: int, sigma: float) -> np.ndarray:
@@ -33,7 +31,7 @@ def _taps_pass(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean windowed luminance/contrast/structure similarity of two real matrices.
 
     The Gaussian window is clamped to the input dimensions so small channel
@@ -50,12 +48,11 @@ def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> flo
     data_range = max(np.abs(a).max(), np.abs(b).max())
     if data_range == 0.0:
         return 1.0
-    c1 = (params.k1 * data_range) ** 2
-    c2 = (params.k2 * data_range) ** 2
+    c1 = (K1 * data_range) ** 2
+    c2 = (K2 * data_range) ** 2
 
     # The window is separable: one valid-mode pass down the rows, one along the columns.
-    taps_r, taps_c = (_gaussian_taps(min(params.window_size, n), params.window_sigma)
-                      for n in a.shape)
+    taps_r, taps_c = (_gaussian_taps(min(WINDOW_SIZE, n), WINDOW_SIGMA) for n in a.shape)
     rows = _taps_pass(np.stack((a, b, a * a, b * b, a * b)), taps_r)
     mu_a, mu_b, var_a, var_b, cov = _taps_pass(rows.swapaxes(1, 2), taps_c).swapaxes(1, 2)
     var_a -= mu_a**2
@@ -68,76 +65,26 @@ def ssim(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> flo
     return float(ssim_map.mean())
 
 
-def ssim_complex(
-    a: np.ndarray,
-    b: np.ndarray,
-    params: SsimParams = SsimParams(),
-    mode: str = "magnitude",
-) -> float:
-    """SSIM of complex channel matrices.
-
-    ``magnitude`` compares |a| vs |b| (the intensity image); ``realimag``
-    averages SSIM over the real and imaginary parts.
-    """
-    if mode == "magnitude":
-        return ssim(np.abs(a), np.abs(b), params)
-    if mode == "realimag":
-        return 0.5 * (
-            ssim(np.real(a), np.real(b), params) + ssim(np.imag(a), np.imag(b), params)
-        )
-    raise ValueError(f"unknown SSIM mode {mode!r}")
-
-
-@dataclass
-class SsimCdf:
-    values: np.ndarray  # sorted ascending
-    cdf: np.ndarray  # empirical ordinates in (0, 1]
-    mean: float
-
-    @classmethod
-    def from_values(cls, values) -> "SsimCdf":
-        """Empirical CDF of already computed per-pair SSIM values."""
-        if len(values) == 0:
-            raise ValueError("no pairs to evaluate")
-        values = np.sort(np.asarray(values, dtype=float))
-        cdf = np.arange(1, len(values) + 1) / len(values)
-        return cls(values=values, cdf=cdf, mean=float(values.mean()))
+def ssim_complex(a: np.ndarray, b: np.ndarray) -> float:
+    """SSIM of complex channel matrices: |a| vs |b|, the intensity images."""
+    return ssim(np.abs(a), np.abs(b))
 
 
 @dataclass
 class AngularPowerMap:
     tx_profile: np.ndarray  # (n_tx,) column marginals of mean |Hb|^2
     rx_profile: np.ndarray  # (n_rx,) row marginals
-    sample_count: int
 
 
-def _as_complex_stack(samples) -> np.ndarray:
-    if isinstance(samples, Dataset):
-        return samples.complex_matrices()
-    if isinstance(samples, (list, tuple)) and samples and isinstance(
-        samples[0], ChannelMatrix
-    ):
-        shapes = {m.entries.shape for m in samples}
-        domains = {m.domain_tag for m in samples}
-        if domains != {BEAMSPACE}:
-            raise ValueError(f"expected beamspace channels, got domains {domains}")
-        if len(shapes) != 1:
-            raise ValueError(f"inconsistent channel shapes {shapes}")
-        return np.stack([m.entries for m in samples])
-    arr = np.asarray(samples)
-    if arr.ndim == 2:
-        arr = arr[None]
-    return arr.astype(complex)
-
-
-def angular_power(samples) -> AngularPowerMap:
-    """Mean beamspace power map reduced to Tx (column) and Rx (row) marginals."""
-    stack = _as_complex_stack(samples)
-    mean_power = np.mean(np.abs(stack) ** 2, axis=0)
+def angular_power(samples: np.ndarray) -> AngularPowerMap:
+    """Mean power map of a complex (Nr, Nt) channel or (n, Nr, Nt) stack, reduced
+    to Tx (column) and Rx (row) marginals."""
+    mean_power = np.abs(samples) ** 2
+    if mean_power.ndim == 3:
+        mean_power = mean_power.mean(axis=0)
     return AngularPowerMap(
         tx_profile=mean_power.sum(axis=0),
         rx_profile=mean_power.sum(axis=1),
-        sample_count=stack.shape[0],
     )
 
 

@@ -108,6 +108,9 @@ class ArrayGeometry:
         Defaults: half-wavelength pitch inside a subarray, 16-wavelength
         pitch between subarray centers.
         """
+        for name, n in (("n_tx", n_tx), ("n_rx", n_rx)):
+            if n < 1:
+                raise ValueError(f"antenna count {name} must be >= 1, got {n}")
         if min(k_tx, k_rx) < 1 or n_tx % k_tx != 0 or n_rx % k_rx != 0:
             raise ValueError(
                 f"antenna counts must divide into subarrays: "
@@ -193,21 +196,9 @@ def direction_angles(src, dst) -> tuple[float, float]:
     return azimuth, elevation
 
 
-@dataclass(frozen=True)
-class GeometryCondition:
-    """8-vector [d, x, y, z, sin(az), cos(az), sin(el), cos(el)]."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (CONDITION_DIM,):
-            raise ValueError(f"condition vector must have shape (8,), got {p.shape}")
-        object.__setattr__(self, "p", p)
-
-
-def condition_vector(tx_origin, rx_origin) -> GeometryCondition:
-    """Geometry conditioning vector for the Rx position relative to the Tx."""
+def condition_vector(tx_origin, rx_origin) -> np.ndarray:
+    """The (8,) float64 array [d, x, y, z, sin(az), cos(az), sin(el), cos(el)]
+    of the Rx offset (x, y, z) = rx - tx, its length d and its direction."""
     tx = np.asarray(tx_origin, dtype=float)
     rx = np.asarray(rx_origin, dtype=float)
     delta = rx - tx
@@ -217,9 +208,8 @@ def condition_vector(tx_origin, rx_origin) -> GeometryCondition:
     x, y, z = delta
     azimuth = np.arctan2(y, x)
     elevation = np.arcsin(np.clip(z / d, -1.0, 1.0))
-    p = np.array(
+    return np.array(
         [d, x, y, z,
          np.sin(azimuth), np.cos(azimuth),
          np.sin(elevation), np.cos(elevation)]
     )
-    return GeometryCondition(p=p)

@@ -384,6 +384,9 @@ def metadata_case(case: str) -> bytes:
         "unknown_meta_key": {**good, "meta": {**meta, "owner": "x"}},
         "missing_config_field": {**good, "config": {"n_rx": 8}},
         "config_not_object": {**good, "config": [8, 16]},
+        "float_patch_size": {**good, "config": {**config, "patch_size": 4.0}},
+        "float_depth": {**good, "config": {**config, "depth": 1.0}},
+        "negative_depth": {**good, "config": {**config, "depth": -1}},
         "bad_tx_origin": {**good, "meta": {**meta, "tx_origin": 5}},
         "fractional_n_steps": {**good, "schedule": {**schedule, "n_steps": 2.5}},
         "bad_horizon": {**good, "schedule": {**schedule, "horizon": "x"}},
@@ -417,6 +420,9 @@ METADATA_CASES = {
     "unknown_meta_key": "'meta' has unknown keys ['owner']",
     "missing_config_field": "'config' is invalid",
     "config_not_object": "'config' must be a JSON object",
+    "float_patch_size": "'config' is invalid: patch_size must be an integer, got 4.0",
+    "float_depth": "'config' is invalid: depth must be an integer, got 1.0",
+    "negative_depth": "'config' is invalid: depth must be >= 0, got -1",
     "bad_tx_origin": "tx_origin must be 3 finite numbers",
     "fractional_n_steps": "'schedule' is invalid",
     "bad_horizon": "'schedule' is invalid",
@@ -456,7 +462,8 @@ def test_rejects_bad_metadata(tmp_path, case):
 @pytest.mark.parametrize("case", ["missing_config", "unknown_config_key", "not_an_object",
                                   "string_scale", "missing_curves", "curves_not_list",
                                   "short_curve_row", "fractional_epoch", "nan_loss",
-                                  "inf_loss", "huge_integer_scale"])
+                                  "inf_loss", "huge_integer_scale", "float_patch_size",
+                                  "float_depth", "negative_depth"])
 def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     path = tmp_path / "model.ckpt"
     write_with_metadata(path, metadata_case(case), n=N_PARAMS)
@@ -464,7 +471,8 @@ def test_cli_reports_bad_metadata(tmp_path, case, capsys):
             "--out", str(tmp_path / "gen.bin")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(path) in err
+    assert err.startswith(f"error: checkpoint {path}: metadata ")
+    assert METADATA_CASES[case] in err
 
 
 def test_header_n_must_match_the_config(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -14,7 +15,7 @@ import thzgen
 from thzgen import cli, dit
 from thzgen.checkpoint import ema_denoiser, load_checkpoint
 from thzgen.cli import main
-from thzgen.dataset import Dataset, read_dataset, write_dataset
+from thzgen.dataset import Dataset, DatasetHeader, read_dataset, write_dataset
 from thzgen.diffusion import DiffusionSchedule, euler_sample
 from thzgen.geometry import condition_vector
 from thzgen.paths import GscmConfig
@@ -193,7 +194,7 @@ def test_config_keys_and_defaults_are_unchanged():
 
 
 @pytest.mark.parametrize("value", [
-    {"patch_size": 3}, {"embed_dim": 10}, {"patch_size": 0},
+    {"patch_size": 3}, {"embed_dim": 10}, {"patch_size": 0}, {"depth": -2},
 ])
 def test_bad_dit_section_is_fatal_for_gen_data(tmp_path, capsys, value):
     # gen-data builds no model, but the config it loads is checked whole.
@@ -209,6 +210,14 @@ def test_indivisible_subarrays_are_fatal(tmp_path, capsys):
     cfg.write_text(json.dumps({"geometry": {"n_tx": 10, "k_tx": 4}}))
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "n_tx" in capsys.readouterr().err
+
+
+def test_antenna_count_below_one_is_fatal(tmp_path, capsys):
+    # Refused by the geometry, not left for the DiT to fail on.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"geometry": {"n_tx": -16}}))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: antenna count n_tx must be >= 1, got -16\n"
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -357,7 +366,7 @@ def test_sample_uses_the_trained_schedule(tmp_path, capsys):
     schedule = DiffusionSchedule(horizon=3.0, sigma_min=0.01, n_steps=10)
     assert ckpt.schedule == schedule
     cond = condition_vector(ckpt.meta.tx_origin, (6.0, 1.0, 0.0))
-    want = euler_sample(ema_denoiser(ckpt), cond.p, schedule, np.random.default_rng(5),
+    want = euler_sample(ema_denoiser(ckpt), cond, schedule, np.random.default_rng(5),
                         (2, 2, 8, 16)) * ckpt.meta.normalization_scalar
     got = read_dataset(out).tensors
     np.testing.assert_array_equal(got, want.astype(np.float32).astype(float))
@@ -431,10 +440,41 @@ def test_eval_scores_each_pair_once(workdir, tmp_path, monkeypatch):
     pairs = sum(r["key"] == "pair" for r in rows)
     assert pairs == len(read_dataset(workdir / "data.test"))
     assert len(calls) == pairs
-    # The CDF section is the sorted per-pair column.
+    # The CDF section is the sorted per-pair column at ordinates (i + 1) / n,
+    # and the mean is taken over it.
     per_pair = sorted(float(r["value"]) for r in rows if r["key"] == "pair")
     cdf = [float(r["value"]) for r in rows if r["section"] == "ssim_cdf" and r["key"] == "value"]
     assert cdf == per_pair
+    ordinates = [float(r["value"]) for r in rows if r["key"] == "ordinate"]
+    assert ordinates == [(i + 1) / pairs for i in range(pairs)]
+    mean = [float(r["value"]) for r in rows if r["key"] == "mean"]
+    assert mean == [float(np.mean(per_pair))]
+
+
+def random_dataset(seed, count, n_rx, n_tx):
+    rng = np.random.default_rng(seed)
+    return Dataset(
+        header=DatasetHeader(n_rx=n_rx, n_tx=n_tx, k_rx=1, k_tx=1, sample_count=count),
+        conditions=rng.normal(size=(count, 8)),
+        tensors=rng.normal(size=(count, 2, n_rx, n_tx)),
+    )
+
+
+@pytest.mark.parametrize("shape, counts, digest", [
+    pytest.param((8, 16), (5, 9),
+                 "923781ecf22dd80d5fc13cf76edfbb729a4acd11f7abc97539185da2df906509", id="8x16"),
+    pytest.param((16, 32), (6, 4),
+                 "c95cc46d1a6893709f22453995ce68c77be9ce8b45f63918a82ac778b3abf1c0", id="16x32"),
+])
+def test_eval_csv_bytes_are_pinned(tmp_path, shape, counts, digest):
+    # Every byte of the CSV, all three metrics, gen != ref; 8x16 clamps the
+    # SSIM window's rows, 16x32 uses the full 11x11 window.
+    for name, seed, count in (("gen", 1, counts[0]), ("ref", 2, counts[1])):
+        write_dataset(tmp_path / name, random_dataset(seed, count, *shape))
+    out = tmp_path / "m.csv"
+    assert main(["eval", "--gen", str(tmp_path / "gen"), "--ref", str(tmp_path / "ref"),
+                 "--out-csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_eval_reports_throughput(workdir, tmp_path, capsys):

@@ -277,17 +277,22 @@ def test_cut_or_extended_file_is_a_value_error(tmp_path_factory, dataset_bytes, 
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("count, scale, match", [
-    (0, 1.0, "sample_count must be >= 1, got 0"),
-    (3, float("nan"), "normalization_scalar must be a finite number > 0, got nan"),
+@pytest.mark.parametrize("count, scale, cond_dim, match", [
+    pytest.param(0, 1.0, 8, "sample_count must be >= 1, got 0",
+                 id="0-1.0-sample_count must be >= 1, got 0"),
+    pytest.param(3, float("nan"), 8,
+                 "normalization_scalar must be a finite number > 0, got nan",
+                 id="3-nan-normalization_scalar must be a finite number > 0, got nan"),
+    pytest.param(3, 1.0, 3, "condition_dim must be 8, got 3", id="condition_dim"),
 ])
-def test_read_rejects_invalid_header(tmp_path, dataset_bytes, count, scale, match):
+def test_read_rejects_invalid_header(tmp_path, dataset_bytes, count, scale, cond_dim, match):
     # The length matches what the header declares; the header itself is bad.
     fields = list(struct.unpack(_HEADER_FMT, dataset_bytes[:HEADER_BYTES]))
-    fields[7:9] = count, scale
+    fields[6:9] = cond_dim, count, scale
+    record_bytes = 4 * (cond_dim + 2 * 8 * 16)
     path = tmp_path / "bad_header.bin"
     path.write_bytes(struct.pack(_HEADER_FMT, *fields)
-                     + dataset_bytes[HEADER_BYTES:HEADER_BYTES + count * RECORD_BYTES])
+                     + dataset_bytes[HEADER_BYTES:HEADER_BYTES + count * record_bytes])
     with pytest.raises(ValueError, match=match) as info:
         read_dataset(path)
     assert str(path) in str(info.value)

@@ -34,20 +34,21 @@ def test_rayleigh_distance_rejects_nonpositive(aperture, wavelength):
 
 
 def test_condition_vector_3_4_0():
-    p = condition_vector((0, 0, 0), (3, 4, 0)).p
+    p = condition_vector((0, 0, 0), (3, 4, 0))
+    assert p.shape == (8,) and p.dtype == np.float64
     np.testing.assert_allclose(p, [5, 3, 4, 0, 0.8, 0.6, 0, 1], atol=1e-12)
 
 
 def test_condition_vector_axis_aligned():
     d = 7.25
-    p = condition_vector((1, 2, 3), (1 + d, 2, 3)).p
+    p = condition_vector((1, 2, 3), (1 + d, 2, 3))
     np.testing.assert_allclose(p, [d, d, 0, 0, 0, 1, 0, 1], atol=1e-12)
 
 
 def test_condition_vector_trig_identity():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        p = condition_vector(rng.normal(size=3), rng.normal(size=3)).p
+        p = condition_vector(rng.normal(size=3), rng.normal(size=3))
         assert p[4] ** 2 + p[5] ** 2 == pytest.approx(1.0, abs=1e-12)
         assert p[6] ** 2 + p[7] ** 2 == pytest.approx(1.0, abs=1e-12)
         assert p[0] == pytest.approx(np.linalg.norm(p[1:4]))
@@ -76,6 +77,11 @@ def test_uniform_linear_rejects_indivisible_counts():
     for k_tx in (3, 4, 0):
         with pytest.raises(ValueError, match="n_tx"):
             ArrayGeometry.uniform_linear(0.3e12, n_tx=10, n_rx=8, k_tx=k_tx, k_rx=2)
+    # -16 % 2 == 0, and reshape would read a negative count as "unknown".
+    for n_tx, n_rx in ((0, 8), (-16, 8), (16, -16)):
+        name = "n_tx" if n_tx < 1 else "n_rx"
+        with pytest.raises(ValueError, match=f"antenna count {name} must be >= 1"):
+            ArrayGeometry.uniform_linear(0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=2, k_rx=2)
 
 
 @pytest.mark.parametrize("carrier, intra, inter, match, axis", [
