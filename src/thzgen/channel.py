@@ -123,40 +123,50 @@ def pwm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
 def swm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
     """Exact spherical-wave channel with per-antenna-pair distances.
 
-    Scattered paths use the two-segment free-space amplitude product,
-    line-of-sight paths a single segment, and ``reflection_gain`` multiplies
-    each path.  Each path's distances are checked against ``_MIN_SEGMENT``
-    before they are used.
+    A scattered path l travels d1[l, j] from Tx element j to its scatterer
+    and d2[l, i] on to Rx element i.  Its term refl * (coef/d1) * (coef/d2)
+    * exp(-jk (d1 + d2)) is separable, so all L scattered paths add up to one
+    rank-L product h = U^T V with V = coef/d1 * exp(-jk d1) (L, n_tx) and
+    U = refl * coef/d2 * exp(-jk d2) (L, n_rx).  The line-of-sight path is
+    not separable and keeps its per-pair distance matrix:
+    refl * coef/d * exp(-jk d).  ``reflection_gain`` None counts as 1.
+
+    Every path's distances are checked against ``_MIN_SEGMENT``, and the
+    error raised is the one of the first faulty path in path order.
     """
+    paths = list(paths)
     tx_pos = geometry.element_positions_tx
     rx_pos = geometry.element_positions_rx
     lam = geometry.wavelength
     k = 2.0 * np.pi / lam
     coef = lam / (4.0 * np.pi)
+
+    refl = np.array([1.0 if p.reflection_gain is None else p.reflection_gain for p in paths])
+    scattered = [l for l, p in enumerate(paths) if p.scatterer_position is not None]
+    s = np.array([paths[l].scatterer_position for l in scattered]).reshape(-1, 3)  # (S, 3)
+    d1 = np.linalg.norm(tx_pos - s[:, None], axis=2)  # (S, n_tx)
+    d2 = np.linalg.norm(rx_pos - s[:, None], axis=2)  # (S, n_rx)
+    near = iter(np.minimum(d1.min(axis=1), d2.min(axis=1)) < _MIN_SEGMENT)
+
     h = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=np.complex128)
     for l, path in enumerate(paths):
-        refl = 1.0 if path.reflection_gain is None else path.reflection_gain
         if path.scatterer_position is not None:
-            s = path.scatterer_position
-            d1 = np.linalg.norm(tx_pos - s, axis=1)  # (n_tx,)
-            d2 = np.linalg.norm(rx_pos - s, axis=1)  # (n_rx,)
-            if min(d1.min(), d2.min()) < _MIN_SEGMENT:
+            if next(near):
                 raise DegenerateGeometryError(
                     f"scatterer {l} coincides with an antenna element"
                 )
-            amp = refl * (coef / d1)[None, :] * (coef / d2)[:, None]
-            dist = d1[None, :] + d2[:, None]
         elif path.is_los:
-            diff = rx_pos[:, None, :] - tx_pos[None, :, :]
-            dist = np.linalg.norm(diff, axis=2)
+            dist = np.linalg.norm(rx_pos[:, None, :] - tx_pos[None, :, :], axis=2)
             if dist.min() < _MIN_SEGMENT:
                 raise DegenerateGeometryError("tx and rx elements coincide")
-            amp = refl * coef / dist
+            h += refl[l] * coef / dist * np.exp(-1j * k * dist)
         else:
             raise ValueError(
                 f"path {l} is not line-of-sight and carries no scatterer position"
             )
-        h += amp * np.exp(-1j * k * dist)
+    v = coef / d1 * np.exp(-1j * k * d1)
+    u = refl[scattered, None] * coef / d2 * np.exp(-1j * k * d2)
+    h += u.T @ v
     return ChannelMatrix(entries=h, domain_tag=SPATIAL, geometry=geometry)
 
 

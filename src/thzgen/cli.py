@@ -179,7 +179,9 @@ def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     count = cfg.dataset["count"] if args.count is None else args.count
+    start = time.perf_counter()
     dataset = build_dataset(seed, cfg.geometry, cfg.gscm, cfg.region, count)
+    elapsed = time.perf_counter() - start
     dataset, _ = normalize(dataset)
     train_set, test_set = split(
         dataset, cfg.dataset["test_fraction"], cfg.dataset["cell_size"]
@@ -188,6 +190,10 @@ def cmd_gen_data(args) -> int:
     write_dataset(args.out + ".test", test_set)
     _print_header("train", train_set.header)
     _print_header("test", test_set.header)
+    print(
+        f"synthesized {count} samples in {1e3 * elapsed:.1f} ms "
+        f"({count / elapsed:.1f} samples/s)"
+    )
     return 0
 
 

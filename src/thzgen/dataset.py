@@ -14,7 +14,7 @@ import numpy as np
 
 from .beamspace import dictionaries_for, to_beamspace
 from .channel import swm_channel
-from .errors import DegenerateGeometryError, InsufficientDataError
+from .errors import DegenerateGeometryError, InsufficientDataError, is_integer
 from .geometry import CONDITION_DIM, ArrayGeometry, condition_vector
 from .paths import GscmConfig, draw_paths
 
@@ -55,6 +55,12 @@ class DatasetHeader:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        for name, k, n_name, n in (("k_rx", self.k_rx, "n_rx", self.n_rx),
+                                   ("k_tx", self.k_tx, "n_tx", self.n_tx)):
+            if not is_integer(k) or k < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
+            if n % k:
+                raise ValueError(f"{name}={k} does not divide {n_name}={n}")
         if self.condition_dim != CONDITION_DIM:
             raise ValueError(
                 f"condition_dim must be {CONDITION_DIM}, got {self.condition_dim}"

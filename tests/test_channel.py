@@ -189,24 +189,171 @@ def test_swm_rejects_coincident_tx_and_rx_elements():
 
 REGION = SamplingRegion((4.0, -3.0, -0.5), (10.0, 3.0, 0.5))
 
-# SHA-256 of the SWM channel bytes below, written by the per-path numpy
-# loop before it moved into channel.py (numpy 2.4, x86_64).  gen-data's
-# ground truth is SWM, so this pins its output bit for bit.
+
+def swm_reference(paths, geometry):
+    """The spherical model as a loop over paths, one distance matrix each."""
+    tx_pos = geometry.element_positions_tx
+    rx_pos = geometry.element_positions_rx
+    lam = geometry.wavelength
+    k = 2.0 * np.pi / lam
+    coef = lam / (4.0 * np.pi)
+    h = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=np.complex128)
+    for path in paths:
+        refl = 1.0 if path.reflection_gain is None else path.reflection_gain
+        if path.scatterer_position is not None:
+            s = path.scatterer_position
+            d1 = np.linalg.norm(tx_pos - s, axis=1)  # (n_tx,)
+            d2 = np.linalg.norm(rx_pos - s, axis=1)  # (n_rx,)
+            amp = refl * (coef / d1)[None, :] * (coef / d2)[:, None]
+            dist = d1[None, :] + d2[:, None]
+        else:
+            diff = rx_pos[:, None, :] - tx_pos[None, :, :]
+            dist = np.linalg.norm(diff, axis=2)
+            amp = refl * coef / dist
+        h += amp * np.exp(-1j * k * dist)
+    return h
+
+
+def swm_extended(paths, geometry):
+    """The per-path loop in np.longdouble, phases from extended cos/sin.
+
+    The float64 positions, wave number and amplitude constant that
+    swm_channel uses are taken as exact, so the difference from this
+    reference is the float64 rounding of a channel model.
+    """
+    ld = np.longdouble
+    tx_pos = geometry.element_positions_tx.astype(ld)
+    rx_pos = geometry.element_positions_rx.astype(ld)
+    lam = geometry.wavelength
+    k = ld(2.0 * np.pi / lam)
+    coef = ld(lam / (4.0 * np.pi))
+    re = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=ld)
+    im = np.zeros_like(re)
+    for path in paths:
+        refl = ld(1.0 if path.reflection_gain is None else path.reflection_gain)
+        if path.scatterer_position is not None:
+            s = path.scatterer_position.astype(ld)
+            d1 = np.sqrt(((tx_pos - s) ** 2).sum(axis=1))
+            d2 = np.sqrt(((rx_pos - s) ** 2).sum(axis=1))
+            amp = refl * (coef / d1)[None, :] * (coef / d2)[:, None]
+            dist = d1[None, :] + d2[:, None]
+        else:
+            dist = np.sqrt(((rx_pos[:, None, :] - tx_pos[None, :, :]) ** 2).sum(axis=2))
+            amp = refl * coef / dist
+        re += amp * np.cos(k * dist)
+        im -= amp * np.sin(k * dist)
+    return re, im
+
+
+PINNED_SHAPES = ((8, 16, 2, 2), (64, 256, 4, 8))
+
+
+def pinned_draws(shape):
+    """The seeded GSCM draws whose SWM bytes the digests below pin."""
+    n_rx, n_tx, k_rx, k_tx = shape
+    geom = ArrayGeometry.uniform_linear(0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=k_tx, k_rx=k_rx)
+    for i in range(3):
+        rng = sample_rng(7, i)
+        geom_i = geom.with_rx_origin(REGION.draw(rng))
+        yield draw_paths(rng, GscmConfig(), geom_i), geom_i
+
+
+def swm_digest(model):
+    """SHA-256 of ``model(paths, geometry)``'s bytes over the pinned draws."""
+    digest = hashlib.sha256()
+    for shape in PINNED_SHAPES:
+        for ps, geom in pinned_draws(shape):
+            digest.update(model(ps, geom).tobytes())
+    return digest.hexdigest()
+
+
+# SHA-256 of the SWM channel bytes of the pinned draws, written by the
+# per-path numpy loop that is now swm_reference (numpy 2.4, x86_64).
 SWM_DIGEST = "25e5945d3ef3080498af8c726cfa14f1792ac32f927864e2fbebf07b02ebc474"
+
+# The same draws through the rank-L swm_channel, generated by that code
+# (numpy 2.4, x86_64).  gen-data's ground truth is SWM, so this pins its
+# output bit for bit; its agreement with the loop and its rounding are
+# checked against swm_reference and swm_extended below.
+SWM_CHANNEL_DIGEST = "7a7f031c39e796a6d223829617261a63ec0453266e5365a73b67ad9a9fbf173d"
 
 
 def test_swm_bytes_are_pinned():
-    digest = hashlib.sha256()
-    for n_rx, n_tx, k_rx, k_tx in ((8, 16, 2, 2), (64, 256, 4, 8)):
-        geom = ArrayGeometry.uniform_linear(
-            0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=k_tx, k_rx=k_rx
-        )
-        for i in range(3):
-            rng = sample_rng(7, i)
-            geom_i = geom.with_rx_origin(REGION.draw(rng))
-            ps = draw_paths(rng, GscmConfig(), geom_i)
-            digest.update(swm_channel(ps, geom_i).entries.tobytes())
-    assert digest.hexdigest() == SWM_DIGEST
+    assert swm_digest(swm_reference) == SWM_DIGEST
+
+
+def test_swm_channel_bytes_are_pinned():
+    assert swm_digest(lambda ps, g: swm_channel(ps, g).entries) == SWM_CHANNEL_DIGEST
+
+
+def swm_case_paths(kind, rng, geometry):
+    drawn = list(draw_paths(rng, GscmConfig(), geometry))
+    scattered = [p for p in drawn if not p.is_los]
+    los = [p for p in drawn if p.is_los]
+    # reflection_gain None counts as 1.
+    unit = [dataclasses.replace(p, reflection_gain=None) for p in scattered[4:7]]
+    return {
+        "scattered": scattered,
+        "los": los,
+        "mixed": scattered[:4] + los + unit + scattered[7:],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["scattered", "los", "mixed"])
+@pytest.mark.parametrize(
+    "shape", [(4, 8, 1, 1), (8, 16, 2, 4), (64, 256, 4, 8)], ids=str
+)
+def test_swm_matches_loop_reference(shape, kind):
+    n_rx, n_tx, k_rx, k_tx = shape
+    geom = ArrayGeometry.uniform_linear(0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=k_tx, k_rx=k_rx)
+    for i in range(2):
+        rng = sample_rng(11, i)
+        geom_i = geom.with_rx_origin(REGION.draw(rng))
+        ps = PathSet(swm_case_paths(kind, rng, geom_i))
+        ref = swm_reference(ps, geom_i)
+        h = swm_channel(ps, geom_i).entries
+        assert np.linalg.norm(h - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def worst_error(h, extended):
+    """max |h - ref| over the RMS of ref, in extended precision."""
+    re, im = extended
+    err = np.sqrt((h.real - re) ** 2 + (h.imag - im) ** 2).max()
+    return float(err / np.sqrt(np.mean(re**2 + im**2)))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+@pytest.mark.parametrize("shape", PINNED_SHAPES, ids=str)
+def test_swm_rounding_against_extended_precision(shape):
+    new, old = [], []
+    for ps, geom in pinned_draws(shape):
+        extended = swm_extended(ps, geom)
+        new.append(worst_error(swm_channel(ps, geom).entries, extended))
+        old.append(worst_error(swm_reference(ps, geom), extended))
+    assert max(new) <= 5e-11
+    assert max(new) <= 1.5 * max(old)
+
+
+@pytest.mark.parametrize("side", ["tx", "rx"])
+def test_swm_raises_for_the_first_faulty_path(side):
+    g = linear_geometry(rx_origin=(6.0, 1.0, 0.0))
+    ps = list(draw_paths(np.random.default_rng(1), GscmConfig(), g))
+    element = g.element_positions_tx[2] if side == "tx" else g.element_positions_rx[1]
+    on_element = Path(
+        gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0),
+        scatterer_position=element, reflection_gain=1.0,
+    )
+    planar = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0))
+    ps[1], ps[3] = planar, on_element
+    with pytest.raises(ValueError, match="path 1 is not line-of-sight") as info:
+        swm_channel(PathSet(ps), g)
+    assert type(info.value) is ValueError
+    ps[1], ps[3] = on_element, planar
+    with pytest.raises(DegenerateGeometryError, match="scatterer 1 coincides"):
+        swm_channel(PathSet(ps), g)
 
 
 def test_swm_requires_scatterer_for_nlos():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ import thzgen
 from thzgen import cli, dit
 from thzgen.checkpoint import ema_denoiser, load_checkpoint
 from thzgen.cli import main
-from thzgen.dataset import Dataset, DatasetHeader, read_dataset, write_dataset
+from thzgen.dataset import _HEADER_FMT, Dataset, DatasetHeader, read_dataset, write_dataset
 from thzgen.diffusion import DiffusionSchedule, euler_sample
 from thzgen.geometry import condition_vector
 from thzgen.paths import GscmConfig
@@ -83,6 +84,38 @@ def test_gen_data_seed_override_changes_bytes(workdir, tmp_path):
         == 0
     )
     assert (tmp_path / "other.train").read_bytes() != (workdir / "data.train").read_bytes()
+
+
+def test_gen_data_reports_throughput(workdir, tmp_path, capsys):
+    assert main(["gen-data", "--config", config_path(workdir), "--out",
+                 str(tmp_path / "again")]) == 0
+    found = re.findall(r"^synthesized (\d+) samples in ([\d.]+) ms \(([\d.]+) samples/s\)$",
+                       capsys.readouterr().out, re.MULTILINE)
+    assert len(found) == 1
+    count, ms, rate = int(found[0][0]), float(found[0][1]), float(found[0][2])
+    assert count == CONFIG["dataset"]["count"]
+    assert ms > 0 and rate == pytest.approx(count / (ms / 1e3), rel=0.1)
+
+
+@pytest.mark.parametrize("k_rx, match", [
+    (0, "k_rx must be an integer >= 1, got 0"),
+    (3, "k_rx=3 does not divide n_rx=8"),
+])
+def test_bad_subarray_count_in_header_stops_train(workdir, tmp_path, capsys, k_rx, match):
+    raw = bytearray((workdir / "data.train").read_bytes())
+    fields = list(struct.unpack_from(_HEADER_FMT, raw))
+    fields[4] = k_rx  # magic, version, n_rx, n_tx, k_rx, ...
+    struct.pack_into(_HEADER_FMT, raw, 0, *fields)
+    bad = tmp_path / "data.train"
+    bad.write_bytes(bytes(raw))
+    (tmp_path / "data.test").write_bytes((workdir / "data.test").read_bytes())
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config_path(workdir), "--data", str(tmp_path / "data"),
+                 "--out-ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: dataset {bad} has an invalid header: {match}" in captured.err
+    assert "epoch" not in captured.out
+    assert not ckpt.exists()
 
 
 def test_unknown_config_key_is_fatal(tmp_path, capsys):

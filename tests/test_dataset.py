@@ -303,6 +303,9 @@ def test_header_validation():
         with pytest.raises(ValueError):
             DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=count,
                           normalization_scalar=scale)
+    for k_rx, k_tx in ((0, 2), (2, -1), (3, 2), (2, 3), (2.0, 2), (True, 2)):
+        with pytest.raises(ValueError, match="k_"):
+            DatasetHeader(n_rx=8, n_tx=16, k_rx=k_rx, k_tx=k_tx, sample_count=1)
 
 
 def test_region_validation():
