@@ -136,7 +136,10 @@ def load_config(path: str | None) -> RunConfig:
     data = {}
     if path is not None:
         with open(path) as f:
-            data = json.load(f)
+            try:
+                data = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     cfg = _merge_strict(_CONFIG_DEFAULTS, data)
 
     g = cfg["geometry"]
@@ -269,9 +272,12 @@ def sample_channels(
 
 def cmd_sample(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    position = tuple(float(v) for v in args.pos.split(","))
-    if len(position) != 3:
-        raise ValueError(f"--pos expects x,y,z, got {args.pos!r}")
+    try:
+        position = tuple(float(v) for v in args.pos.split(","))
+    except ValueError:
+        position = ()
+    if len(position) != 3 or not np.isfinite(position).all():
+        raise ValueError(f"--pos expects finite x,y,z, got {args.pos!r}")
     start = time.perf_counter()
     dataset = sample_channels(ckpt, position, args.num, args.seed)
     elapsed_ms = 1e3 * (time.perf_counter() - start)

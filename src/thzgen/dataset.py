@@ -57,6 +57,8 @@ class DatasetHeader:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         for name, k, n_name, n in (("k_rx", self.k_rx, "n_rx", self.n_rx),
                                    ("k_tx", self.k_tx, "n_tx", self.n_tx)):
+            if not is_integer(n) or n < 1:
+                raise ValueError(f"{n_name} must be an integer >= 1, got {n!r}")
             if not is_integer(k) or k < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
             if n % k:

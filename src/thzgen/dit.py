@@ -6,10 +6,11 @@ named views into one flat vector (``FlatParams``) laid out by
 produce exact parameter gradients (verified against central finite
 differences in the test suite).  Inference (``denoise``) runs the same block
 code over fixed-size slices of the batch and records no cache, so its
-working set does not grow with the batch; the slices of one call run on one
-lane (thread) per usable CPU.  A denoiser runs its network in the dtype of
-the weights it holds: sampling and the test loss use float32 weights, while
-the preconditioning and the skip path ``c_skip*h + c_out*F`` stay float64.
+working set does not grow with the batch; a large call splits its slices
+over lanes, threads it starts and joins, one per usable CPU at most.  A
+denoiser runs its network in the dtype of the weights it holds: sampling
+and the test loss use float32 weights, while the preconditioning and the
+skip path ``c_skip*h + c_out*F`` stay float64.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import contextvars
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +41,7 @@ def _usable_cpus() -> int:
 
 
 # Lanes that run the slices of one ``denoise`` call: the calling thread and
-# ``LANES - 1`` helper threads from one pool.  ``taskset`` limits it.
+# up to ``LANES - 1`` threads the call starts and joins.  ``taskset`` limits it.
 LANES = _usable_cpus()
 
 # A call gets one lane per SLICES_PER_LANE slices.  A helper that has just
@@ -50,32 +50,6 @@ LANES = _usable_cpus()
 # 1.8x faster and 15% slower than on one, from one call to the next, while
 # calls of 12 slices or more ran steadily 1.6-1.8x faster.
 SLICES_PER_LANE = 8
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    """The helper-lane pool, made on first use with ``LANES - 1`` threads.
-
-    A pool made for another lane count is replaced; the old one's threads
-    exit once it is collected.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != LANES - 1:
-            _pool = (LANES - 1, ThreadPoolExecutor(LANES - 1, "thzgen-lane"))
-        return _pool[1]
-
-
-def _drop_pool() -> None:
-    # A forked child has none of the pool's threads.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where there is no fork
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass(frozen=True)
@@ -650,48 +624,42 @@ class DitDenoiser:
         per-sample matmuls take BLAS's matrix-vector path, which rounds
         differently, so a lone last sample joins the slice before it.
 
-        The calling thread and ``lane_count - 1`` pool threads take slices
-        in order until none is left or one has failed.  Then the error of
-        the lowest failing slice is raised: every slice below it was taken
-        and run, so the error does not depend on thread timing.
+        Lane ``i`` of ``lanes = lane_count(...)`` runs slices ``i, i + lanes,
+        ...`` in order: lane 0 on the calling thread, the others on threads
+        the call starts and joins.  A lane stops at its first failure, and
+        then the error of the lowest failing slice is raised.  Which slice
+        that is depends on the split alone, not on thread timing.
         """
         h = np.asarray(h, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
         cond = np.asarray(cond, dtype=float)
         edges = slice_edges(self.config, len(h))
         out = np.empty(h.shape)
-        todo = iter(zip(edges, edges[1:]))
-        failures = []
-        lock = threading.Lock()
+        lanes = lane_count(self.config, len(h))
+        failures = [None] * lanes  # each lane's first failure, if any
 
-        def lane():
-            while True:
-                with lock:
-                    if failures:
-                        return
-                    start, end = next(todo, (None, None))
-                if start is None:
-                    return
+        def lane(i):
+            for start, end in zip(edges[i:-1:lanes], edges[i + 1::lanes]):
                 try:
                     out[start:end] = self._forward(
                         h[start:end], sigma[start:end], cond[start:end]
                     )
                 except Exception as exc:
-                    with lock:
-                        failures.append((start, end, exc))
+                    failures[i] = (start, end, exc)
                     return
 
         # Each helper runs in a copy of the caller's context, which carries
         # numpy's errstate.
-        helpers = [
-            _helper_pool().submit(contextvars.copy_context().run, lane)
-            for _ in range(lane_count(self.config, len(h)) - 1)
-        ]
-        lane()
+        helpers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, i))
+                   for i in range(1, lanes)]
         for helper in helpers:
-            helper.result()
-        if failures:
-            start, end, exc = min(failures, key=lambda f: f[0])
+            helper.start()
+        lane(0)
+        for helper in helpers:
+            helper.join()
+        failed = [f for f in failures if f is not None]
+        if failed:
+            start, end, exc = min(failed, key=lambda f: f[0])
             if isinstance(exc, NumericError):
                 raise _non_finite(start, sigma[start:end]) from None
             raise exc

@@ -1,7 +1,7 @@
 """Array geometry, Rayleigh distance, and the geometry conditioning vector."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,19 +74,10 @@ class ArrayGeometry:
         """Same layout with the whole Rx array translated to a new origin."""
         rx_origin = np.asarray(rx_origin, dtype=float)
         delta = rx_origin - self.rx_origin
-        return ArrayGeometry(
-            carrier_frequency=self.carrier_frequency,
-            n_tx=self.n_tx,
-            n_rx=self.n_rx,
-            k_tx=self.k_tx,
-            k_rx=self.k_rx,
-            intra_spacing=self.intra_spacing,
-            inter_spacing=self.inter_spacing,
-            tx_origin=self.tx_origin,
+        return replace(
+            self,
             rx_origin=rx_origin,
-            element_positions_tx=self.element_positions_tx,
             element_positions_rx=self.element_positions_rx + delta,
-            subarray_centers_tx=self.subarray_centers_tx,
             subarray_centers_rx=self.subarray_centers_rx + delta,
         )
 

@@ -118,6 +118,16 @@ def test_bad_subarray_count_in_header_stops_train(workdir, tmp_path, capsys, k_r
     assert not ckpt.exists()
 
 
+def test_config_that_is_not_json_is_fatal(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"seed": 3,\n}')
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} is not valid JSON: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.train").exists()
+
+
 def test_unknown_config_key_is_fatal(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"dataset": {"countt": 10}}))
@@ -429,6 +439,19 @@ def test_sample_rejects_malformed_position(workdir, tmp_path, capsys):
     assert "x,y,z" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pos", ["nan,0,0", "6.0,inf,0", "6.0,1.0,-inf", "6.0,one,0"])
+def test_sample_rejects_non_finite_position(workdir, tmp_path, capsys, monkeypatch, pos):
+    def no_denoising(*args, **kwargs):
+        raise AssertionError("called the denoiser before checking --pos")
+
+    monkeypatch.setattr(dit.DitDenoiser, "denoise", no_denoising)
+    out = tmp_path / "x.bin"
+    assert main(["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", pos,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --pos expects finite x,y,z, got {pos!r}\n"
+    assert not out.exists()
+
+
 # -- eval -------------------------------------------------------------------
 
 def read_rows(path):
@@ -562,6 +585,22 @@ def test_eval_rejects_unknown_metric(workdir, tmp_path, capsys):
         == 1
     )
     assert "psnr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, name", [(2, "n_rx"), (3, "n_tx")])
+def test_eval_rejects_a_header_without_antennas(workdir, tmp_path, capsys, field, name):
+    raw = (workdir / "data.test").read_bytes()
+    header = struct.calcsize(_HEADER_FMT)
+    fields = list(struct.unpack_from(_HEADER_FMT, raw))
+    fields[field] = 0  # magic, version, n_rx, n_tx, ...
+    record = 4 * (fields[6] + 2 * fields[2] * fields[3])  # the body cut to match
+    bad = tmp_path / "data.test"
+    bad.write_bytes(struct.pack(_HEADER_FMT, *fields) + raw[header:header + fields[7] * record])
+    assert main(["eval", "--gen", str(bad), "--ref", str(workdir / "data.test"),
+                 "--out-csv", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset {bad} has an invalid header: {name} must be an integer >= 1, got 0\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_eval_rejects_dimension_mismatch(workdir, tmp_path, capsys):

@@ -306,6 +306,9 @@ def test_header_validation():
     for k_rx, k_tx in ((0, 2), (2, -1), (3, 2), (2, 3), (2.0, 2), (True, 2)):
         with pytest.raises(ValueError, match="k_"):
             DatasetHeader(n_rx=8, n_tx=16, k_rx=k_rx, k_tx=k_tx, sample_count=1)
+    for n_rx, n_tx in ((0, 16), (8, 0), (-8, 16), (8, -16), (8.0, 16), (8, True)):
+        with pytest.raises(ValueError, match="n_(rx|tx) must be an integer >= 1"):
+            DatasetHeader(n_rx=n_rx, n_tx=n_tx, k_rx=1, k_tx=1, sample_count=1)
 
 
 def test_region_validation():

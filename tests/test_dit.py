@@ -5,6 +5,7 @@ import select
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -653,41 +654,31 @@ def lane_case(b, seed=21):
 
 
 def split_slices_0_and_1(monkeypatch, den, sigma):
-    """Run slice 0 on the calling thread and slice 1 on a helper lane, first.
+    """Run slice 1 on its lane before slice 0 on the calling thread ends.
 
-    Helper lanes start only once the caller is inside slice 0, and slice 0
-    waits until slice 1 has run.  Returns the thread id that ran each slice.
+    With one lane per slice, slice 0 is the caller's and slice 1 is lane
+    1's; slice 0 waits until slice 1 has run.  Returns the thread id that
+    ran each slice.
     """
     monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
     caller = threading.get_ident()
-    caller_in, slice_1_ran = threading.Event(), threading.Event()
+    slice_1_ran = threading.Event()
     starts = dit.slice_edges(den.config, len(sigma))[:-1]
     index = {sigma[start]: i for i, start in enumerate(starts)}
     threads = {}
-    pool, run = dit._helper_pool, den._forward
-
-    class HeldPool:
-        def submit(self, fn, *args):
-            def held():
-                if not caller_in.wait(timeout=60):
-                    raise TimeoutError("the caller never started slice 0")
-                return fn(*args)
-            return pool().submit(held)
+    run = den._forward
 
     def forward(h, sigma, cond, cache=None):
         i = index[sigma[0]]
         threads[i] = threading.get_ident()
-        if i == 0:
-            caller_in.set()
-            if not slice_1_ran.wait(timeout=60):
-                raise TimeoutError("no helper lane ran slice 1")
+        if i == 0 and not slice_1_ran.wait(timeout=60):
+            raise TimeoutError("no helper lane ran slice 1")
         try:
             return run(h, sigma, cond, cache)
         finally:
             if i == 1:
                 slice_1_ran.set()
 
-    monkeypatch.setattr(dit, "_helper_pool", HeldPool)
     monkeypatch.setattr(den, "_forward", forward)
     return caller, threads
 
@@ -734,11 +725,15 @@ def test_more_lanes_than_cores_run_each_slice_once(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_short_calls_never_touch_the_pool(monkeypatch):
-    def no_pool():
-        raise AssertionError("the helper pool was used")
+def test_short_calls_start_no_thread_and_long_ones_leave_none(monkeypatch):
+    made = []
 
-    monkeypatch.setattr(dit, "_helper_pool", no_pool)
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
     monkeypatch.setattr(dit, "LANES", 3)
     per_lane = dit.SLICES_PER_LANE
     den, h, sigma, cond = lane_case(8 * 3 * per_lane)  # 8 samples per slice
@@ -753,6 +748,23 @@ def test_short_calls_never_touch_the_pool(monkeypatch):
         den.evaluate(h[:b], sigma[:b], cond[:b])
     monkeypatch.setattr(dit, "LANES", 1)
     den.evaluate(h[:40], sigma[:40], cond[:40])  # five slices, one lane
+    assert made == []
+
+    caller, run = threading.get_ident(), den._forward
+
+    def slow_helpers(*args):  # a helper still runs when the caller's lane ends
+        if threading.get_ident() != caller:
+            time.sleep(0.05)
+        return run(*args)
+
+    monkeypatch.setattr(den, "_forward", slow_helpers)
+    monkeypatch.setattr(dit, "LANES", 3)
+    before = threading.active_count()
+    den.evaluate(h[:40], sigma[:40], cond[:40])  # five slices, three lanes
+    den.denoise(h[:40], sigma[:40], cond[:40])
+    assert len(made) == 4
+    assert not any(t.is_alive() for t in made)
+    assert threading.active_count() == before
 
 
 def test_lowest_failing_slice_is_named_whatever_finished_first(monkeypatch):
