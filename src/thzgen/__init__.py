@@ -16,6 +16,7 @@ from .channel import (
 )
 from .dataset import (
     Dataset,
+    DatasetConfig,
     DatasetHeader,
     SamplingRegion,
     build_dataset,

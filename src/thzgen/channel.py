@@ -31,7 +31,7 @@ class ChannelMatrix:
             )
         if self.domain_tag not in (SPATIAL, BEAMSPACE):
             raise ValueError(f"unknown domain tag {self.domain_tag!r}")
-        if not np.all(np.isfinite(self.entries.view(float))):
+        if not np.isfinite(self.entries).all():
             raise ValueError("channel matrix contains non-finite entries")
 
     @property
@@ -74,27 +74,43 @@ def _unit_rows(angles) -> np.ndarray:
     return np.moveaxis(unit_direction(azimuth, elevation), 0, -1)
 
 
-def _round_trip_rows(delta: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Unit vectors along ``delta`` (..., 3) of length ``dist`` (...).
+def _conj_responses(offsets, directions, wavelength: float):
+    """Conjugated steering vectors (n, L) for L unit directions (L, 3) at once.
 
-    They pass through the same (azimuth, elevation) pair that
-    direction_angles takes and unit_direction turns back into a vector, so a
-    batch of them matches the per-path helpers.
+    Each column is conj(steering_vector) = exp(+j * 2*pi/lambda * <r_k, u>) / sqrt(n)
+    over the element offsets r_k (n, 3).
     """
-    azimuth = np.arctan2(delta[..., 1], delta[..., 0])
-    elevation = np.arcsin(np.clip(delta[..., 2] / dist, -1.0, 1.0))
-    return np.moveaxis(unit_direction(azimuth, elevation), 0, -1)
+    projection = np.einsum("ni,li->nl", offsets, directions)
+    return np.exp(1j * (2.0 * np.pi / wavelength) * projection) / np.sqrt(offsets.shape[0])
 
 
-def _conj_responses(subscripts: str, offsets, directions, wavelength: float):
-    """Conjugated steering vectors for a batch of directions at once.
+def _planar_product(paths, geometry: ArrayGeometry) -> np.ndarray:
+    """(conj(A_r) * alpha) @ conj(A_t)^T over ``paths`` from their stored gains and angles."""
+    lam = geometry.wavelength
+    alpha = np.array([p.gain_magnitude * np.exp(-1j * p.global_phase) for p in paths])
+    a_r = _conj_responses(
+        geometry.element_positions_rx - geometry.rx_origin,
+        _unit_rows([p.aoa for p in paths]), lam,
+    )
+    a_t = _conj_responses(
+        geometry.element_positions_tx - geometry.tx_origin,
+        _unit_rows([p.aod for p in paths]), lam,
+    )
+    return (a_r * alpha) @ a_t.T
 
-    ``subscripts`` is the einsum that contracts element offsets (..., n, 3)
-    with unit directions (..., 3) into the projections <r_k, u>; each
-    response is conj(steering_vector) = exp(+j * 2*pi/lambda * <r_k, u>) / sqrt(n).
+
+def _subarray_rows(delta, dist, offsets, amplitude, wave_number: float) -> np.ndarray:
+    """(S, n) rows amplitude/d * exp(-jk (d - <o, u>)) over the elements of one side.
+
+    ``delta`` (S, k, 3) runs from each subarray center to S points at
+    distances ``dist`` (S, k), u = delta/d, and ``offsets`` (k, n_sub, 3)
+    place the elements about their centers: d - <o, u> is an element's
+    distance to the point to first order in o.
     """
-    projection = np.einsum(subscripts, offsets, directions)
-    return np.exp(1j * (2.0 * np.pi / wavelength) * projection) / np.sqrt(offsets.shape[-2])
+    projection = np.einsum("ski,kni->skn", delta / dist[..., None], offsets)
+    phase = wave_number * (dist[..., None] - projection)
+    rows = (amplitude / dist)[..., None] * np.exp(-1j * phase)
+    return rows.reshape(len(dist), -1)
 
 
 def pwm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
@@ -106,17 +122,7 @@ def pwm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
     """
     if len(paths) == 0:
         raise ValueError("PathSet is empty")
-    lam = geometry.wavelength
-    alpha = np.array([p.gain_magnitude * np.exp(-1j * p.global_phase) for p in paths])
-    a_r = _conj_responses(
-        "ni,li->nl", geometry.element_positions_rx - geometry.rx_origin,
-        _unit_rows([p.aoa for p in paths]), lam,
-    )
-    a_t = _conj_responses(
-        "ni,li->nl", geometry.element_positions_tx - geometry.tx_origin,
-        _unit_rows([p.aod for p in paths]), lam,
-    )
-    h = (a_r * alpha) @ a_t.T
+    h = _planar_product(paths, geometry)
     return ChannelMatrix(entries=h, domain_tag=SPATIAL, geometry=geometry)
 
 
@@ -173,83 +179,64 @@ def swm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
 def hpsm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
     """Hybrid model: planar wavefronts per subarray, spherical across subarrays.
 
-    Per-subarray-pair gains, phases, and angles are re-derived from
-    subarray-center geometry for paths that carry a scatterer position (or
-    are line-of-sight); synthetic planar paths fall back to their stored
-    full-array parameters with a center-offset phase correction.
+    It is the spherical model with each element's distance taken to first
+    order about its subarray center c: a point at distance d from c along
+    the unit vector u lies d - <o, u> from the element at offset o, and the
+    amplitude coef/d is the center's.  So, as in swm_channel, all scattered
+    paths add up to one rank-S product h = U^T V with U (S, n_rx) and V
+    (S, n_tx) from ``_subarray_rows``.  The line-of-sight path is one
+    rank-one block per subarray pair, refl * coef/d * exp(-jk (d + <o_r - o_t, u>))
+    with d and u from the Tx center to the Rx center.  Paths with neither
+    a scatterer nor line of sight keep their stored full-array gains and
+    angles and enter as in pwm_channel.
 
-    Every (Rx subarray a, Tx subarray b, path l) triple gets a complex
-    amplitude alpha[a, b, l] and a pair of directions, and the blocks are
-    h[a, :, b, :] = sum_l alpha[a, b, l] * conj(a_r[a, b, l]) conj(a_t[a, b, l])^T.
+    Scatterer-to-center distances are checked against ``_MIN_SEGMENT``
+    before the center-to-center ones.
     """
     paths = list(paths)
     if not paths:
         raise ValueError("PathSet is empty")
     lam = geometry.wavelength
     k_wave = 2.0 * np.pi / lam
-    k_r, k_t = geometry.k_rx, geometry.k_tx
-    n_sub_r, n_sub_t = geometry.n_rx_sub, geometry.n_tx_sub
-    sub_scale = np.sqrt(n_sub_r * n_sub_t)
-    full_scale = np.sqrt(geometry.n_rx * geometry.n_tx)
     coef = lam / (4.0 * np.pi)
+    k_r, k_t = geometry.k_rx, geometry.k_tx
     c_r = geometry.subarray_centers_rx  # (k_r, 3)
     c_t = geometry.subarray_centers_tx  # (k_t, 3)
+    off_r = geometry.element_positions_rx.reshape(k_r, -1, 3) - c_r[:, None]
+    off_t = geometry.element_positions_tx.reshape(k_t, -1, 3) - c_t[:, None]
 
+    refl = np.array([1.0 if p.reflection_gain is None else p.reflection_gain for p in paths])
     scattered = [l for l, p in enumerate(paths) if p.scatterer_position is not None]
     los = [l for l, p in enumerate(paths) if p.scatterer_position is None and p.is_los]
-    planar = [
-        l for l, p in enumerate(paths) if p.scatterer_position is None and not p.is_los
-    ]
-    refl = np.array(
-        [1.0 if p.reflection_gain is None else p.reflection_gain for p in paths]
-    )
-
-    shape = (k_r, k_t, len(paths))
-    alpha = np.empty(shape, dtype=np.complex128)
-    u_r = np.empty(shape + (3,))
-    u_t = np.empty(shape + (3,))
+    planar = [p for p in paths if p.scatterer_position is None and not p.is_los]
 
     if scattered:
         s = np.array([paths[l].scatterer_position for l in scattered])  # (S, 3)
-        to_t = s[None, None] - c_t[None, :, None]  # (1, k_t, S, 3)
-        to_r = s[None, None] - c_r[:, None, None]  # (k_r, 1, S, 3)
+        to_t = s[:, None] - c_t  # (S, k_t, 3)
+        to_r = s[:, None] - c_r  # (S, k_r, 3)
         d1 = np.linalg.norm(to_t, axis=-1)
         d2 = np.linalg.norm(to_r, axis=-1)
         if min(d1.min(), d2.min()) < _MIN_SEGMENT:
             raise DegenerateGeometryError("scatterer coincides with a subarray center")
-        gain = sub_scale * refl[scattered] * (coef / d1) * (coef / d2)
-        alpha[..., scattered] = gain * np.exp(-1j * (k_wave * (d1 + d2)))
-        u_t[:, :, scattered] = _round_trip_rows(to_t, d1)
-        u_r[:, :, scattered] = _round_trip_rows(to_r, d2)
     if los:
-        delta = c_r[:, None] - c_t[None, :]  # (k_r, k_t, 3)
+        delta = c_r[:, None] - c_t  # (k_r, k_t, 3)
         d = np.linalg.norm(delta, axis=-1)
         if d.min() < _MIN_SEGMENT:
             raise DegenerateGeometryError("subarray centers coincide")
-        gain = sub_scale * refl[los] * coef / d[..., None]
-        alpha[..., los] = gain * np.exp(-1j * (k_wave * d[..., None]))
-        u_t[:, :, los] = _round_trip_rows(delta, d)[:, :, None]
-        u_r[:, :, los] = _round_trip_rows(-delta, d)[:, :, None]
-    if planar:
-        # Planar paths: stored angles everywhere, phase advanced to the
-        # subarray centers.
-        p_r = _unit_rows([paths[l].aoa for l in planar])  # (P, 3)
-        p_t = _unit_rows([paths[l].aod for l in planar])
-        gain = np.array([paths[l].gain_magnitude for l in planar]) * sub_scale / full_scale
-        phase = (
-            np.array([paths[l].global_phase for l in planar])
-            - k_wave * ((c_r - geometry.rx_origin) @ p_r.T)[:, None, :]
-            - k_wave * ((c_t - geometry.tx_origin) @ p_t.T)[None, :, :]
-        )
-        alpha[..., planar] = gain * np.exp(-1j * phase)
-        u_r[:, :, planar] = p_r
-        u_t[:, :, planar] = p_t
+        axis = delta / d[..., None]
+        r = np.exp(-1j * k_wave * np.einsum("ani,abi->abn", off_r, axis))  # (k_r, k_t, n_sub_r)
+        t = np.exp(1j * k_wave * np.einsum("bni,abi->abn", off_t, axis))  # (k_r, k_t, n_sub_t)
 
-    off_r = geometry.element_positions_rx.reshape(k_r, n_sub_r, 3) - c_r[:, None]
-    off_t = geometry.element_positions_tx.reshape(k_t, n_sub_t, 3) - c_t[:, None]
-    a_r = _conj_responses("ani,abli->abln", off_r, u_r, lam)  # (k_r, k_t, L, n_sub_r)
-    a_t = _conj_responses("bni,abli->abln", off_t, u_t, lam)  # (k_r, k_t, L, n_sub_t)
-    h = np.einsum("abl,abli,ablj->aibj", alpha, a_r, a_t, optimize=True)
-    return ChannelMatrix(
-        entries=h.reshape(geometry.n_rx, geometry.n_tx), domain_tag=SPATIAL, geometry=geometry
-    )
+    if planar:
+        h = _planar_product(planar, geometry)
+    else:
+        h = np.zeros((geometry.n_rx, geometry.n_tx), dtype=np.complex128)
+    for l in los:
+        amp = refl[l] * coef / d * np.exp(-1j * k_wave * d)  # (k_r, k_t)
+        block = amp[..., None, None] * r[..., :, None] * t[..., None, :]
+        h += block.transpose(0, 2, 1, 3).reshape(h.shape)
+    if scattered:
+        v = _subarray_rows(to_t, d1, off_t, coef, k_wave)
+        u = _subarray_rows(to_r, d2, off_r, refl[scattered, None] * coef, k_wave)
+        h += u.T @ v
+    return ChannelMatrix(entries=h, domain_tag=SPATIAL, geometry=geometry)

@@ -27,6 +27,7 @@ from .checkpoint import (
 )
 from .dataset import (
     Dataset,
+    DatasetConfig,
     DatasetHeader,
     SamplingRegion,
     build_dataset,
@@ -58,7 +59,7 @@ _CONFIG_DEFAULTS = {
     },
     "gscm": asdict(GscmConfig()),
     "region": {"low": [4.0, -3.0, -0.5], "high": [10.0, 3.0, 0.5]},
-    "dataset": {"count": 1000, "test_fraction": 0.1, "cell_size": 0.5},
+    "dataset": asdict(DatasetConfig()),
     # Only these DitConfig fields are config keys; n_rx and n_tx come from
     # the geometry.
     "dit": {
@@ -126,7 +127,7 @@ class RunConfig:
     geometry_raw: dict
     gscm: GscmConfig
     region: SamplingRegion
-    dataset: dict
+    dataset: DatasetConfig
     dit: DitConfig
     schedule: DiffusionSchedule
     training: TrainConfig
@@ -163,7 +164,7 @@ def load_config(path: str | None) -> RunConfig:
         geometry_raw=g,
         gscm=GscmConfig(**cfg["gscm"]),
         region=region,
-        dataset=cfg["dataset"],
+        dataset=DatasetConfig(**cfg["dataset"]),
         dit=DitConfig(n_rx=geometry.n_rx, n_tx=geometry.n_tx, **cfg["dit"]),
         schedule=DiffusionSchedule(**cfg["schedule"]),
         training=TrainConfig(seed=cfg["seed"], **cfg["training"]),
@@ -181,14 +182,12 @@ def _print_header(label: str, header: DatasetHeader) -> None:
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    count = cfg.dataset["count"] if args.count is None else args.count
+    count = cfg.dataset.count if args.count is None else args.count
     start = time.perf_counter()
     dataset = build_dataset(seed, cfg.geometry, cfg.gscm, cfg.region, count)
     elapsed = time.perf_counter() - start
     dataset, _ = normalize(dataset)
-    train_set, test_set = split(
-        dataset, cfg.dataset["test_fraction"], cfg.dataset["cell_size"]
-    )
+    train_set, test_set = split(dataset, cfg.dataset.test_fraction, cfg.dataset.cell_size)
     write_dataset(args.out + ".train", train_set)
     write_dataset(args.out + ".test", test_set)
     _print_header("train", train_set.header)

@@ -1,7 +1,8 @@
 """Dataset construction, normalization, position-disjoint splitting, and file IO.
 
-``SamplingRegion`` and ``DatasetHeader`` check themselves when built;
-``read_dataset`` names the file in any fault of its header or length.
+``SamplingRegion``, ``DatasetConfig`` and ``DatasetHeader`` check themselves
+when built; ``read_dataset`` names the file in any fault of its header or
+length.
 """
 from __future__ import annotations
 
@@ -39,6 +40,27 @@ class SamplingRegion:
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(np.asarray(self.low), np.asarray(self.high))
+
+
+def _check_split(test_fraction: float, cell_size: float) -> None:
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if not 0.0 < cell_size < math.inf:
+        raise ValueError(f"cell_size must be a finite number > 0, got {cell_size}")
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    """How many samples gen-data draws, and how ``split`` divides them."""
+
+    count: int = 1000
+    test_fraction: float = 0.1
+    cell_size: float = 0.5
+
+    def __post_init__(self):
+        if not is_integer(self.count) or self.count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
+        _check_split(self.test_fraction, self.cell_size)
 
 
 @dataclass(frozen=True)
@@ -180,10 +202,7 @@ def split(
     Rx positions are hashed into cubic cells and whole cells are assigned
     to one side, so no test-position cell ever appears in training.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if not 0.0 < cell_size < math.inf:
-        raise ValueError(f"cell_size must be a finite number > 0, got {cell_size}")
+    _check_split(test_fraction, cell_size)
     n = len(dataset)
     cells: dict[tuple, list[int]] = {}
     for i in range(n):

@@ -5,6 +5,7 @@ score recovery, probability-flow ODE Euler sampler, and EMA of parameters.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,9 @@ class DiffusionSchedule:
     n_steps: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_min < self.horizon:
+        if not 0.0 < self.sigma_min < self.horizon < math.inf:
             raise ValueError(
-                f"need 0 < sigma_min < horizon, got {self.sigma_min}, {self.horizon}"
+                f"need 0 < sigma_min < horizon < inf, got {self.sigma_min}, {self.horizon}"
             )
         if not is_integer(self.n_steps):
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")

@@ -14,7 +14,7 @@ from .checkpoint import Checkpoint, ema_denoiser
 from .dataset import Dataset
 from .diffusion import DiffusionSchedule, ema_update
 from .dit import DitConfig, DitDenoiser, FlatParams
-from .errors import NumericError
+from .errors import NumericError, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.epochs < 1 or self.batch_size < 1:
+        if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("invalid training configuration")
-        for name in ("beta1", "beta2", "ema_decay"):
+        # Adam divides by 1 - beta**step and adds eps to a square root.
+        for name in ("learning_rate", "eps"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            if not (is_finite_number(v) and v >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {v}")
+        for name in ("beta1", "beta2"):
+            v = getattr(self, name)
+            if not 0.0 <= v < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {v}")
+        if not 0.0 <= self.ema_decay <= 1.0:
+            raise ValueError(f"ema_decay must be in [0, 1], got {self.ema_decay}")
 
 
 # Adam walks the vectors in slices of this many elements, so each slice and

@@ -3,9 +3,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzgen.beamspace import dictionaries_for, to_beamspace
-from thzgen.channel import hpsm_channel, pwm_channel, steering_vector, swm_channel
+from thzgen.channel import (
+    SPATIAL,
+    ChannelMatrix,
+    hpsm_channel,
+    pwm_channel,
+    steering_vector,
+    swm_channel,
+)
 from thzgen.dataset import SamplingRegion, sample_rng
 from thzgen.errors import DegenerateGeometryError
 from thzgen.evaluation import nmse
@@ -23,6 +32,20 @@ def los_path(geometry, gain=1.0):
     aod = direction_angles(geometry.tx_origin, geometry.rx_origin)
     aoa = direction_angles(geometry.rx_origin, geometry.tx_origin)
     return Path(gain_magnitude=gain, global_phase=0.0, aod=aod, aoa=aoa, is_los=True)
+
+
+# -- channel matrix ---------------------------------------------------------
+
+@pytest.mark.parametrize("layout", ["strided", "fortran"])
+def test_channel_matrix_accepts_any_memory_layout(layout):
+    g = linear_geometry(n_tx=4, n_rx=4)
+    m = np.arange(16.0).reshape(4, 4) * (1 + 2j)
+    entries = m[:, ::-1] if layout == "strided" else np.asfortranarray(m)
+    h = ChannelMatrix(entries=entries, domain_tag=SPATIAL, geometry=g)
+    np.testing.assert_array_equal(h.entries, entries)
+    entries[1, 2] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        ChannelMatrix(entries=entries, domain_tag=SPATIAL, geometry=g)
 
 
 # -- steering vectors -------------------------------------------------------
@@ -503,6 +526,143 @@ def test_hpsm_rejects_coincident_subarray_centers():
     los = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0), is_los=True)
     with pytest.raises(DegenerateGeometryError, match="subarray centers coincide"):
         hpsm_channel(PathSet([los]), g)
+
+
+@pytest.mark.parametrize("shape", [
+    (16, 4, 1, 1), (16, 4, 16, 1), (16, 4, 1, 4), (4, 16, 4, 1), (4, 16, 1, 16),
+    (8, 8, 8, 8), (8, 8, 2, 8), (1, 8, 1, 8), (8, 1, 8, 1),
+], ids=str)
+def test_hpsm_over_subarray_shapes(shape):
+    # k = 1 on one side and k = n on the other included.
+    n_rx, n_tx, k_rx, k_tx = shape
+    geom = ArrayGeometry.uniform_linear(0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=k_tx, k_rx=k_rx)
+    rng = sample_rng(13, 0)
+    geom = geom.with_rx_origin(REGION.draw(rng))
+    ps = PathSet(hpsm_case_paths("mixed", rng, geom))
+    ref = hpsm_reference(ps, geom)
+    h = hpsm_channel(ps, geom).entries
+    assert np.linalg.norm(h - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def hpsm_extended(paths, geometry):
+    """The hybrid model per path in np.longdouble, for scattered and LoS paths.
+
+    Each element's distance is the one hpsm_channel takes to first order
+    about its subarray center c: d - <o, u> to a point at distance d along
+    u, and d + <o_r - o_t, u> between the Tx and Rx centers.  As in
+    swm_extended, the float64 positions and constants are taken as exact.
+    """
+    ld = np.longdouble
+    lam = geometry.wavelength
+    k = ld(2.0 * np.pi / lam)
+    coef = ld(lam / (4.0 * np.pi))
+    c_r = np.repeat(geometry.subarray_centers_rx.astype(ld), geometry.n_rx_sub, axis=0)
+    c_t = np.repeat(geometry.subarray_centers_tx.astype(ld), geometry.n_tx_sub, axis=0)
+    o_r = geometry.element_positions_rx.astype(ld) - c_r
+    o_t = geometry.element_positions_tx.astype(ld) - c_t
+
+    def to_point(s, centers, offsets):
+        delta = s - centers
+        d = np.sqrt((delta**2).sum(axis=1))
+        return d, d - (offsets * delta).sum(axis=1) / d
+
+    re = np.zeros((geometry.n_rx, geometry.n_tx), dtype=ld)
+    im = np.zeros_like(re)
+    for path in paths:
+        refl = ld(1.0 if path.reflection_gain is None else path.reflection_gain)
+        if path.scatterer_position is not None:
+            s = path.scatterer_position.astype(ld)
+            d1, e1 = to_point(s, c_t, o_t)
+            d2, e2 = to_point(s, c_r, o_r)
+            amp = refl * (coef / d1)[None, :] * (coef / d2)[:, None]
+            dist = e1[None, :] + e2[:, None]
+        else:
+            delta = c_r[:, None, :] - c_t[None, :, :]
+            d = np.sqrt((delta**2).sum(axis=2))
+            amp = refl * coef / d
+            dist = d + ((o_r[:, None, :] - o_t[None, :, :]) * delta).sum(axis=2) / d
+        re += amp * np.cos(k * dist)
+        im -= amp * np.sin(k * dist)
+    return re, im
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+@pytest.mark.parametrize("shape", PINNED_SHAPES, ids=str)
+def test_hpsm_rounding_against_extended_precision(shape):
+    new, old = [], []
+    for ps, geom in pinned_draws(shape):
+        extended = hpsm_extended(ps, geom)
+        new.append(worst_error(hpsm_channel(ps, geom).entries, extended))
+        old.append(worst_error(hpsm_reference(ps, geom), extended))
+    assert max(new) <= 5e-11
+    assert max(new) <= 1.5 * max(old)
+
+
+# -- physics limits ---------------------------------------------------------
+#
+# Drawn with the default GscmConfig at Rx positions in REGION, the sampling
+# region of the default run configuration.
+
+SEEDS = st.integers(0, 2**32 - 1)
+COUNTS = st.sampled_from([1, 2, 4, 8])
+
+
+def drawn(seed, n_rx, n_tx, k_rx, k_tx, **spacing):
+    rng = np.random.default_rng(seed)
+    geom = ArrayGeometry.uniform_linear(
+        0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=k_tx, k_rx=k_rx,
+        rx_origin=REGION.draw(rng), **spacing,
+    )
+    return draw_paths(rng, GscmConfig(), geom), geom
+
+
+@given(seed=SEEDS, n_rx=COUNTS, n_tx=COUNTS)
+def test_hpsm_equals_swm_with_one_element_per_subarray(seed, n_rx, n_tx):
+    ps, geom = drawn(seed, n_rx, n_tx, n_rx, n_tx)
+    assert np.array_equal(hpsm_channel(ps, geom).entries, swm_channel(ps, geom).entries)
+
+
+@settings(max_examples=50)
+@given(seed=SEEDS)
+def test_hpsm_approaches_swm_as_subarrays_shrink(seed):
+    # 32x32 elements at half-wavelength pitch whatever k is: only the
+    # subarray each element's distance is expanded about changes.
+    lam = linear_geometry().wavelength
+    errors = []
+    for k in (1, 2, 4, 8, 16, 32):
+        spacing = {"intra_spacing": lam / 2, "inter_spacing": 32 // k * lam / 2}
+        ps, geom = drawn(seed, 32, 32, k, k, **spacing)
+        errors.append(nmse(hpsm_channel(ps, geom).entries, swm_channel(ps, geom).entries))
+    assert errors[-1] == 0.0
+    assert all(later < earlier / 4 for earlier, later in zip(errors, errors[1:]))
+
+
+@given(seed=SEEDS, n_rx=COUNTS, n_tx=COUNTS, k_rx=COUNTS, k_tx=COUNTS)
+def test_swapping_tx_and_rx_transposes_the_channel(seed, n_rx, n_tx, k_rx, k_tx):
+    k_rx, k_tx = min(k_rx, n_rx), min(k_tx, n_tx)
+    ps, geom = drawn(seed, n_rx, n_tx, k_rx, k_tx)
+    swapped = ArrayGeometry.uniform_linear(
+        0.3e12, n_tx=n_rx, n_rx=n_tx, k_tx=k_rx, k_rx=k_tx,
+        tx_origin=geom.rx_origin, rx_origin=geom.tx_origin,
+    )
+    back = PathSet([dataclasses.replace(p, aod=p.aoa, aoa=p.aod) for p in ps])
+    for model in (swm_channel, hpsm_channel):
+        h = model(ps, geom).entries
+        h_swapped = model(back, swapped).entries
+        assert np.linalg.norm(h_swapped - h.T) <= 1e-12 * np.linalg.norm(h)
+
+
+@given(seed=SEEDS, n_rx=COUNTS, n_tx=COUNTS)
+def test_hpsm_with_one_subarray_matches_pwm_on_drawn_paths(seed, n_rx, n_tx):
+    # draw_paths stores each path's full-array gain, phase and angles from
+    # the array origins, which are the single subarray centers.
+    ps, geom = drawn(seed, 4 * n_rx, 4 * n_tx, 1, 1)
+    h = hpsm_channel(ps, geom).entries
+    hp = pwm_channel(ps, geom).entries
+    assert np.linalg.norm(h - hp) <= 1e-9 * np.linalg.norm(hp)
 
 
 # -- stochastic path generator ----------------------------------------------

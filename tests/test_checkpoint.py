@@ -390,6 +390,7 @@ def metadata_case(case: str) -> bytes:
         "bad_tx_origin": {**good, "meta": {**meta, "tx_origin": 5}},
         "fractional_n_steps": {**good, "schedule": {**schedule, "n_steps": 2.5}},
         "bad_horizon": {**good, "schedule": {**schedule, "horizon": "x"}},
+        "infinite_horizon": {**good, "schedule": {**schedule, "horizon": float("inf")}},
         "string_scale": {**good, "meta": {**meta, "normalization_scalar": "2.5"}},
         "zero_scale": {**good, "meta": {**meta, "normalization_scalar": 0.0}},
         "nan_scale": {**good, "meta": {**meta, "normalization_scalar": float("nan")}},
@@ -426,6 +427,7 @@ METADATA_CASES = {
     "bad_tx_origin": "tx_origin must be 3 finite numbers",
     "fractional_n_steps": "'schedule' is invalid",
     "bad_horizon": "'schedule' is invalid",
+    "infinite_horizon": "'schedule' is invalid: need 0 < sigma_min < horizon < inf",
     "not_an_object": "metadata must be a JSON object",
     "not_json": "not valid JSON",
     "string_scale": "normalization_scalar must be a finite number > 0, got '2.5'",
@@ -463,7 +465,7 @@ def test_rejects_bad_metadata(tmp_path, case):
                                   "string_scale", "missing_curves", "curves_not_list",
                                   "short_curve_row", "fractional_epoch", "nan_loss",
                                   "inf_loss", "huge_integer_scale", "float_patch_size",
-                                  "float_depth", "negative_depth"])
+                                  "float_depth", "negative_depth", "infinite_horizon"])
 def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     path = tmp_path / "model.ckpt"
     write_with_metadata(path, metadata_case(case), n=N_PARAMS)

@@ -16,7 +16,14 @@ import thzgen
 from thzgen import cli, dit
 from thzgen.checkpoint import ema_denoiser, load_checkpoint
 from thzgen.cli import main
-from thzgen.dataset import _HEADER_FMT, Dataset, DatasetHeader, read_dataset, write_dataset
+from thzgen.dataset import (
+    _HEADER_FMT,
+    Dataset,
+    DatasetConfig,
+    DatasetHeader,
+    read_dataset,
+    write_dataset,
+)
 from thzgen.diffusion import DiffusionSchedule, euler_sample
 from thzgen.geometry import condition_vector
 from thzgen.paths import GscmConfig
@@ -231,6 +238,7 @@ def test_config_keys_and_defaults_are_unchanged():
     assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in pinned.items()}
     cfg = cli.load_config(None)
     assert cfg.gscm == GscmConfig()
+    assert cfg.dataset == DatasetConfig()
     assert cfg.schedule == DiffusionSchedule()
     assert cfg.training == TrainConfig(seed=0)
     assert cfg.dit == dit.DitConfig(n_rx=8, n_tx=16)
@@ -246,6 +254,25 @@ def test_bad_dit_section_is_fatal_for_gen_data(tmp_path, capsys, value):
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x.train").exists()
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("dataset", {"test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"),
+    ("dataset", {"count": 0}, "count must be an integer >= 1, got 0"),
+    ("dataset", {"cell_size": -1.0}, "cell_size must be a finite number > 0, got -1.0"),
+    ("training", {"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
+    ("training", {"eps": -1.0}, "eps must be a finite number >= 0, got -1.0"),
+])
+def test_bad_value_is_fatal_before_synthesis(tmp_path, capsys, monkeypatch, section, value,
+                                             message):
+    def synthesize(*args):
+        raise AssertionError("gen-data synthesized samples under a bad config")
+
+    monkeypatch.setattr(cli, "build_dataset", synthesize)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: value}))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_indivisible_subarrays_are_fatal(tmp_path, capsys):

@@ -35,6 +35,9 @@ def test_schedule_invariants():
         DiffusionSchedule(horizon=1.0, sigma_min=1.0)
     with pytest.raises(ValueError):
         DiffusionSchedule(n_steps=0)
+    for horizon in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="horizon"):
+            DiffusionSchedule(horizon=horizon)
 
 
 @pytest.mark.parametrize("n_steps", [2.5, 3.0, "3", True, None])

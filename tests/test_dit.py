@@ -806,11 +806,11 @@ def test_helper_lane_keeps_the_callers_errstate(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_runs_pooled_calls(monkeypatch):
+def test_forked_child_runs_multi_lane_calls(monkeypatch):
     monkeypatch.setattr(dit, "LANES", 2)
     monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
     den, h, sigma, cond = lane_case(40)
-    expected = den.evaluate(h, sigma, cond).tobytes()  # starts the pool
+    expected = den.evaluate(h, sigma, cond).tobytes()  # runs on two lanes
     read_fd, write_fd = os.pipe()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads
@@ -838,6 +838,6 @@ def test_forked_child_runs_pooled_calls(monkeypatch):
         if not done:
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
-    assert done, "the forked child's pooled call hung"
+    assert done, "the forked child's multi-lane call hung"
     assert os.waitstatus_to_exitcode(status) == 0
     assert got == expected

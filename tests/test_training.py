@@ -83,6 +83,19 @@ def test_train_config_validation():
         TrainConfig().epochs = 0
 
 
+@pytest.mark.parametrize("key, value", [
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("eps", -1.0),
+    ("eps", float("inf")), ("eps", float("nan")),
+    ("learning_rate", float("inf")), ("learning_rate", float("nan")),
+])
+def test_train_config_refuses_what_breaks_adam(key, value):
+    # beta = 1 zeroes Adam's bias correction 1 - beta**step; a negative eps
+    # can zero the denominator of its step.
+    with pytest.raises(ValueError, match=key):
+        TrainConfig(**{key: value})
+    TrainConfig(beta1=0.0, beta2=0.0, eps=0.0, learning_rate=0.0)
+
+
 # -- training loop ----------------------------------------------------------
 
 def test_train_is_deterministic():
