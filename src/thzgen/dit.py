@@ -1,16 +1,16 @@
 """Conditional diffusion transformer denoiser with hand-written gradients.
 
-Training runs in float64 numpy.  The parameters, and each gradient, live as
-named views into one flat vector (``FlatParams``) laid out by
-``param_shapes``.  ``forward`` caches intermediates so ``backward`` can
-produce exact parameter gradients (verified against central finite
-differences in the test suite).  Inference (``denoise``) runs the same block
-code over fixed-size slices of the batch and records no cache, so its
-working set does not grow with the batch; a large call splits its slices
-over lanes, threads it starts and joins, one per usable CPU at most.  A
-denoiser runs its network in the dtype of the weights it holds: sampling
-and the test loss use float32 weights, while the preconditioning and the
-skip path ``c_skip*h + c_out*F`` stay float64.
+The parameters, and each gradient, live as named views into one flat
+vector (``FlatParams``) laid out by ``param_shapes``.  ``forward`` caches
+intermediates so ``backward`` can produce exact parameter gradients
+(verified against central finite differences, in float64, in the test
+suite).  Inference (``denoise``) runs the same block code over fixed-size
+slices of the batch and records no cache, so its working set does not grow
+with the batch; a large call splits its slices over lanes, threads it
+starts and joins, one per usable CPU at most.  A denoiser runs its network,
+forward and backward, in the dtype of the weights it holds: training steps,
+sampling and the test loss use float32 weights, while the preconditioning,
+the skip path ``c_skip*h + c_out*F`` and the loss stay float64.
 """
 from __future__ import annotations
 
@@ -330,9 +330,9 @@ def _linear_backward(dy, x, params, grads, w, b):
 class DitDenoiser:
     """Preconditioned conditional DiT: D(h, sigma, p) = c_skip*h + c_out*F(...).
 
-    F runs in ``dtype``, the dtype of the weights it holds.  Only a float64
-    denoiser trains: ``forward``, ``backward`` and ``loss_and_grads`` refuse
-    any other, which is for inference (``denoise``, ``evaluate``) only.
+    F and its gradients run in ``dtype``, the dtype of the weights it holds;
+    ``backward`` returns gradients in that dtype.  ``training.train`` steps a
+    float32 denoiser and keeps the float64 master weights itself.
     """
 
     def __init__(
@@ -363,16 +363,8 @@ class DitDenoiser:
 
     # -- forward ------------------------------------------------------------
 
-    def _require_float64(self, what: str) -> None:
-        if self.dtype != np.float64:
-            raise ValueError(
-                f"{what} needs float64 weights; a {self.dtype} denoiser is for "
-                f"inference only (denoise, evaluate)"
-            )
-
     def forward(self, h: np.ndarray, sigma: np.ndarray, cond: np.ndarray):
         """Batched forward pass; returns (output, cache) for backward."""
-        self._require_float64("forward")
         cache = {"blocks": []}
         return self._forward(h, sigma, cond, cache), cache
 
@@ -491,14 +483,14 @@ class DitDenoiser:
     # -- backward -----------------------------------------------------------
 
     def backward(self, cache, d_out: np.ndarray) -> FlatParams:
-        """Parameter gradients for a loss whose output gradient is d_out."""
-        self._require_float64("backward")
+        """Parameter gradients, in the weights' dtype, for a loss whose output
+        gradient is d_out."""
         cfg = self.config
         p = self.params
-        grads = FlatParams(self.shapes)
+        grads = FlatParams(self.shapes, dtype=self.dtype)
 
         c_out = cache["c_out"]
-        d_f = c_out[:, None, None, None] * d_out
+        d_f = (c_out[:, None, None, None] * d_out).astype(self.dtype, copy=False)
         d_patches_out = patchify(d_f, cfg.patch_size)
 
         # Output head and final adaLN.
@@ -567,7 +559,7 @@ class DitDenoiser:
         d_attn = d_heads @ v.transpose(0, 1, 3, 2)
         d_v = attn.transpose(0, 1, 3, 2) @ d_heads
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        d_scores /= np.sqrt(dh)
+        d_scores /= math.sqrt(dh)
         d_q = d_scores @ bc["k"]
         d_k = d_scores.transpose(0, 1, 3, 2) @ bc["q"]
 
@@ -598,7 +590,8 @@ class DitDenoiser:
 
         ``noise`` is the pre-drawn standard-normal perturbation, so the loss
         is a deterministic function of the parameters (as the gradient
-        checks require).
+        checks require).  The loss is a float64 mean over the float64
+        output; the gradients are in the weights' dtype.
         """
         h0 = np.asarray(h0, dtype=float)
         sigmas = np.asarray(sigmas, dtype=float)

@@ -1,8 +1,12 @@
 """Adam optimizer and the seeded training loop for the DiT denoiser.
 
-``train`` returns the run's state as the ``Checkpoint`` the CLI saves.
-``TrainConfig`` checks itself when built; a non-finite loss is a
-``NumericError`` naming the epoch, the batch and its noise levels.
+``train`` runs each step in mixed precision (Micikevicius et al. 2018): the
+forward and backward passes run on a float32 copy of the weights, while the
+master weights, both Adam moments and the EMA weights stay float64, and the
+float32 gradient is cast up before Adam applies it.  It returns the run's
+state as the ``Checkpoint`` the CLI saves.  ``TrainConfig`` checks itself
+when built; a step that goes non-finite is a ``NumericError`` naming the
+epoch, the batch and its noise levels.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import numpy as np
 from .checkpoint import Checkpoint, ema_denoiser
 from .dataset import Dataset
 from .diffusion import DiffusionSchedule, ema_update
-from .dit import DitConfig, DitDenoiser, FlatParams
+from .dit import DitConfig, DitDenoiser, FlatParams, init_params
 from .errors import NumericError, is_finite_number
 
 
@@ -107,17 +111,22 @@ def train(
     """Epoch loop: seeded shuffle, Adam updates, EMA tracking, loss curves.
 
     Returns the run's state, which the caller saves once it sets ``meta``.
-    The per-epoch test loss is computed with the EMA weights on a fixed set
-    of noise draws so the curve reflects parameter movement only.
+    Each step copies the float64 master weights into one float32 working
+    denoiser, takes its loss and gradients there, and casts the gradients
+    into one float64 buffer that Adam applies to the master weights.  The
+    per-epoch test loss is computed with the EMA weights on a fixed set of
+    noise draws so the curve reflects parameter movement only.
     """
     rng = np.random.default_rng(cfg.seed)
-    model = DitDenoiser(dit_config, rng=rng)
+    params = init_params(dit_config, rng)
+    work = DitDenoiser(dit_config, params=params, dtype=np.float32)
     state = Checkpoint(
-        config=dit_config, params=model.params,
-        ema_params=FlatParams(model.shapes, model.params.vector.copy()),
-        adam_m=FlatParams(model.shapes), adam_v=FlatParams(model.shapes),
+        config=dit_config, params=params,
+        ema_params=FlatParams(work.shapes, params.vector.copy()),
+        adam_m=FlatParams(work.shapes), adam_v=FlatParams(work.shapes),
         step=0, schedule=schedule,
     )
+    grads = np.empty_like(params.vector)
 
     eval_rng = np.random.default_rng([cfg.seed, 0xE7A1])
     eval_sigmas = schedule.draw_sigma(eval_rng, len(test_set))
@@ -134,15 +143,22 @@ def train(
             cond = train_set.conditions[idx]
             sigmas = schedule.draw_sigma(rng, len(idx))
             noise = rng.standard_normal(h0.shape)
-            loss, grads = model.loss_and_grads(h0, cond, sigmas, noise)
+            try:
+                # A master weight too large for float32 fails the cast.
+                with np.errstate(over="raise"):
+                    np.copyto(work.params.vector, state.params.vector, casting="same_kind")
+                loss, work_grads = work.loss_and_grads(h0, cond, sigmas, noise)
+            except (FloatingPointError, NumericError):
+                loss = np.nan
             if not np.isfinite(loss):
                 raise NumericError(
                     f"training diverged at epoch {epoch}, batch {n_batches} "
                     f"(sigma {float(sigmas.min()):g} to {float(sigmas.max()):g})"
                 )
+            np.copyto(grads, work_grads.vector)
             state.step += 1
             adam_step(
-                state.params.vector, grads.vector, state.adam_m.vector,
+                state.params.vector, grads, state.adam_m.vector,
                 state.adam_v.vector, state.step,
                 cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
             )

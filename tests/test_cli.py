@@ -336,6 +336,24 @@ def test_train_reproducible(workdir, tmp_path):
     assert (tmp_path / "again.ckpt.csv").read_text() == (workdir / "model.ckpt.csv").read_text()
 
 
+def test_train_reports_throughput(workdir, tmp_path, capsys):
+    ckpt = tmp_path / "again.ckpt"
+    assert main(["train", "--config", config_path(workdir), "--data",
+                 str(workdir / "data"), "--out-ckpt", str(ckpt)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    epochs = CONFIG["training"]["epochs"]
+    assert [line.split(":")[0] for line in lines[:epochs]] == [
+        f"epoch {e}" for e in range(1, epochs + 1)]
+    found = re.fullmatch(r"trained (\d+) steps in ([\d.]+) ms "
+                         r"\(([\d.]+) ms/step, float32 step on float64 weights\)",
+                         lines[epochs])
+    assert found, lines
+    steps, ms, per_step = int(found[1]), float(found[2]), float(found[3])
+    assert steps == load_checkpoint(ckpt).step
+    assert ms > 0 and per_step == pytest.approx(ms / steps, rel=0.1)
+    assert lines[epochs + 1:] == [f"wrote {ckpt} and {ckpt}.csv"]
+
+
 def test_train_rejects_mismatched_dataset(workdir, tmp_path, capsys):
     cfg = tmp_path / "bigger.json"
     data = dict(CONFIG)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from thzgen.dataset import Dataset, SamplingRegion, build_dataset, normalize
 from thzgen.diffusion import DiffusionSchedule
 from thzgen.dit import DitConfig, DitDenoiser
+from thzgen.errors import NumericError
 from thzgen.geometry import ArrayGeometry
 from thzgen.paths import GscmConfig
 from thzgen import training
@@ -133,6 +135,36 @@ def test_train_memorizes_repeated_sample():
     assert last < 0.75 * first
 
 
+@pytest.mark.parametrize("fault", ["nan loss", "numeric error", "cast overflow"])
+def test_non_finite_step_names_epoch_and_batch(fault, monkeypatch):
+    train_set, test_set = tiny_sets()
+    cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=0)
+    loss_and_grads = DitDenoiser.loss_and_grads
+    calls = []
+
+    def fourth_step_fails(self, *args):
+        calls.append(None)
+        if len(calls) == 4:  # epoch 2, batch 1
+            if fault == "nan loss":
+                return float("nan"), loss_and_grads(self, *args)[1]
+            raise NumericError("non-finite activations")
+        return loss_and_grads(self, *args)
+
+    if fault == "cast overflow":
+        # The first step moves every weight with a gradient by about 1e300,
+        # which float32 cannot hold, so the second step's cast overflows.
+        cfg = replace(cfg, learning_rate=1e300)
+        where = "epoch 1, batch 1"
+    else:
+        monkeypatch.setattr(DitDenoiser, "loss_and_grads", fourth_step_fails)
+        where = "epoch 2, batch 1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing cast is an error, not a warning
+        with pytest.raises(NumericError, match=rf"^training diverged at {where} "
+                                               rf"\(sigma \S+ to \S+\)$"):
+            train(train_set, test_set, DIT, DiffusionSchedule(horizon=3.0), cfg)
+
+
 def test_train_seed_changes_outcome():
     train_set, test_set = tiny_sets()
     a = train(train_set, test_set, DIT, DiffusionSchedule(horizon=3.0),
@@ -143,10 +175,14 @@ def test_train_seed_changes_outcome():
 
 
 def reference_train(train_set, test_set, dit_config, schedule, cfg):
-    """``train`` written with per-tensor dicts: Adam and EMA formulas per name."""
+    """``train`` written with per-tensor dicts: Adam and EMA formulas per name.
+
+    Each step rounds the float64 weights into a float32 working denoiser,
+    takes its gradients and widens them to float64, tensor by tensor.
+    """
     rng = np.random.default_rng(cfg.seed)
-    model = DitDenoiser(dit_config, rng=rng)
-    params = model.params
+    params = DitDenoiser(dit_config, rng=rng).params
+    work = DitDenoiser(dit_config, params=params, dtype=np.float32)
     ema = {k: a.copy() for k, a in params.items()}
     m = {k: np.zeros_like(a) for k, a in params.items()}
     v = {k: np.zeros_like(a) for k, a in params.items()}
@@ -163,11 +199,14 @@ def reference_train(train_set, test_set, dit_config, schedule, cfg):
             cond = train_set.conditions[idx]
             sigmas = schedule.draw_sigma(rng, len(idx))
             noise = rng.standard_normal(h0.shape)
-            loss, grads = model.loss_and_grads(h0, cond, sigmas, noise)
+            for k, a in params.items():
+                work.params[k][...] = a
+            loss, grads = work.loss_and_grads(h0, cond, sigmas, noise)
             step += 1
             bc1 = 1.0 - cfg.beta1**step
             bc2 = 1.0 - cfg.beta2**step
             for k, g in grads.items():
+                g = g.astype(np.float64)
                 m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
                 v[k] = cfg.beta2 * v[k] + (1.0 - cfg.beta2) * g**2
                 params[k] -= (cfg.learning_rate * (m[k] / bc1)
@@ -197,3 +236,23 @@ def test_train_equals_per_tensor_reference_bit_for_bit(adam_chunk, monkeypatch):
         assert list(mine) == list(theirs)
         for name in theirs:
             np.testing.assert_array_equal(mine[name], theirs[name], err_msg=name)
+
+
+def test_train_steps_float32_weights_and_keeps_float64_state(monkeypatch):
+    seen = []
+    loss_and_grads = DitDenoiser.loss_and_grads
+
+    def spy(self, *args):
+        loss, grads = loss_and_grads(self, *args)
+        seen.append((self.params.vector.dtype, grads.vector.dtype))
+        return loss, grads
+
+    monkeypatch.setattr(DitDenoiser, "loss_and_grads", spy)
+    train_set, test_set = tiny_sets()
+    cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=2)
+    result = train(train_set, test_set, DIT, DiffusionSchedule(horizon=3.0), cfg)
+    assert result.step == 4
+    assert seen == [(np.float32, np.float32)] * result.step
+    for group in (result.params, result.ema_params, result.adam_m, result.adam_v):
+        assert group.vector.dtype == np.float64
+        assert all(view.dtype == np.float64 for view in group.values())
