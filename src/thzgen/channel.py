@@ -23,7 +23,8 @@ class ChannelMatrix:
     geometry: ArrayGeometry
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.complex128)
+        # A copy: no later write to the caller's array can undo the checks below.
+        self.entries = np.array(self.entries, dtype=np.complex128)
         expected = (self.geometry.n_rx, self.geometry.n_tx)
         if self.entries.shape != expected:
             raise ValueError(
@@ -105,10 +106,13 @@ def _subarray_rows(delta, dist, offsets, amplitude, wave_number: float) -> np.nd
     ``delta`` (S, k, 3) runs from each subarray center to S points at
     distances ``dist`` (S, k), u = delta/d, and ``offsets`` (k, n_sub, 3)
     place the elements about their centers: d - <o, u> is an element's
-    distance to the point to first order in o.
+    distance to the point to first order in o.  A lone element is its
+    subarray's center, so with n_sub = 1 that distance is d, exactly.
     """
-    projection = np.einsum("ski,kni->skn", delta / dist[..., None], offsets)
-    phase = wave_number * (dist[..., None] - projection)
+    element_dist = dist[..., None]
+    if offsets.shape[1] > 1:
+        element_dist = element_dist - np.einsum("ski,kni->skn", delta / dist[..., None], offsets)
+    phase = wave_number * element_dist
     rows = (amplitude / dist)[..., None] * np.exp(-1j * phase)
     return rows.reshape(len(dist), -1)
 
@@ -129,69 +133,47 @@ def pwm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
 def swm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
     """Exact spherical-wave channel with per-antenna-pair distances.
 
-    A scattered path l travels d1[l, j] from Tx element j to its scatterer
-    and d2[l, i] on to Rx element i.  Its term refl * (coef/d1) * (coef/d2)
-    * exp(-jk (d1 + d2)) is separable, so all L scattered paths add up to one
-    rank-L product h = U^T V with V = coef/d1 * exp(-jk d1) (L, n_tx) and
-    U = refl * coef/d2 * exp(-jk d2) (L, n_rx).  The line-of-sight path is
-    not separable and keeps its per-pair distance matrix:
-    refl * coef/d * exp(-jk d).  ``reflection_gain`` None counts as 1.
-
-    Every path's distances are checked against ``_MIN_SEGMENT``, and the
-    error raised is the one of the first faulty path in path order.
+    It is hpsm_channel with one element per subarray: each element is its
+    own center, so no distance is taken to first order and every one is
+    exact.  A scattered path l travels d1 from Tx element j to its
+    scatterer and d2 on to Rx element i, with the term
+    refl * (coef/d1) * (coef/d2) * exp(-jk (d1 + d2)); the line-of-sight
+    path is refl * coef/d * exp(-jk d) over the element-pair distances d.
+    ``reflection_gain`` None counts as 1.  A path with neither a scatterer
+    nor line of sight is refused, as are distances below ``_MIN_SEGMENT``;
+    the error raised is the one of the first faulty path in path order.
     """
-    paths = list(paths)
-    tx_pos = geometry.element_positions_tx
-    rx_pos = geometry.element_positions_rx
-    lam = geometry.wavelength
-    k = 2.0 * np.pi / lam
-    coef = lam / (4.0 * np.pi)
-
-    refl = np.array([1.0 if p.reflection_gain is None else p.reflection_gain for p in paths])
-    scattered = [l for l, p in enumerate(paths) if p.scatterer_position is not None]
-    s = np.array([paths[l].scatterer_position for l in scattered]).reshape(-1, 3)  # (S, 3)
-    d1 = np.linalg.norm(tx_pos - s[:, None], axis=2)  # (S, n_tx)
-    d2 = np.linalg.norm(rx_pos - s[:, None], axis=2)  # (S, n_rx)
-    near = iter(np.minimum(d1.min(axis=1), d2.min(axis=1)) < _MIN_SEGMENT)
-
-    h = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=np.complex128)
-    for l, path in enumerate(paths):
-        if path.scatterer_position is not None:
-            if next(near):
-                raise DegenerateGeometryError(
-                    f"scatterer {l} coincides with an antenna element"
-                )
-        elif path.is_los:
-            dist = np.linalg.norm(rx_pos[:, None, :] - tx_pos[None, :, :], axis=2)
-            if dist.min() < _MIN_SEGMENT:
-                raise DegenerateGeometryError("tx and rx elements coincide")
-            h += refl[l] * coef / dist * np.exp(-1j * k * dist)
-        else:
-            raise ValueError(
-                f"path {l} is not line-of-sight and carries no scatterer position"
-            )
-    v = coef / d1 * np.exp(-1j * k * d1)
-    u = refl[scattered, None] * coef / d2 * np.exp(-1j * k * d2)
-    h += u.T @ v
-    return ChannelMatrix(entries=h, domain_tag=SPATIAL, geometry=geometry)
+    rx, tx = geometry.element_positions_rx, geometry.element_positions_tx
+    return _spherical_channel(paths, geometry, rx, tx, planar=False)
 
 
 def hpsm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
     """Hybrid model: planar wavefronts per subarray, spherical across subarrays.
 
     It is the spherical model with each element's distance taken to first
-    order about its subarray center c: a point at distance d from c along
-    the unit vector u lies d - <o, u> from the element at offset o, and the
-    amplitude coef/d is the center's.  So, as in swm_channel, all scattered
-    paths add up to one rank-S product h = U^T V with U (S, n_rx) and V
-    (S, n_tx) from ``_subarray_rows``.  The line-of-sight path is one
-    rank-one block per subarray pair, refl * coef/d * exp(-jk (d + <o_r - o_t, u>))
-    with d and u from the Tx center to the Rx center.  Paths with neither
-    a scatterer nor line of sight keep their stored full-array gains and
-    angles and enter as in pwm_channel.
+    order about its subarray center, so with one element per subarray it is
+    swm_channel.  Paths with neither a scatterer nor line of sight keep
+    their stored full-array gains and angles and enter as in pwm_channel.
+    Distances below ``_MIN_SEGMENT`` are refused, and the error raised is
+    the one of the first faulty path in path order.
+    """
+    c_r, c_t = geometry.subarray_centers_rx, geometry.subarray_centers_tx
+    return _spherical_channel(paths, geometry, c_r, c_t, planar=True)
 
-    Scatterer-to-center distances are checked against ``_MIN_SEGMENT``
-    before the center-to-center ones.
+
+def _spherical_channel(paths, geometry: ArrayGeometry, c_r, c_t, planar: bool) -> ChannelMatrix:
+    """The spherical model about the subarray centers ``c_r`` and ``c_t``.
+
+    A point at distance d from a center c along the unit vector u lies
+    d - <o, u> from the element at offset o, to first order in o, and the
+    amplitude coef/d is the center's.  So all scattered paths add up to one
+    rank-S product h = U^T V with U (S, n_rx) and V (S, n_tx) from
+    ``_subarray_rows``.  The line-of-sight path is one rank-one block per
+    subarray pair, refl * coef/d * exp(-jk (d + <o_r - o_t, u>)) with d and
+    u from the Tx center to the Rx center; with one element per subarray
+    the offsets are zero and its phase factors, exactly 1, are skipped.
+    Paths with neither a scatterer nor line of sight enter as in
+    pwm_channel if ``planar``, and are refused otherwise.
     """
     paths = list(paths)
     if not paths:
@@ -199,42 +181,48 @@ def hpsm_channel(paths: PathSet, geometry: ArrayGeometry) -> ChannelMatrix:
     lam = geometry.wavelength
     k_wave = 2.0 * np.pi / lam
     coef = lam / (4.0 * np.pi)
-    k_r, k_t = geometry.k_rx, geometry.k_tx
-    c_r = geometry.subarray_centers_rx  # (k_r, 3)
-    c_t = geometry.subarray_centers_tx  # (k_t, 3)
-    off_r = geometry.element_positions_rx.reshape(k_r, -1, 3) - c_r[:, None]
-    off_t = geometry.element_positions_tx.reshape(k_t, -1, 3) - c_t[:, None]
+    off_r = geometry.element_positions_rx.reshape(len(c_r), -1, 3) - c_r[:, None]
+    off_t = geometry.element_positions_tx.reshape(len(c_t), -1, 3) - c_t[:, None]
+    single = off_r.shape[1] == off_t.shape[1] == 1
+    site, sites = (("an antenna element", "tx and rx elements") if single
+                   else ("a subarray center", "subarray centers"))
 
     refl = np.array([1.0 if p.reflection_gain is None else p.reflection_gain for p in paths])
     scattered = [l for l, p in enumerate(paths) if p.scatterer_position is not None]
     los = [l for l, p in enumerate(paths) if p.scatterer_position is None and p.is_los]
-    planar = [p for p in paths if p.scatterer_position is None and not p.is_los]
-
-    if scattered:
-        s = np.array([paths[l].scatterer_position for l in scattered])  # (S, 3)
-        to_t = s[:, None] - c_t  # (S, k_t, 3)
-        to_r = s[:, None] - c_r  # (S, k_r, 3)
-        d1 = np.linalg.norm(to_t, axis=-1)
-        d2 = np.linalg.norm(to_r, axis=-1)
-        if min(d1.min(), d2.min()) < _MIN_SEGMENT:
-            raise DegenerateGeometryError("scatterer coincides with a subarray center")
+    s = np.array([paths[l].scatterer_position for l in scattered]).reshape(-1, 3)  # (S, 3)
+    to_t = s[:, None] - c_t  # (S, k_t, 3)
+    to_r = s[:, None] - c_r  # (S, k_r, 3)
+    d1 = np.linalg.norm(to_t, axis=-1)
+    d2 = np.linalg.norm(to_r, axis=-1)
+    near = iter(np.minimum(d1.min(axis=1), d2.min(axis=1)) < _MIN_SEGMENT)
     if los:
-        delta = c_r[:, None] - c_t  # (k_r, k_t, 3)
-        d = np.linalg.norm(delta, axis=-1)
-        if d.min() < _MIN_SEGMENT:
-            raise DegenerateGeometryError("subarray centers coincide")
-        axis = delta / d[..., None]
-        r = np.exp(-1j * k_wave * np.einsum("ani,abi->abn", off_r, axis))  # (k_r, k_t, n_sub_r)
-        t = np.exp(1j * k_wave * np.einsum("bni,abi->abn", off_t, axis))  # (k_r, k_t, n_sub_t)
+        d = np.linalg.norm(c_r[:, None] - c_t, axis=-1)  # (k_r, k_t)
+    for l, path in enumerate(paths):
+        if path.scatterer_position is not None:
+            if next(near):
+                raise DegenerateGeometryError(f"scatterer {l} coincides with {site}")
+        elif path.is_los:
+            if d.min() < _MIN_SEGMENT:
+                raise DegenerateGeometryError(f"{sites} coincide")
+        elif not planar:
+            raise ValueError(
+                f"path {l} is not line-of-sight and carries no scatterer position"
+            )
 
-    if planar:
-        h = _planar_product(planar, geometry)
+    stray = [p for p in paths if p.scatterer_position is None and not p.is_los]
+    if stray:
+        h = _planar_product(stray, geometry)
     else:
         h = np.zeros((geometry.n_rx, geometry.n_tx), dtype=np.complex128)
+    if los and not single:
+        axis = (c_r[:, None] - c_t) / d[..., None]  # (k_r, k_t, 3)
+        r = np.exp(-1j * k_wave * np.einsum("ani,abi->anb", off_r, axis))[..., None]
+        t = np.exp(1j * k_wave * np.einsum("bni,abi->abn", off_t, axis))[:, None]
+    blocks = h.reshape(len(c_r), off_r.shape[1], len(c_t), off_t.shape[1])  # a view of h
     for l in los:
-        amp = refl[l] * coef / d * np.exp(-1j * k_wave * d)  # (k_r, k_t)
-        block = amp[..., None, None] * r[..., :, None] * t[..., None, :]
-        h += block.transpose(0, 2, 1, 3).reshape(h.shape)
+        amp = (refl[l] * coef / d * np.exp(-1j * k_wave * d))[:, None, :, None]
+        blocks += amp if single else amp * r * t
     if scattered:
         v = _subarray_rows(to_t, d1, off_t, coef, k_wave)
         u = _subarray_rows(to_r, d2, off_r, refl[scattered, None] * coef, k_wave)

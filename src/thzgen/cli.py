@@ -142,6 +142,7 @@ def load_config(path: str | None) -> RunConfig:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     cfg = _merge_strict(_CONFIG_DEFAULTS, data)
+    _check_seed("config key seed", cfg["seed"])
 
     g = cfg["geometry"]
     region = SamplingRegion(low=tuple(cfg["region"]["low"]), high=tuple(cfg["region"]["high"]))
@@ -179,8 +180,16 @@ def _print_header(label: str, header: DatasetHeader) -> None:
     )
 
 
+def _check_seed(name: str, seed: int) -> None:
+    """A seed is written as an unsigned 64-bit integer, so it must fit one."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+
+
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
+    if args.seed is not None:
+        _check_seed("--seed", args.seed)
     seed = cfg.seed if args.seed is None else args.seed
     count = cfg.dataset.count if args.count is None else args.count
     start = time.perf_counter()
@@ -201,8 +210,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    train_set = read_dataset(args.data + ".train")
-    test_set = read_dataset(args.data + ".test")
+    train_path, test_path = args.data + ".train", args.data + ".test"
+    train_set = read_dataset(train_path)
+    test_set = read_dataset(test_path)
     header = train_set.header
     for name, got, want in (
         ("n_rx", header.n_rx, cfg.geometry.n_rx),
@@ -211,6 +221,13 @@ def cmd_train(args) -> int:
         if got != want:
             raise ValueError(
                 f"dataset {name}={got} does not match config {name}={want}"
+            )
+    # Both files must come from one gen-data run: same shape, scale and seed.
+    for name in ("n_rx", "n_tx", "k_rx", "k_tx", "normalization_scalar", "master_seed"):
+        got, want = getattr(test_set.header, name), getattr(header, name)
+        if got != want:
+            raise ValueError(
+                f"dataset {test_path} has {name}={got}, but {train_path} has {name}={want}"
             )
 
     def progress(epoch, train_loss, test_loss):
@@ -276,6 +293,7 @@ def sample_channels(
 
 
 def cmd_sample(args) -> int:
+    _check_seed("--seed", args.seed)
     ckpt = load_checkpoint(args.ckpt)
     try:
         position = tuple(float(v) for v in args.pos.split(","))

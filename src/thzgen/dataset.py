@@ -92,6 +92,9 @@ class DatasetHeader:
         scale = self.normalization_scalar
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"normalization_scalar must be a finite number > 0, got {scale}")
+        seed = self.master_seed  # written as an unsigned 64-bit integer
+        if not (is_integer(seed) and 0 <= seed < 2**64):
+            raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass

@@ -48,6 +48,14 @@ def test_channel_matrix_accepts_any_memory_layout(layout):
         ChannelMatrix(entries=entries, domain_tag=SPATIAL, geometry=g)
 
 
+def test_channel_matrix_keeps_its_own_entries():
+    g = linear_geometry(n_tx=4, n_rx=4)
+    entries = np.ones((4, 4), dtype=np.complex128)
+    h = ChannelMatrix(entries=entries, domain_tag=SPATIAL, geometry=g)
+    entries[1, 2] = complex(0.0, np.inf)
+    assert np.isfinite(h.entries).all()
+
+
 # -- steering vectors -------------------------------------------------------
 
 def test_steering_broadside():
@@ -516,7 +524,8 @@ def test_hpsm_rejects_scatterer_at_subarray_center(side):
         gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0),
         scatterer_position=center, reflection_gain=1.0,
     )
-    with pytest.raises(DegenerateGeometryError, match="scatterer coincides with a subarray center"):
+    with pytest.raises(DegenerateGeometryError,
+                       match="scatterer 5 coincides with a subarray center"):
         hpsm_channel(PathSet(ps), g)
 
 
@@ -526,6 +535,23 @@ def test_hpsm_rejects_coincident_subarray_centers():
     los = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0), is_los=True)
     with pytest.raises(DegenerateGeometryError, match="subarray centers coincide"):
         hpsm_channel(PathSet([los]), g)
+
+
+@pytest.mark.parametrize("los_first", [True, False])
+def test_hpsm_raises_for_the_first_faulty_path(los_first):
+    g = linear_geometry(n_tx=8, n_rx=4, k_tx=2, k_rx=1, rx_origin=(0.0, 0.0, 0.0))
+    g = g.with_rx_origin(g.subarray_centers_tx[1])
+    los = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0), is_los=True)
+    on_center = Path(
+        gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0),
+        scatterer_position=g.subarray_centers_tx[0], reflection_gain=1.0,
+    )
+    if los_first:
+        ps, match = [los, on_center], "subarray centers coincide"
+    else:
+        ps, match = [on_center, los], "scatterer 0 coincides with a subarray center"
+    with pytest.raises(DegenerateGeometryError, match=match):
+        hpsm_channel(PathSet(ps), g)
 
 
 @pytest.mark.parametrize("shape", [

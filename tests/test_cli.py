@@ -306,6 +306,23 @@ def test_degenerate_axis_or_cell_size_is_fatal(tmp_path, capsys, section, key, v
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_gen_data_refuses_a_seed_outside_64_bits(tmp_path, capsys, monkeypatch, seed):
+    def synthesize(*args):
+        raise AssertionError("gen-data synthesized samples under a bad seed")
+
+    monkeypatch.setattr(cli, "build_dataset", synthesize)
+    out = str(tmp_path / "x")
+    assert main(["gen-data", "--out", out, "--seed", str(seed)]) == 1
+    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    assert main(["gen-data", "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key seed must be in [0, 2**64), got {seed}\n")
+    assert not (tmp_path / "x.train").exists()
+
+
 # -- train ------------------------------------------------------------------
 
 def test_train_artifacts(workdir):
@@ -367,6 +384,48 @@ def test_train_rejects_mismatched_dataset(workdir, tmp_path, capsys):
         == 1
     )
     assert "does not match config" in capsys.readouterr().err
+
+
+def train_with_test_file(workdir, tmp_path, test_bytes):
+    """Run train on workdir's .train file beside the given .test file."""
+    (tmp_path / "data.train").write_bytes((workdir / "data.train").read_bytes())
+    (tmp_path / "data.test").write_bytes(test_bytes)
+    ckpt = tmp_path / "model.ckpt"
+    status = main(["train", "--config", config_path(workdir), "--data", str(tmp_path / "data"),
+                   "--out-ckpt", str(ckpt)])
+    assert not ckpt.exists()
+    return status
+
+
+@pytest.mark.parametrize("index, name, value", [
+    (4, "k_rx", 4), (5, "k_tx", 4), (8, "normalization_scalar", 2.5), (9, "master_seed", 4),
+])
+def test_train_refuses_a_test_file_from_another_run(workdir, tmp_path, capsys, index, name,
+                                                    value):
+    raw = bytearray((workdir / "data.test").read_bytes())
+    fields = list(struct.unpack_from(_HEADER_FMT, raw))
+    want = fields[index]
+    fields[index] = value  # magic, version, n_rx, n_tx, k_rx, k_tx, cond_dim, count, ...
+    struct.pack_into(_HEADER_FMT, raw, 0, *fields)
+    assert train_with_test_file(workdir, tmp_path, bytes(raw)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: dataset {tmp_path / 'data.test'} has {name}={value}, "
+                            f"but {tmp_path / 'data.train'} has {name}={want}\n")
+    assert "epoch" not in captured.out
+
+
+@pytest.mark.parametrize("geometry, name", [({"n_rx": 4}, "n_rx"), ({"n_tx": 8}, "n_tx")])
+def test_train_refuses_a_test_file_of_another_size(workdir, tmp_path, capsys, geometry, name):
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps({**CONFIG, "geometry": geometry}))
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "other")]) == 0
+    capsys.readouterr()
+    assert train_with_test_file(workdir, tmp_path, (tmp_path / "other.test").read_bytes()) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"error: dataset {re.escape(str(tmp_path / 'data.test'))} has "
+                        rf"{name}=\d+, but {re.escape(str(tmp_path / 'data.train'))} has "
+                        rf"{name}=\d+\n", captured.err)
+    assert "epoch" not in captured.out
 
 
 def test_diverged_training_is_an_error_line(workdir, tmp_path, capsys):
@@ -470,6 +529,19 @@ def test_sample_rejects_num_below_one(workdir, tmp_path, capsys, monkeypatch, nu
     assert main(["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", "6.0,1.0,0.0",
                  "--num", num, "--out", str(out)]) == 1
     assert f"error: sample count (--num) must be >= 1, got {num}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_sample_refuses_a_seed_outside_64_bits(workdir, tmp_path, capsys, monkeypatch, seed):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking --seed")
+
+    monkeypatch.setattr(cli, "euler_sample", no_sampling)
+    out = tmp_path / "gen.bin"
+    assert main(["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", "6.0,1.0,0.0",
+                 "--seed", str(seed), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
     assert not out.exists()
 
 

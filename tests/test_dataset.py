@@ -309,6 +309,10 @@ def test_header_validation():
     for n_rx, n_tx in ((0, 16), (8, 0), (-8, 16), (8, -16), (8.0, 16), (8, True)):
         with pytest.raises(ValueError, match="n_(rx|tx) must be an integer >= 1"):
             DatasetHeader(n_rx=n_rx, n_tx=n_tx, k_rx=1, k_tx=1, sample_count=1)
+    for seed in (-1, 2**64, 3.0, True):
+        with pytest.raises(ValueError, match=r"master_seed must be an integer in \[0, 2\*\*64\)"):
+            DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=1, master_seed=seed)
+    DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=1, master_seed=2**64 - 1)
 
 
 def test_region_validation():
