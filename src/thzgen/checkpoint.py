@@ -1,6 +1,6 @@
 """Binary checkpoint format for the DiT denoiser.
 
-Layout (version 4), all little-endian:
+Layout (version 5), all little-endian:
 
 - magic "THZW", u32 version, u32 JSON length, then JSON metadata with
   exactly the sections "config" (the DitConfig), "meta" (the
@@ -12,6 +12,9 @@ Layout (version 4), all little-endian:
 - u64 step and u64 n, the parameter count of each group;
 - four n-element f8 vectors, each laid out by ``param_shapes(config)``:
   params, ema_params, adam_m, adam_v.
+
+Older versions are refused: 1 and 2 stored one f4 record per tensor, 3 had no
+curves, and 4's config also held ``sigma_data`` and ``condition_dim``, now constants.
 """
 from __future__ import annotations
 
@@ -25,11 +28,10 @@ import numpy as np
 
 from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
-from .errors import is_finite_number, is_integer
+from .errors import check_count, is_finite_number, is_integer
 
 MAGIC = b"THZW"
-# Versions 1 and 2 stored one f4 record per tensor; version 3 had no curves.
-VERSION = 4
+VERSION = 5
 _HEAD = struct.Struct("<4sII")  # magic, version, JSON length
 _COUNTS = struct.Struct("<QQ")  # step, parameters per group
 _GROUPS = ("params", "ema_params", "adam_m", "adam_v")
@@ -52,9 +54,7 @@ class CheckpointMeta:
             raise ValueError(
                 f"normalization_scalar must be a finite number > 0, got {scale!r}")
         for name in ("k_rx", "k_tx"):
-            k = getattr(self, name)
-            if not is_integer(k) or k < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
+            check_count(name, getattr(self, name))
         try:
             origin = tuple(self.tx_origin)
         except TypeError:

@@ -38,7 +38,7 @@ from .dataset import (
 )
 from .diffusion import DiffusionSchedule, euler_sample
 from .dit import DitConfig, lane_count
-from .errors import NumericError, is_finite_number
+from .errors import NumericError, check_seed, is_finite_number
 from .evaluation import angular_power, compare_power, nmse, ssim_complex
 from .geometry import ArrayGeometry, condition_vector
 from .paths import GscmConfig
@@ -60,13 +60,8 @@ _CONFIG_DEFAULTS = {
     "gscm": asdict(GscmConfig()),
     "region": {"low": [4.0, -3.0, -0.5], "high": [10.0, 3.0, 0.5]},
     "dataset": asdict(DatasetConfig()),
-    # Only these DitConfig fields are config keys; n_rx and n_tx come from
-    # the geometry.
-    "dit": {
-        f.name: f.default
-        for f in fields(DitConfig)
-        if f.name in ("patch_size", "embed_dim", "depth", "n_heads", "mlp_ratio")
-    },
+    # n_rx and n_tx come from the geometry.
+    "dit": {f.name: f.default for f in fields(DitConfig) if f.name not in ("n_rx", "n_tx")},
     "schedule": asdict(DiffusionSchedule()),
     "training": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
 }
@@ -142,7 +137,7 @@ def load_config(path: str | None) -> RunConfig:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"config {path} is not valid JSON: {exc}") from None
     cfg = _merge_strict(_CONFIG_DEFAULTS, data)
-    _check_seed("config key seed", cfg["seed"])
+    check_seed("config key seed", cfg["seed"], typed=True)
 
     g = cfg["geometry"]
     region = SamplingRegion(low=tuple(cfg["region"]["low"]), high=tuple(cfg["region"]["high"]))
@@ -180,16 +175,10 @@ def _print_header(label: str, header: DatasetHeader) -> None:
     )
 
 
-def _check_seed(name: str, seed: int) -> None:
-    """A seed is written as an unsigned 64-bit integer, so it must fit one."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
-
-
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        _check_seed("--seed", args.seed)
+        check_seed("--seed", args.seed, typed=True)
     seed = cfg.seed if args.seed is None else args.seed
     count = cfg.dataset.count if args.count is None else args.count
     start = time.perf_counter()
@@ -272,6 +261,7 @@ def sample_channels(
     """
     if num < 1:
         raise ValueError(f"sample count (--num) must be >= 1, got {num}")
+    check_seed("seed", seed)
     cond = condition_vector(ckpt.meta.tx_origin, position)
     denoiser = ema_denoiser(ckpt)
     schedule = ckpt.schedule if schedule is None else schedule
@@ -293,7 +283,7 @@ def sample_channels(
 
 
 def cmd_sample(args) -> int:
-    _check_seed("--seed", args.seed)
+    check_seed("--seed", args.seed, typed=True)
     ckpt = load_checkpoint(args.ckpt)
     try:
         position = tuple(float(v) for v in args.pos.split(","))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .beamspace import dictionaries_for, to_beamspace
 from .channel import swm_channel
-from .errors import DegenerateGeometryError, InsufficientDataError, is_integer
+from .errors import DegenerateGeometryError, InsufficientDataError, check_count, check_seed
 from .geometry import CONDITION_DIM, ArrayGeometry, condition_vector
 from .paths import GscmConfig, draw_paths
 
@@ -58,8 +58,7 @@ class DatasetConfig:
     cell_size: float = 0.5
 
     def __post_init__(self):
-        if not is_integer(self.count) or self.count < 1:
-            raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
+        check_count("count", self.count)
         _check_split(self.test_fraction, self.cell_size)
 
 
@@ -79,10 +78,8 @@ class DatasetHeader:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         for name, k, n_name, n in (("k_rx", self.k_rx, "n_rx", self.n_rx),
                                    ("k_tx", self.k_tx, "n_tx", self.n_tx)):
-            if not is_integer(n) or n < 1:
-                raise ValueError(f"{n_name} must be an integer >= 1, got {n!r}")
-            if not is_integer(k) or k < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
+            check_count(n_name, n)
+            check_count(name, k)
             if n % k:
                 raise ValueError(f"{name}={k} does not divide {n_name}={n}")
         if self.condition_dim != CONDITION_DIM:
@@ -92,9 +89,7 @@ class DatasetHeader:
         scale = self.normalization_scalar
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"normalization_scalar must be a finite number > 0, got {scale}")
-        seed = self.master_seed  # written as an unsigned 64-bit integer
-        if not (is_integer(seed) and 0 <= seed < 2**64):
-            raise ValueError(f"master_seed must be an integer in [0, 2**64), got {seed!r}")
+        check_seed("master_seed", self.master_seed)
 
 
 @dataclass
@@ -143,6 +138,7 @@ def build_dataset(
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    check_seed("master_seed", master_seed)
     rx_dict, tx_dict = dictionaries_for(geometry)
 
     conditions = np.empty((n, CONDITION_DIM))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, is_integer
+from .errors import NumericError, check_count
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,7 @@ class DiffusionSchedule:
             raise ValueError(
                 f"need 0 < sigma_min < horizon < inf, got {self.sigma_min}, {self.horizon}"
             )
-        if not is_integer(self.n_steps):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        check_count("n_steps", self.n_steps)
 
     def draw_sigma(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Training noise levels, log-uniform on [sigma_min, horizon]."""

@@ -18,13 +18,18 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NumericError, is_integer
+from .geometry import CONDITION_DIM
 
 LN_EPS = 1e-6
+
+# EDM's sigma_data (Karras et al. 2022), the clean data's per-entry RMS:
+# ``dataset.normalize`` scales every dataset to 1.
+SIGMA_DATA = 1.0
 
 # Token rows per inference slice: ``denoise`` runs ``max(2, ROWS // n_tokens)``
 # samples at a time, which keeps a slice's activations small enough to stay
@@ -61,15 +66,12 @@ class DitConfig:
     depth: int = 4
     n_heads: int = 4
     mlp_ratio: int = 4
-    condition_dim: int = 8
-    sigma_data: float = 1.0
 
     def __post_init__(self):
-        for name in ("n_rx", "n_tx", "patch_size", "embed_dim", "depth", "n_heads",
-                     "mlp_ratio", "condition_dim"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if min(self.patch_size, self.embed_dim, self.n_heads, self.mlp_ratio) < 1:
@@ -86,6 +88,10 @@ class DitConfig:
             raise ValueError("embed_dim must be divisible by 4 for 2-D sincos tables")
         if self.n_tokens < 1:
             raise ValueError("need at least one token")
+
+    @property
+    def condition_dim(self) -> int:
+        return CONDITION_DIM
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -228,6 +234,22 @@ def layer_norm_backward(dy: np.ndarray, x_hat: np.ndarray, inv: np.ndarray):
     return inv * (dy - m1 - x_hat * m2)
 
 
+def _modulate(x, g, s):
+    """adaLN-Zero modulation (1 + g)*LayerNorm(x) + s by (B, D) g and s; returns (m, ln, inv)."""
+    ln, inv = layer_norm(x)
+    m = (1.0 + g[:, None, :]) * ln
+    m += s[:, None, :]
+    return m, ln, inv
+
+
+def _modulate_backward(d_m, g, ln, inv):
+    """(dx, dg, ds) of ``_modulate`` for an output gradient d_m."""
+    d_g = (d_m * ln).sum(axis=1)
+    d_s = d_m.sum(axis=1)
+    d_x = layer_norm_backward(d_m * (1.0 + g[:, None, :]), ln, inv)
+    return d_x, d_g, d_s
+
+
 # ---------------------------------------------------------------------------
 # Parameter layout and initialization.
 
@@ -327,6 +349,19 @@ def _linear_backward(dy, x, params, grads, w, b):
     return dy @ params[w].T
 
 
+def _embed(x, params, name):
+    """The conditioning MLP ``name`` (linear, SiLU, linear); returns (out, pre, act)."""
+    pre = _linear(x, params[name + ".w1"], params[name + ".b1"])
+    act = silu(pre)
+    return _linear(act, params[name + ".w2"], params[name + ".b2"]), pre, act
+
+
+def _embed_backward(d_out, params, grads, name, x, pre, act):
+    """Writes the grads of the conditioning MLP ``name`` for an output gradient."""
+    d_act = _linear_backward(d_out, act, params, grads, name + ".w2", name + ".b2")
+    _linear_backward(d_act * dsilu(pre), x, params, grads, name + ".w1", name + ".b1")
+
+
 class DitDenoiser:
     """Preconditioned conditional DiT: D(h, sigma, p) = c_skip*h + c_out*F(...).
 
@@ -353,10 +388,9 @@ class DitDenoiser:
     # -- preconditioning ----------------------------------------------------
 
     def _coeffs(self, sigma: np.ndarray):
-        sd = self.config.sigma_data
-        denom = sigma**2 + sd**2
-        c_skip = sd**2 / denom
-        c_out = sigma * sd / np.sqrt(denom)
+        denom = sigma**2 + SIGMA_DATA**2
+        c_skip = SIGMA_DATA**2 / denom
+        c_out = sigma * SIGMA_DATA / np.sqrt(denom)
         c_in = 1.0 / np.sqrt(denom)
         c_noise = np.log(sigma) / 4.0
         return c_skip, c_out, c_in, c_noise
@@ -396,12 +430,8 @@ class DitDenoiser:
         tok += self.pos
 
         tfeat = timestep_features(c_noise, cfg.embed_dim).astype(dt, copy=False)
-        t_pre = _linear(tfeat, p["t_mlp.w1"], p["t_mlp.b1"])
-        t_act = silu(t_pre)
-        e_t = _linear(t_act, p["t_mlp.w2"], p["t_mlp.b2"])
-        p_pre = _linear(cond, p["p_mlp.w1"], p["p_mlp.b1"])
-        p_act = silu(p_pre)
-        e_p = _linear(p_act, p["p_mlp.w2"], p["p_mlp.b2"])
+        e_t, t_pre, t_act = _embed(tfeat, p, "t_mlp")
+        e_p, p_pre, p_act = _embed(cond, p, "p_mlp")
         c = e_t + e_p
         sc = silu(c)
 
@@ -414,9 +444,7 @@ class DitDenoiser:
 
         mod = _linear(sc, p["final.mod.w"], p["final.mod.b"])
         gf, bf = np.split(mod, 2, axis=-1)
-        lnf, invf = layer_norm(tok)
-        y = (1.0 + gf[:, None, :]) * lnf
-        y += bf[:, None, :]
+        y, lnf, invf = _modulate(tok, gf, bf)
         out_patches = _linear(y, p["head.w"], p["head.b"])
         f_out = unpatchify(out_patches, cfg.patch_size, cfg.n_rx, cfg.n_tx)
         out = c_skip[:, None, None, None] * h + c_out[:, None, None, None] * f_out
@@ -441,14 +469,9 @@ class DitDenoiser:
         mod = _linear(sc, p[pre + "mod.w"], p[pre + "mod.b"])
         g1, s1, a1, g2, s2, a2 = np.split(mod, 6, axis=-1)
 
-        ln1, inv1 = layer_norm(tok)
-        m1 = (1.0 + g1[:, None, :]) * ln1
-        m1 += s1[:, None, :]
+        m1, ln1, inv1 = _modulate(tok, g1, s1)
         qkv = _linear(m1, p[pre + "qkv.w"], p[pre + "qkv.b"])
-        q, k, v = np.split(qkv, 3, axis=-1)
-        q = q.reshape(b, n, nh, dh).transpose(0, 2, 1, 3)
-        k = k.reshape(b, n, nh, dh).transpose(0, 2, 1, 3)
-        v = v.reshape(b, n, nh, dh).transpose(0, 2, 1, 3)
+        q, k, v = qkv.reshape(b, n, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (b, nh, n, dh)
         # Softmax in place: scale, shift by the row max, exp, normalise.
         attn = q @ k.transpose(0, 1, 3, 2)
         attn /= math.sqrt(dh)  # a Python float keeps attn in the weights' dtype
@@ -461,9 +484,7 @@ class DitDenoiser:
         tok1 = a1[:, None, :] * attn_out
         tok1 += tok
 
-        ln2, inv2 = layer_norm(tok1)
-        m2 = (1.0 + g2[:, None, :]) * ln2
-        m2 += s2[:, None, :]
+        m2, ln2, inv2 = _modulate(tok1, g2, s2)
         f_pre = _linear(m2, p[pre + "fc1.w"], p[pre + "fc1.b"])
         f_act, f_e = gelu(f_pre)
         ffn_out = _linear(f_act, p[pre + "fc2.w"], p[pre + "fc2.b"])
@@ -495,15 +516,9 @@ class DitDenoiser:
 
         # Output head and final adaLN.
         d_y = _linear_backward(d_patches_out, cache["y"], p, grads, "head.w", "head.b")
-        gf, lnf, invf = cache["gf"], cache["lnf"], cache["invf"]
-        d_lnf = d_y * (1.0 + gf[:, None, :])
-        d_gf = (d_y * lnf).sum(axis=1)
-        d_bf = d_y.sum(axis=1)
+        d_tok, d_gf, d_bf = _modulate_backward(d_y, cache["gf"], cache["lnf"], cache["invf"])
         d_modf = np.concatenate([d_gf, d_bf], axis=-1)
-        d_sc = _linear_backward(
-            d_modf, cache["sc"], p, grads, "final.mod.w", "final.mod.b"
-        )
-        d_tok = layer_norm_backward(d_lnf, lnf, invf)
+        d_sc = _linear_backward(d_modf, cache["sc"], p, grads, "final.mod.w", "final.mod.b")
 
         for i in reversed(range(cfg.depth)):
             d_tok, d_sc_i = self._block_backward(
@@ -516,12 +531,8 @@ class DitDenoiser:
 
         # Conditioning vector into both embedding MLPs.
         d_c = d_sc * dsilu(cache["c"])
-        d_ta = _linear_backward(d_c, cache["t_act"], p, grads, "t_mlp.w2", "t_mlp.b2")
-        d_tpre = d_ta * dsilu(cache["t_pre"])
-        _linear_backward(d_tpre, cache["tfeat"], p, grads, "t_mlp.w1", "t_mlp.b1")
-        d_pa = _linear_backward(d_c, cache["p_act"], p, grads, "p_mlp.w2", "p_mlp.b2")
-        d_ppre = d_pa * dsilu(cache["p_pre"])
-        _linear_backward(d_ppre, cache["cond"], p, grads, "p_mlp.w1", "p_mlp.b1")
+        _embed_backward(d_c, p, grads, "t_mlp", cache["tfeat"], cache["t_pre"], cache["t_act"])
+        _embed_backward(d_c, p, grads, "p_mlp", cache["cond"], cache["p_pre"], cache["p_act"])
         return grads
 
     def _block_backward(self, d_tok2, bc, sc, i, grads):
@@ -531,25 +542,17 @@ class DitDenoiser:
         nh, dh = cfg.n_heads, cfg.head_dim
 
         # FFN branch: tok2 = tok1 + a2 * ffn_out.
-        a2 = bc["a2"]
         d_a2 = (d_tok2 * bc["ffn_out"]).sum(axis=1)
-        d_ffn = d_tok2 * a2[:, None, :]
-        d_fact = _linear_backward(
-            d_ffn, bc["f_act"], p, grads, pre + "fc2.w", pre + "fc2.b"
-        )
+        d_ffn = d_tok2 * bc["a2"][:, None, :]
+        d_fact = _linear_backward(d_ffn, bc["f_act"], p, grads, pre + "fc2.w", pre + "fc2.b")
         d_fpre = d_fact * dgelu(bc["f_pre"], bc["f_e"])
-        d_m2 = _linear_backward(
-            d_fpre, bc["m2"], p, grads, pre + "fc1.w", pre + "fc1.b"
-        )
-        d_g2 = (d_m2 * bc["ln2"]).sum(axis=1)
-        d_s2 = d_m2.sum(axis=1)
-        d_ln2 = d_m2 * (1.0 + bc["g2"][:, None, :])
-        d_tok1 = d_tok2 + layer_norm_backward(d_ln2, bc["ln2"], bc["inv2"])
+        d_m2 = _linear_backward(d_fpre, bc["m2"], p, grads, pre + "fc1.w", pre + "fc1.b")
+        d_x2, d_g2, d_s2 = _modulate_backward(d_m2, bc["g2"], bc["ln2"], bc["inv2"])
+        d_tok1 = d_tok2 + d_x2
 
         # Attention branch: tok1 = tok + a1 * attn_out.
-        a1 = bc["a1"]
         d_a1 = (d_tok1 * bc["attn_out"]).sum(axis=1)
-        d_attn_out = d_tok1 * a1[:, None, :]
+        d_attn_out = d_tok1 * bc["a1"][:, None, :]
         d_concat = _linear_backward(
             d_attn_out, bc["concat"], p, grads, pre + "proj.w", pre + "proj.b"
         )
@@ -562,16 +565,11 @@ class DitDenoiser:
         d_scores /= math.sqrt(dh)
         d_q = d_scores @ bc["k"]
         d_k = d_scores.transpose(0, 1, 3, 2) @ bc["q"]
-
-        def merge(x):
-            return x.transpose(0, 2, 1, 3).reshape(b, n, d)
-
-        d_qkv = np.concatenate([merge(d_q), merge(d_k), merge(d_v)], axis=-1)
+        # (3, b, nh, n, dh) -> (b, n, 3, nh, dh): the layout of qkv's columns.
+        d_qkv = np.stack([d_q, d_k, d_v]).transpose(1, 3, 0, 2, 4).reshape(b, n, 3 * d)
         d_m1 = _linear_backward(d_qkv, bc["m1"], p, grads, pre + "qkv.w", pre + "qkv.b")
-        d_g1 = (d_m1 * bc["ln1"]).sum(axis=1)
-        d_s1 = d_m1.sum(axis=1)
-        d_ln1 = d_m1 * (1.0 + bc["g1"][:, None, :])
-        d_tok = d_tok1 + layer_norm_backward(d_ln1, bc["ln1"], bc["inv1"])
+        d_x1, d_g1, d_s1 = _modulate_backward(d_m1, bc["g1"], bc["ln1"], bc["inv1"])
+        d_tok = d_tok1 + d_x1
 
         d_mod = np.concatenate([d_g1, d_s1, d_a1, d_g2, d_s2, d_a2], axis=-1)
         d_sc = _linear_backward(d_mod, sc, p, grads, pre + "mod.w", pre + "mod.b")

@@ -17,6 +17,22 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer >= 1, naming it."""
+    if not is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_seed(name: str, seed, typed: bool = False) -> None:
+    """Refuse a seed outside [0, 2**64), naming it: seeds are stored as u64.
+
+    ``typed``: the caller knows ``seed`` is an integer, so the message omits it.
+    """
+    if not (is_integer(seed) and 0 <= seed < 2**64):
+        raise ValueError(
+            f"{name} must be {'' if typed else 'an integer '}in [0, 2**64), got {seed!r}")
+
+
 class DegenerateGeometryError(ValueError):
     """Raised when positions coincide or a scatterer sits on an antenna element."""
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
 from .geometry import ArrayGeometry, direction_angles
 
 
@@ -79,8 +80,8 @@ class GscmConfig:
     scatterer_radius_max: float = 5.0
 
     def __post_init__(self):
-        if self.n_clusters < 1 or self.rays_per_cluster < 1:
-            raise ValueError("n_clusters and rays_per_cluster must be >= 1")
+        for name in ("n_clusters", "rays_per_cluster"):
+            check_count(name, getattr(self, name))
         if self.azimuth_spread <= 0 or self.elevation_spread <= 0:
             raise ValueError("angular spreads must be > 0")
         if not 0 < self.scatterer_radius_min < self.scatterer_radius_max:

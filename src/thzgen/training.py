@@ -18,7 +18,7 @@ from .checkpoint import Checkpoint, ema_denoiser
 from .dataset import Dataset
 from .diffusion import DiffusionSchedule, ema_update
 from .dit import DitConfig, DitDenoiser, FlatParams, init_params
-from .errors import NumericError, is_finite_number
+from .errors import NumericError, check_count, check_seed, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("invalid training configuration")
+        for name in ("epochs", "batch_size"):
+            check_count(name, getattr(self, name))
+        check_seed("seed", self.seed)
         # Adam divides by 1 - beta**step and adds eps to a square root.
         for name in ("learning_rate", "eps"):
             v = getattr(self, name)

@@ -713,6 +713,16 @@ def test_gscm_config_checks_itself():
         GscmConfig().n_clusters = 0
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_clusters", 0), ("n_clusters", 2.5), ("rays_per_cluster", -1),
+    ("rays_per_cluster", 5.0), ("rays_per_cluster", True),
+])
+def test_gscm_counts_are_named_integers(key, value):
+    # Refused by name when built, not as a TypeError inside draw_paths.
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer >= 1, got {value!r}$"):
+        GscmConfig(**{key: value})
+
+
 def test_draw_paths_deterministic():
     g = linear_geometry(rx_origin=(6.0, 1.0, 0.0))
     cfg = GscmConfig()

@@ -104,15 +104,16 @@ def test_rejects_unknown_version(tmp_path):
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_rejects_float32_layouts(tmp_path, version, capsys):
-    # Versions 1-3 share version 4's first 12 bytes: magic, version and
+    # Versions 1-4 share version 5's first 12 bytes: magic, version and
     # metadata length.  Versions 1 and 2 followed them with per-tensor f4
-    # records; version 3 had version 4's layout without the curves.
+    # records; version 3 had version 4's layout without the curves; version
+    # 4's config also held sigma_data and condition_dim.
     path = tmp_path / f"v{version}.ckpt"
     save_checkpoint(path, random_checkpoint())
     raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (4,)
+    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (5,)
     path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
     with pytest.raises(ValueError, match=f"version {version}, an older layout") as info:
         load_checkpoint(path)
@@ -272,7 +273,7 @@ def test_file_bytes_are_pinned(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, random_checkpoint(seed=5))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "e7c184d1ae7feefe25eb28cb6eab0fbe71e9744f2e2eb17ceec7e09821793d81"
+        "1540de79f8160d07a5d4da1e39721e18a18b2405831970a19d43125039138cdb"
     )
 
 
@@ -475,6 +476,28 @@ def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {path}: metadata ")
     assert METADATA_CASES[case] in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma_data", "x"), ("sigma_data", 0.0), ("condition_dim", 8),
+])
+def test_cli_refuses_a_config_key_the_model_fixes(tmp_path, capsys, key, value):
+    # sigma_data and condition_dim are constants of the model, not checkpoint
+    # knobs: a saved file whose config section names one fails by name.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, random_checkpoint())
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", raw[8:12])
+    meta = json.loads(raw[12:12 + blob_len])
+    meta["config"][key] = value
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:])
+    argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
+            "--out", str(tmp_path / "gen.bin")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {path}: metadata 'config' has unknown keys ['{key}']\n")
+    assert not (tmp_path / "gen.bin").exists()
 
 
 def test_header_n_must_match_the_config(tmp_path):

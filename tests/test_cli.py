@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from thzgen.dataset import (
     write_dataset,
 )
 from thzgen.diffusion import DiffusionSchedule, euler_sample
-from thzgen.geometry import condition_vector
+from thzgen.geometry import CONDITION_DIM, condition_vector
 from thzgen.paths import GscmConfig
 from thzgen.training import TrainConfig
 
@@ -242,6 +243,16 @@ def test_config_keys_and_defaults_are_unchanged():
     assert cfg.schedule == DiffusionSchedule()
     assert cfg.training == TrainConfig(seed=0)
     assert cfg.dit == dit.DitConfig(n_rx=8, n_tx=16)
+
+
+def test_dit_config_fields_are_the_config_keys():
+    # Every DitConfig field but the antenna counts, which the geometry sets,
+    # is a config key: a field no config key sets would be a knob only a
+    # checkpoint could turn.
+    config = dit.DitConfig(n_rx=8, n_tx=16)
+    assert set(asdict(config)) == {*cli._CONFIG_DEFAULTS["dit"], "n_rx", "n_tx"}
+    # The traced benchmark's flop count reads it.
+    assert config.condition_dim == CONDITION_DIM
 
 
 @pytest.mark.parametrize("value", [
@@ -543,6 +554,10 @@ def test_sample_refuses_a_seed_outside_64_bits(workdir, tmp_path, capsys, monkey
                  "--seed", str(seed), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
     assert not out.exists()
+    # A Python caller's seed is checked before sampling too.
+    ckpt = load_checkpoint(workdir / "model.ckpt")
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+        cli.sample_channels(ckpt, (6.0, 1.0, 0.0), 4, seed)
 
 
 def test_sample_rejects_malformed_position(workdir, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from thzgen import dataset
 from thzgen.cli import main
 from thzgen.dataset import (
     _HEADER_FMT,
@@ -313,6 +314,16 @@ def test_header_validation():
         with pytest.raises(ValueError, match=r"master_seed must be an integer in \[0, 2\*\*64\)"):
             DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=1, master_seed=seed)
     DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=1, master_seed=2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_build_dataset_checks_its_seed_before_synthesis(monkeypatch, seed):
+    def no_synthesis(*args):
+        raise AssertionError("synthesized a sample under a bad seed")
+
+    monkeypatch.setattr(dataset, "draw_paths", no_synthesis)
+    with pytest.raises(ValueError, match=r"^master_seed must be an integer in \[0, 2\*\*64\)"):
+        build_dataset(seed, GEOM, GscmConfig(), REGION, 5)
 
 
 def test_region_validation():

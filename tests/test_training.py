@@ -86,6 +86,23 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize("key, value", [
+    ("epochs", 0), ("epochs", 2.5), ("epochs", True), ("batch_size", 0),
+    ("batch_size", 2.0), ("batch_size", -8),
+])
+def test_train_config_counts_are_named_integers(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer >= 1, got {value!r}$"):
+        TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
+def test_train_config_refuses_a_seed_outside_64_bits(seed):
+    # Refused by name when built, not by numpy inside ``train``.
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+        TrainConfig(seed=seed)
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("key, value", [
     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("eps", -1.0),
     ("eps", float("inf")), ("eps", float("nan")),
     ("learning_rate", float("inf")), ("learning_rate", float("nan")),
