@@ -1,0 +1,134 @@
+"""Lanes: the independent items of one call, split over threads it starts and joins.
+
+``run(count, lanes, item)`` calls ``item(i)`` for every ``i < count``.  Lane
+``j`` runs items ``j, j + lanes, ...`` in order: lane 0 on the calling
+thread, the others on threads the call starts, each in a copy of the
+caller's context (which carries numpy's errstate), and joins before it
+returns.  A lane stops at its first failure, and the error of the lowest
+failing item is raised; which item that is depends on the split alone, not
+on thread timing.  Callers whose items write disjoint outputs get the same
+bytes at any lane count.
+
+``lane_count`` decides the lane count from an estimate of the work per item.
+Each item also runs Python that holds the interpreter lock, so a second lane
+pays only when the numpy work of an item outweighs it.  While more than one
+lane runs, OpenBLAS is pinned to one thread: its own threads would contend
+with the lanes for the same cores.  Where numpy's BLAS has no thread setter
+that this module can call, every call runs on one lane.
+"""
+from __future__ import annotations
+
+import contextlib
+import contextvars
+import ctypes
+import functools
+import os
+import threading
+
+# Matmul flops an item must carry before a call's items are split over
+# lanes.  Measured on a 2-core x86_64 host with BLAS at one thread, one lane
+# against two: inference slices of 30.1 MFLOP (embed 32, depth 4) ran 2%
+# slower on two lanes, of 32.5 MFLOP (embed 48, depth 2) 1.2x faster and of
+# 111 MFLOP (the toy model) 1.4x faster; build_dataset samples of 64x256
+# (42 MFLOP) ran 1.4x faster, and of 8x16 (25 kFLOP) lost 19% of their
+# rate.  Between them, 64x128 samples (12.6 MFLOP) ran 1.2x faster but stay
+# on one lane.
+ITEM_FLOPS = 32_000_000
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """OpenBLAS's (get, set) thread-count functions, or None where there are none.
+
+    numpy's bundled ``scipy_openblas`` exports them; they resolve through
+    the handle of numpy's core extension, which links it.
+    """
+    try:
+        from numpy._core import _multiarray_umath as core
+
+        lib = ctypes.CDLL(core.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+_pin_lock = threading.Lock()
+_pins = 0  # pin contexts open in this process
+_saved_threads = 0  # the BLAS thread count before the first of them
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its thread count.
+
+    Nests and may be entered from several threads at once: the first entry
+    saves the count and the last exit restores it.  Where there is no
+    setter, the block runs unchanged.
+    """
+    global _pins, _saved_threads
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _pin_lock:
+        if _pins == 0:
+            _saved_threads = get()
+            set_(1)
+        _pins += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pins -= 1
+            if _pins == 0:
+                set_(_saved_threads)
+
+
+def lane_count(count: int, item_flops: float) -> int:
+    """Lanes for ``count`` items of ``item_flops`` matmul flops each."""
+    if item_flops < ITEM_FLOPS or _openblas() is None:
+        return 1
+    return max(1, min(usable_cpus(), count))
+
+
+def run(count: int, lanes: int, item) -> None:
+    """Call ``item(i)`` for i in range(count) on ``lanes`` lanes (see the module doc)."""
+    failures = [None] * lanes  # each lane's first failure: (item, error)
+
+    def lane(j):
+        for i in range(j, count, lanes):
+            try:
+                item(i)
+            except Exception as exc:
+                failures[j] = (i, exc)
+                return
+
+    if lanes == 1:
+        lane(0)
+    else:
+        with one_blas_thread():
+            helpers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, j))
+                       for j in range(1, lanes)]
+            for helper in helpers:
+                helper.start()
+            try:
+                lane(0)
+            finally:
+                for helper in helpers:
+                    helper.join()
+    failed = [f for f in failures if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]

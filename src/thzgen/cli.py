@@ -31,13 +31,15 @@ from .dataset import (
     DatasetHeader,
     SamplingRegion,
     build_dataset,
+    lane_count as dataset_lanes,
     normalize,
     read_dataset,
     split,
     write_dataset,
 )
 from .diffusion import DiffusionSchedule, euler_sample
-from .dit import DitConfig, lane_count
+from .dit import DitConfig
+from .dit import lane_count as dit_lanes
 from .errors import NumericError, check_seed, is_finite_number
 from .evaluation import angular_power, compare_power, nmse, ssim_complex
 from .geometry import ArrayGeometry, condition_vector
@@ -175,6 +177,10 @@ def _print_header(label: str, header: DatasetHeader) -> None:
     )
 
 
+def _threads(lanes: int, kind: str = "") -> str:
+    return f"{lanes} {kind}thread{'s' if lanes > 1 else ''}"
+
+
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -192,7 +198,7 @@ def cmd_gen_data(args) -> int:
     _print_header("test", test_set.header)
     print(
         f"synthesized {count} samples in {1e3 * elapsed:.1f} ms "
-        f"({count / elapsed:.1f} samples/s)"
+        f"({count / elapsed:.1f} samples/s on {_threads(dataset_lanes(cfg.geometry, count))})"
     )
     return 0
 
@@ -297,11 +303,10 @@ def cmd_sample(args) -> int:
     write_dataset(args.out, dataset)
     _print_header("generated", dataset.header)
     nfe = ckpt.schedule.n_steps  # one denoiser call per Euler step
-    lanes = lane_count(ckpt.config, args.num)
     print(
         f"sampler: {nfe} denoiser calls (NFE) at batch {args.num}, "
-        f"{elapsed_ms / nfe:.1f} ms per call on {lanes} inference "
-        f"thread{'s' if lanes > 1 else ''} in {INFERENCE_DTYPE}"
+        f"{elapsed_ms / nfe:.1f} ms per call on "
+        f"{_threads(dit_lanes(ckpt.config, args.num), 'inference ')} in {INFERENCE_DTYPE}"
     )
     return 0
 

@@ -13,9 +13,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _lanes
 from .beamspace import dictionaries_for, to_beamspace
 from .channel import swm_channel
-from .errors import DegenerateGeometryError, InsufficientDataError, check_count, check_seed
+from .errors import (
+    DegenerateGeometryError,
+    InsufficientDataError,
+    check_count,
+    check_seed,
+    check_subarrays,
+)
 from .geometry import CONDITION_DIM, ArrayGeometry, condition_vector
 from .paths import GscmConfig, draw_paths
 
@@ -74,14 +81,9 @@ class DatasetHeader:
     condition_dim: int = CONDITION_DIM
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        for name, k, n_name, n in (("k_rx", self.k_rx, "n_rx", self.n_rx),
-                                   ("k_tx", self.k_tx, "n_tx", self.n_tx)):
-            check_count(n_name, n)
-            check_count(name, k)
-            if n % k:
-                raise ValueError(f"{name}={k} does not divide {n_name}={n}")
+        check_count("sample_count", self.sample_count)
+        check_subarrays("rx", self.n_rx, self.k_rx)
+        check_subarrays("tx", self.n_tx, self.k_tx)
         if self.condition_dim != CONDITION_DIM:
             raise ValueError(
                 f"condition_dim must be {CONDITION_DIM}, got {self.condition_dim}"
@@ -134,7 +136,10 @@ def build_dataset(
     """Synthesize n beamspace channel samples at uniform Rx positions.
 
     Ground truth is the exact spherical-wave channel, transformed with the
-    subarray beam dictionaries and stacked as a real/imag tensor.
+    subarray beam dictionaries and stacked as a real/imag tensor.  Each
+    sample draws from its own stream (``sample_rng``) and fills its own rows,
+    so the samples run on ``lane_count(geometry, n)`` lanes with the same
+    bytes at any count; a failure names the lowest failing sample.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -143,7 +148,8 @@ def build_dataset(
 
     conditions = np.empty((n, CONDITION_DIM))
     tensors = np.empty((n, 2, geometry.n_rx, geometry.n_tx))
-    for i in range(n):
+
+    def synthesize(i):
         rng = sample_rng(master_seed, i)
         pos = region.draw(rng)
         geom_i = geometry.with_rx_origin(pos)
@@ -157,6 +163,8 @@ def build_dataset(
         tensors[i, 1] = hb.imag
         conditions[i] = condition_vector(geometry.tx_origin, pos)
 
+    _lanes.run(n, lane_count(geometry, n), synthesize)
+
     header = DatasetHeader(
         n_rx=geometry.n_rx,
         n_tx=geometry.n_tx,
@@ -166,6 +174,17 @@ def build_dataset(
         master_seed=master_seed,
     )
     return Dataset(header=header, conditions=conditions, tensors=tensors)
+
+
+def lane_count(geometry: ArrayGeometry, n: int) -> int:
+    """Threads ``build_dataset`` runs ``n`` samples of ``geometry`` on.
+
+    A sample's work is taken as its beamspace transform's complex matmuls,
+    ``8 * n_rx * n_tx * (n_rx + n_tx)`` flops, which grow with the channel
+    as ``n_rx * n_tx`` does.
+    """
+    n_rx, n_tx = geometry.n_rx, geometry.n_tx
+    return _lanes.lane_count(n, 8 * n_rx * n_tx * (n_rx + n_tx))
 
 
 def normalize(dataset: Dataset) -> tuple[Dataset, float]:

@@ -6,22 +6,20 @@ intermediates so ``backward`` can produce exact parameter gradients
 (verified against central finite differences, in float64, in the test
 suite).  Inference (``denoise``) runs the same block code over fixed-size
 slices of the batch and records no cache, so its working set does not grow
-with the batch; a large call splits its slices over lanes, threads it
-starts and joins, one per usable CPU at most.  A denoiser runs its network,
+with the batch; a call whose slices carry enough work splits them over
+lanes, threads it starts and joins (``_lanes``).  A denoiser runs its network,
 forward and backward, in the dtype of the weights it holds: training steps,
 sampling and the test loss use float32 weights, while the preconditioning,
 the skip path ``c_skip*h + c_out*F`` and the loss stay float64.
 """
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _lanes
 from .errors import NumericError, is_integer
 from .geometry import CONDITION_DIM
 
@@ -35,26 +33,6 @@ SIGMA_DATA = 1.0
 # samples at a time, which keeps a slice's activations small enough to stay
 # in CPU cache while still amortising numpy's per-call overhead.
 ROWS = 256
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# Lanes that run the slices of one ``denoise`` call: the calling thread and
-# up to ``LANES - 1`` threads the call starts and joins.  ``taskset`` limits it.
-LANES = _usable_cpus()
-
-# A call gets one lane per SLICES_PER_LANE slices.  A helper that has just
-# been woken can share the caller's CPU for a whole short call: on a 2-core
-# box an 8-slice toy-model call (B=64) on two lanes ran anywhere between
-# 1.8x faster and 15% slower than on one, from one call to the next, while
-# calls of 12 slices or more ran steadily 1.6-1.8x faster.
-SLICES_PER_LANE = 8
 
 
 @dataclass(frozen=True)
@@ -615,45 +593,23 @@ class DitDenoiser:
         per-sample matmuls take BLAS's matrix-vector path, which rounds
         differently, so a lone last sample joins the slice before it.
 
-        Lane ``i`` of ``lanes = lane_count(...)`` runs slices ``i, i + lanes,
-        ...`` in order: lane 0 on the calling thread, the others on threads
-        the call starts and joins.  A lane stops at its first failure, and
-        then the error of the lowest failing slice is raised.  Which slice
-        that is depends on the split alone, not on thread timing.
+        The slices run on ``lane_count(...)`` lanes through ``_lanes.run``,
+        which raises the error of the lowest failing slice.
         """
         h = np.asarray(h, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
         cond = np.asarray(cond, dtype=float)
         edges = slice_edges(self.config, len(h))
         out = np.empty(h.shape)
-        lanes = lane_count(self.config, len(h))
-        failures = [None] * lanes  # each lane's first failure, if any
 
-        def lane(i):
-            for start, end in zip(edges[i:-1:lanes], edges[i + 1::lanes]):
-                try:
-                    out[start:end] = self._forward(
-                        h[start:end], sigma[start:end], cond[start:end]
-                    )
-                except Exception as exc:
-                    failures[i] = (start, end, exc)
-                    return
-
-        # Each helper runs in a copy of the caller's context, which carries
-        # numpy's errstate.
-        helpers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, i))
-                   for i in range(1, lanes)]
-        for helper in helpers:
-            helper.start()
-        lane(0)
-        for helper in helpers:
-            helper.join()
-        failed = [f for f in failures if f is not None]
-        if failed:
-            start, end, exc = min(failed, key=lambda f: f[0])
-            if isinstance(exc, NumericError):
+        def run_slice(i):
+            start, end = edges[i], edges[i + 1]
+            try:
+                out[start:end] = self._forward(h[start:end], sigma[start:end], cond[start:end])
+            except NumericError:
                 raise _non_finite(start, sigma[start:end]) from None
-            raise exc
+
+        _lanes.run(len(edges) - 1, lane_count(self.config, len(h)), run_slice)
         return out
 
     def evaluate(self, h_t: np.ndarray, sigma, condition) -> np.ndarray:
@@ -677,10 +633,23 @@ def slice_edges(config: DitConfig, batch: int) -> list[int]:
     return [*range(0, max(batch - 1, 1), step), batch]
 
 
+def matmul_flops(config: DitConfig, batch: int) -> int:
+    """Matmul flops of one forward pass over ``batch`` samples.
+
+    Two flops per multiply-add in every linear layer and in the two
+    attention products; elementwise work is not counted.
+    """
+    d, n, p, r = config.embed_dim, config.n_tokens, config.patch_dim, config.mlp_ratio
+    per_token = 4 * p * d + config.depth * (8 * d * d + 4 * n * d + 4 * r * d * d)
+    per_sample = 4 * d * d + 2 * (CONDITION_DIM + d) * d + (12 * config.depth + 4) * d * d
+    return batch * (n * per_token + per_sample)
+
+
 def lane_count(config: DitConfig, batch: int) -> int:
-    """Threads one ``denoise`` call on ``batch`` samples runs on."""
-    slices = len(slice_edges(config, batch)) - 1
-    return max(1, min(LANES, slices // SLICES_PER_LANE))
+    """Threads one ``denoise`` call on ``batch`` samples runs on, by a slice's flops."""
+    edges = slice_edges(config, batch)
+    slice_flops = matmul_flops(config, edges[1] - edges[0])
+    return _lanes.lane_count(len(edges) - 1, slice_flops)
 
 
 def _non_finite(start: int, sigma: np.ndarray) -> NumericError:

@@ -23,6 +23,14 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def check_subarrays(side: str, n, k) -> None:
+    """Refuse antenna and subarray counts ``n_<side>``, ``k_<side>`` unless k divides n."""
+    check_count(f"n_{side}", n)
+    check_count(f"k_{side}", k)
+    if n % k:
+        raise ValueError(f"k_{side}={k} does not divide n_{side}={n}")
+
+
 def check_seed(name: str, seed, typed: bool = False) -> None:
     """Refuse a seed outside [0, 2**64), naming it: seeds are stored as u64.
 

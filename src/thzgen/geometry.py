@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, check_subarrays
 
 CONDITION_DIM = 8
 
@@ -99,14 +99,8 @@ class ArrayGeometry:
         Defaults: half-wavelength pitch inside a subarray, 16-wavelength
         pitch between subarray centers.
         """
-        for name, n in (("n_tx", n_tx), ("n_rx", n_rx)):
-            if n < 1:
-                raise ValueError(f"antenna count {name} must be >= 1, got {n}")
-        if min(k_tx, k_rx) < 1 or n_tx % k_tx != 0 or n_rx % k_rx != 0:
-            raise ValueError(
-                f"antenna counts must divide into subarrays: "
-                f"n_tx={n_tx}, k_tx={k_tx}, n_rx={n_rx}, k_rx={k_rx}"
-            )
+        check_subarrays("tx", n_tx, k_tx)
+        check_subarrays("rx", n_rx, k_rx)
         if carrier_frequency <= 0:
             raise ValueError(f"carrier_frequency must be > 0, got {carrier_frequency}")
         wavelength = SPEED_OF_LIGHT / carrier_frequency

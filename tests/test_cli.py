@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import thzgen
-from thzgen import cli, dit
+from thzgen import _lanes, cli, dit
 from thzgen.checkpoint import ema_denoiser, load_checkpoint
 from thzgen.cli import main
 from thzgen.dataset import (
@@ -97,9 +97,10 @@ def test_gen_data_seed_override_changes_bytes(workdir, tmp_path):
 def test_gen_data_reports_throughput(workdir, tmp_path, capsys):
     assert main(["gen-data", "--config", config_path(workdir), "--out",
                  str(tmp_path / "again")]) == 0
-    found = re.findall(r"^synthesized (\d+) samples in ([\d.]+) ms \(([\d.]+) samples/s\)$",
-                       capsys.readouterr().out, re.MULTILINE)
-    assert len(found) == 1
+    found = re.findall(
+        r"^synthesized (\d+) samples in ([\d.]+) ms \(([\d.]+) samples/s on 1 thread\)$",
+        capsys.readouterr().out, re.MULTILINE)
+    assert len(found) == 1  # 8x16 channels stay on one lane
     count, ms, rate = int(found[0][0]), float(found[0][1]), float(found[0][2])
     assert count == CONFIG["dataset"]["count"]
     assert ms > 0 and rate == pytest.approx(count / (ms / 1e3), rel=0.1)
@@ -298,7 +299,7 @@ def test_antenna_count_below_one_is_fatal(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"geometry": {"n_tx": -16}}))
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == "error: antenna count n_tx must be >= 1, got -16\n"
+    assert capsys.readouterr().err == "error: n_tx must be an integer >= 1, got -16\n"
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -483,8 +484,8 @@ def test_sample_deterministic_and_seed_sensitive(workdir, tmp_path):
 
 
 def test_sample_reports_nfe(workdir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(dit, "LANES", 2)
-    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_lanes, "ITEM_FLOPS", 0)
     args = ["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", "6.0,1.0,0.0",
             "--seed", "1", "--out", str(tmp_path / "gen.bin")]
     assert main(args + ["--num", "2"]) == 0

@@ -1,11 +1,12 @@
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from thzgen import dataset
+from thzgen import _lanes, dataset
 from thzgen.cli import main
 from thzgen.dataset import (
     _HEADER_FMT,
@@ -18,7 +19,7 @@ from thzgen.dataset import (
     split,
     write_dataset,
 )
-from thzgen.errors import InsufficientDataError
+from thzgen.errors import DegenerateGeometryError, InsufficientDataError
 from thzgen.geometry import ArrayGeometry
 from thzgen.paths import GscmConfig
 
@@ -57,6 +58,100 @@ def test_build_deterministic_and_order_independent():
     # Per-index RNG streams: a shorter build reproduces a prefix.
     c = build_dataset(5, GEOM, GscmConfig(), REGION, 4)
     assert np.array_equal(c.tensors, a.tensors[:4])
+
+
+# -- lanes --------------------------------------------------------------------
+
+needs_blas_setter = pytest.mark.skipif(
+    _lanes._openblas() is None, reason="no OpenBLAS thread setter: every call runs on one lane")
+
+
+def use_lanes(monkeypatch, lanes):
+    """Run every build on ``lanes`` lanes, whatever its channel size."""
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: lanes)
+    monkeypatch.setattr(_lanes, "ITEM_FLOPS", 0)
+
+
+def test_build_bytes_do_not_depend_on_lane_count(monkeypatch):
+    builds = []
+    for lanes in (1, 2, 3):
+        use_lanes(monkeypatch, lanes)
+        assert dataset.lane_count(GEOM, 9) == (lanes if _lanes._openblas() else 1)
+        builds.append(small_dataset(9, seed=3))
+    for lanes, ds in zip((2, 3), builds[1:]):
+        assert ds.tensors.tobytes() == builds[0].tensors.tobytes(), lanes
+        assert ds.conditions.tobytes() == builds[0].conditions.tobytes(), lanes
+
+
+def degenerate_samples(monkeypatch, bad, seed=0):
+    """Make ``swm_channel`` refuse the samples in ``bad``; returns who ran each."""
+    positions = {}
+    for i in range(10):
+        positions[REGION.draw(dataset.sample_rng(seed, i)).tobytes()] = i
+    threads = {}
+    real = dataset.swm_channel
+
+    def channel(paths, geometry):
+        i = positions[np.asarray(geometry.rx_origin).tobytes()]
+        threads[i] = threading.get_ident()
+        if i in bad:
+            raise DegenerateGeometryError(f"made degenerate at {i}")
+        return real(paths, geometry)
+
+    monkeypatch.setattr(dataset, "swm_channel", channel)
+    return threads
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("bad, lowest, ran", [
+    ({3, 4, 8}, 3, [0, 1, 2, 3, 4]),  # lane 0 stops at 4, lane 1 at 3
+    ({2, 5}, 2, [0, 1, 2, 3, 5]),     # lane 0 stops at 2, lane 1 at 5
+])
+def test_lowest_degenerate_sample_is_named_on_any_lane(monkeypatch, bad, lowest, ran):
+    use_lanes(monkeypatch, 2)
+    threads = degenerate_samples(monkeypatch, bad)
+    with pytest.raises(DegenerateGeometryError, match=f"^sample {lowest}: made degenerate at {lowest}$"):
+        small_dataset(10)
+    assert sorted(threads) == ran
+    caller = threading.get_ident()  # lane 0 ran the even samples
+    assert all((threads[i] == caller) == (i % 2 == 0) for i in ran)
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("bad", [set(), {5}])
+def test_build_restores_the_blas_thread_count(monkeypatch, bad):
+    get, set_ = _lanes._openblas()
+    use_lanes(monkeypatch, 2)
+    degenerate_samples(monkeypatch, bad)
+    refusing = dataset.swm_channel
+    seen = []
+
+    def channel(paths, geometry):
+        seen.append(get())
+        return refusing(paths, geometry)
+
+    monkeypatch.setattr(dataset, "swm_channel", channel)
+    before = get()
+    set_(2)
+    try:
+        if bad:
+            with pytest.raises(DegenerateGeometryError, match="^sample 5: "):
+                small_dataset(10)
+        else:
+            small_dataset(10)
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen and set(seen) == {1}  # pinned while both lanes ran
+
+
+@needs_blas_setter
+def test_small_channels_stay_on_one_lane_and_large_ones_split(monkeypatch):
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+    assert dataset.lane_count(GEOM, 1000) == 1  # 8x16: interpreter-bound
+    large = ArrayGeometry.uniform_linear(0.3e12, n_tx=256, n_rx=64, k_tx=8, k_rx=4)
+    assert dataset.lane_count(large, 16) == 2
+    assert dataset.lane_count(large, 1) == 1
 
 
 def constant_dataset(value, n=1):
@@ -279,8 +374,8 @@ def test_cut_or_extended_file_is_a_value_error(tmp_path_factory, dataset_bytes, 
 
 
 @pytest.mark.parametrize("count, scale, cond_dim, match", [
-    pytest.param(0, 1.0, 8, "sample_count must be >= 1, got 0",
-                 id="0-1.0-sample_count must be >= 1, got 0"),
+    pytest.param(0, 1.0, 8, "sample_count must be an integer >= 1, got 0",
+                 id="0-1.0-sample_count must be an integer >= 1"),
     pytest.param(3, float("nan"), 8,
                  "normalization_scalar must be a finite number > 0, got nan",
                  id="3-nan-normalization_scalar must be a finite number > 0, got nan"),
@@ -304,6 +399,9 @@ def test_header_validation():
         with pytest.raises(ValueError):
             DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=count,
                           normalization_scalar=scale)
+    for count in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=rf"^sample_count must be an integer >= 1, got {count}$"):
+            DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=count)
     for k_rx, k_tx in ((0, 2), (2, -1), (3, 2), (2, 3), (2.0, 2), (True, 2)):
         with pytest.raises(ValueError, match="k_"):
             DatasetHeader(n_rx=8, n_tx=16, k_rx=k_rx, k_tx=k_tx, sample_count=1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzgen import dit
+from thzgen import _lanes, dit
 from thzgen.dataset import Dataset, DatasetHeader
 from thzgen.dit import (
     ROWS,
@@ -534,8 +534,7 @@ def float32_twin(den):
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
 def test_float32_denoise_and_evaluate_equal_whole_batch_forward(monkeypatch, lanes):
-    monkeypatch.setattr(dit, "LANES", lanes)
-    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    use_lanes(monkeypatch, lanes)
     cfg = small_config(patch_size=2, depth=2)
     den = float32_twin(randomized_denoiser(cfg, seed=4))
     s = slice_samples(cfg)
@@ -682,6 +681,16 @@ def test_evaluate_peak_memory_is_bounded_by_slices():
 
 # -- inference lanes --------------------------------------------------------
 
+needs_blas_setter = pytest.mark.skipif(
+    _lanes._openblas() is None, reason="no OpenBLAS thread setter: every call runs on one lane")
+
+
+def use_lanes(monkeypatch, cpus):
+    """Split every ``denoise`` call over up to ``cpus`` lanes, whatever its work."""
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_lanes, "ITEM_FLOPS", 0)
+
+
 def lane_case(b, seed=21):
     """A 32-token config (8 samples per slice) and b random inputs."""
     cfg = small_config(n_tx=16, patch_size=2, embed_dim=16, depth=2)
@@ -700,7 +709,7 @@ def split_slices_0_and_1(monkeypatch, den, sigma):
     1's; slice 0 waits until slice 1 has run.  Returns the thread id that
     ran each slice.
     """
-    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    use_lanes(monkeypatch, 2)
     caller = threading.get_ident()
     slice_1_ran = threading.Event()
     starts = dit.slice_edges(den.config, len(sigma))[:-1]
@@ -724,7 +733,6 @@ def split_slices_0_and_1(monkeypatch, den, sigma):
 
 
 def test_evaluate_bytes_do_not_depend_on_lane_count(monkeypatch):
-    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
     den, *_ = lane_case(1)
     rng = np.random.default_rng(22)
     cfg = den.config
@@ -734,7 +742,7 @@ def test_evaluate_bytes_do_not_depend_on_lane_count(monkeypatch):
         sigma = np.exp(rng.uniform(-4.0, 2.0, size=b))
         outs = []
         for lanes in (1, 2, 3):
-            monkeypatch.setattr(dit, "LANES", lanes)
+            use_lanes(monkeypatch, lanes)
             outs.append(den.evaluate(h, sigma, cond))
         for lanes, out in zip((2, 3), outs[1:]):
             np.testing.assert_array_equal(out, outs[0], err_msg=f"B={b}, {lanes} lanes")
@@ -742,7 +750,8 @@ def test_evaluate_bytes_do_not_depend_on_lane_count(monkeypatch):
 
 def test_more_lanes_than_cores_run_each_slice_once(monkeypatch):
     den, h, sigma, cond = lane_case(8 * 60 + 3)
-    monkeypatch.setattr(dit, "LANES", 1)
+    cpus = _lanes.usable_cpus()
+    use_lanes(monkeypatch, 1)
     expected = den.denoise(h, sigma, cond)
     runs = []
     run = den._forward
@@ -752,8 +761,7 @@ def test_more_lanes_than_cores_run_each_slice_once(monkeypatch):
         return run(h, sigma, cond, cache)
 
     monkeypatch.setattr(den, "_forward", counted)
-    monkeypatch.setattr(dit, "LANES", 2 * dit._usable_cpus() + 3)
-    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    use_lanes(monkeypatch, 2 * cpus + 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -765,6 +773,27 @@ def test_more_lanes_than_cores_run_each_slice_once(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@needs_blas_setter
+def test_lanes_follow_the_work_of_a_slice(monkeypatch):
+    # The CLI test model's B=512 call is 16 slices of mostly interpreter
+    # work, which a second lane slows; the toy model's slices are numpy work.
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+    cli_model = DitConfig(n_rx=8, n_tx=16, patch_size=4, embed_dim=16, depth=1,
+                          n_heads=2, mlp_ratio=2)
+    toy = DitConfig(n_rx=8, n_tx=16, patch_size=2, embed_dim=64, depth=4, n_heads=4)
+    assert len(dit.slice_edges(cli_model, 512)) - 1 == 16
+    assert dit.lane_count(cli_model, 512) == 1
+    assert dit.lane_count(toy, 512) == 2
+    assert dit.lane_count(toy, 8) == 1  # one slice
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: 1)
+    assert dit.lane_count(toy, 512) == 1
+    # Where BLAS has no thread setter to pin, every call runs on one lane.
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_lanes, "_openblas", lambda: None)
+    assert dit.lane_count(toy, 512) == 1
+
+
+@needs_blas_setter
 def test_short_calls_start_no_thread_and_long_ones_leave_none(monkeypatch):
     made = []
 
@@ -774,20 +803,15 @@ def test_short_calls_start_no_thread_and_long_ones_leave_none(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(threading, "Thread", Recorded)
-    monkeypatch.setattr(dit, "LANES", 3)
-    per_lane = dit.SLICES_PER_LANE
-    den, h, sigma, cond = lane_case(8 * 3 * per_lane)  # 8 samples per slice
-    for slices, lanes in ((1, 1), (2 * per_lane - 1, 1), (2 * per_lane, 2),
-                          (3 * per_lane - 1, 2), (3 * per_lane, 3)):
-        assert dit.lane_count(den.config, 8 * slices) == lanes, slices
-    b = 8 * (2 * per_lane - 1)
-    den.evaluate(h[:b], sigma[:b], cond[:b])
-    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
-    assert dit.lane_count(den.config, 9) == 1  # 8 samples and a lone one
-    for b in (1, 8, 9):
-        den.evaluate(h[:b], sigma[:b], cond[:b])
-    monkeypatch.setattr(dit, "LANES", 1)
-    den.evaluate(h[:40], sigma[:40], cond[:40])  # five slices, one lane
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: 3)
+    den, h, sigma, cond = lane_case(40)  # 8 samples per slice
+    work = dit.matmul_flops(den.config, 8)
+    for flops, b, lanes in ((work, 8, 1), (work, 9, 1), (work, 16, 2), (work, 24, 3),
+                            (work, 40, 3), (work + 1, 40, 1)):
+        monkeypatch.setattr(_lanes, "ITEM_FLOPS", flops)
+        assert dit.lane_count(den.config, b) == lanes, (flops, b)
+        if lanes == 1:  # one slice (9 is 8 samples and a lone one), or too little work
+            den.evaluate(h[:b], sigma[:b], cond[:b])
     assert made == []
 
     caller, run = threading.get_ident(), den._forward
@@ -798,7 +822,7 @@ def test_short_calls_start_no_thread_and_long_ones_leave_none(monkeypatch):
         return run(*args)
 
     monkeypatch.setattr(den, "_forward", slow_helpers)
-    monkeypatch.setattr(dit, "LANES", 3)
+    use_lanes(monkeypatch, 3)
     before = threading.active_count()
     den.evaluate(h[:40], sigma[:40], cond[:40])  # five slices, three lanes
     den.denoise(h[:40], sigma[:40], cond[:40])
@@ -807,8 +831,8 @@ def test_short_calls_start_no_thread_and_long_ones_leave_none(monkeypatch):
     assert threading.active_count() == before
 
 
+@needs_blas_setter
 def test_lowest_failing_slice_is_named_whatever_finished_first(monkeypatch):
-    monkeypatch.setattr(dit, "LANES", 2)
     den, h, sigma, cond = lane_case(24)  # slices 0-7, 8-15, 16-23
     h[3] = np.inf
     h[12] = np.inf
@@ -822,8 +846,8 @@ def test_lowest_failing_slice_is_named_whatever_finished_first(monkeypatch):
     assert f"sigma {sigma[0]:g} to {sigma[7]:g}" in msg
 
 
+@needs_blas_setter
 def test_helper_lane_reraises_nonpositive_sigma(monkeypatch):
-    monkeypatch.setattr(dit, "LANES", 2)
     den, h, sigma, cond = lane_case(24)
     sigma[10] = -1.0
     caller, threads = split_slices_0_and_1(monkeypatch, den, sigma)
@@ -832,8 +856,8 @@ def test_helper_lane_reraises_nonpositive_sigma(monkeypatch):
     assert threads[0] == caller != threads[1]
 
 
+@needs_blas_setter
 def test_helper_lane_keeps_the_callers_errstate(monkeypatch):
-    monkeypatch.setattr(dit, "LANES", 2)
     den, h, sigma, cond = lane_case(24)
     h[10] = np.inf
     caller, threads = split_slices_0_and_1(monkeypatch, den, sigma)
@@ -847,8 +871,7 @@ def test_helper_lane_keeps_the_callers_errstate(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_multi_lane_calls(monkeypatch):
-    monkeypatch.setattr(dit, "LANES", 2)
-    monkeypatch.setattr(dit, "SLICES_PER_LANE", 1)
+    use_lanes(monkeypatch, 2)
     den, h, sigma, cond = lane_case(40)
     expected = den.evaluate(h, sigma, cond).tobytes()  # runs on two lanes
     read_fd, write_fd = os.pipe()

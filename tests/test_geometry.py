@@ -74,14 +74,28 @@ def test_uniform_linear_layout():
 
 def test_uniform_linear_rejects_indivisible_counts():
     # k_tx=4 would fail in the layout's reshape if the count check came later.
-    for k_tx in (3, 4, 0):
-        with pytest.raises(ValueError, match="n_tx"):
+    for k_tx in (3, 4):
+        with pytest.raises(ValueError, match=f"^k_tx={k_tx} does not divide n_tx=10$"):
             ArrayGeometry.uniform_linear(0.3e12, n_tx=10, n_rx=8, k_tx=k_tx, k_rx=2)
     # -16 % 2 == 0, and reshape would read a negative count as "unknown".
     for n_tx, n_rx in ((0, 8), (-16, 8), (16, -16)):
         name = "n_tx" if n_tx < 1 else "n_rx"
-        with pytest.raises(ValueError, match=f"antenna count {name} must be >= 1"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
             ArrayGeometry.uniform_linear(0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=2, k_rx=2)
+
+
+@pytest.mark.parametrize("counts, message", [
+    (dict(n_tx=16.0), "n_tx must be an integer >= 1, got 16.0"),
+    (dict(n_rx=8.0), "n_rx must be an integer >= 1, got 8.0"),
+    (dict(k_tx=2.0), "k_tx must be an integer >= 1, got 2.0"),
+    (dict(k_rx=0), "k_rx must be an integer >= 1, got 0"),
+    (dict(n_tx=True, k_tx=1), "n_tx must be an integer >= 1, got True"),
+])
+def test_uniform_linear_names_a_count_that_is_not_an_integer(counts, message):
+    kwargs = dict(n_tx=16, n_rx=8, k_tx=2, k_rx=2) | counts
+    with pytest.raises(ValueError) as info:
+        ArrayGeometry.uniform_linear(0.3e12, **kwargs)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("carrier, intra, inter, match, axis", [
