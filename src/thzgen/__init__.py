@@ -11,7 +11,6 @@ from .channel import (
     ChannelMatrix,
     hpsm_channel,
     pwm_channel,
-    steering_vector,
     swm_channel,
 )
 from .dataset import (
@@ -31,7 +30,6 @@ from .diffusion import (
     denoising_loss,
     ema_update,
     euler_sample,
-    perturb,
     score_from_denoiser,
 )
 from .dit import DitConfig, DitDenoiser

@@ -35,39 +35,6 @@ class ChannelMatrix:
         if not np.isfinite(self.entries).all():
             raise ValueError("channel matrix contains non-finite entries")
 
-    @property
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-
-def steering_vector(
-    geometry: ArrayGeometry,
-    side: str,
-    subarray_index,
-    azimuth: float,
-    elevation: float,
-) -> np.ndarray:
-    """Unit-norm array response vector of a full array or one subarray.
-
-    Element k has value (1/sqrt(n)) * exp(-j * 2*pi/lambda * <r_k, u>)
-    where r_k is the element offset from the (sub)array reference point.
-    """
-    positions = geometry._positions(side)
-    if subarray_index == "full":
-        reference = geometry.tx_origin if side == "tx" else geometry.rx_origin
-        offsets = positions - reference
-    else:
-        k = geometry.k_tx if side == "tx" else geometry.k_rx
-        if not 0 <= subarray_index < k:
-            raise IndexError(f"subarray index {subarray_index} out of range [0, {k})")
-        n_sub = geometry.n_tx_sub if side == "tx" else geometry.n_rx_sub
-        sl = slice(subarray_index * n_sub, (subarray_index + 1) * n_sub)
-        offsets = positions[sl] - geometry._centers(side)[subarray_index]
-    u = unit_direction(azimuth, elevation)
-    phase = -2.0 * np.pi / geometry.wavelength * (offsets @ u)
-    n = offsets.shape[0]
-    return np.exp(1j * phase) / np.sqrt(n)
-
 
 def _unit_rows(angles) -> np.ndarray:
     """(L, 3) unit vectors of L (azimuth, elevation) pairs, as unit_direction."""
@@ -78,8 +45,8 @@ def _unit_rows(angles) -> np.ndarray:
 def _conj_responses(offsets, directions, wavelength: float):
     """Conjugated steering vectors (n, L) for L unit directions (L, 3) at once.
 
-    Each column is conj(steering_vector) = exp(+j * 2*pi/lambda * <r_k, u>) / sqrt(n)
-    over the element offsets r_k (n, 3).
+    Each column is the unit-norm response to direction u, conjugated:
+    exp(+j * 2*pi/lambda * <r_k, u>) / sqrt(n) over the element offsets r_k (n, 3).
     """
     projection = np.einsum("ni,li->nl", offsets, directions)
     return np.exp(1j * (2.0 * np.pi / wavelength) * projection) / np.sqrt(offsets.shape[0])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
-from .errors import check_count, is_finite_number, is_integer
+from .errors import check_count, check_seed, check_subarrays, is_finite_number, is_integer
 
 MAGIC = b"THZW"
 VERSION = 5
@@ -55,6 +55,9 @@ class CheckpointMeta:
                 f"normalization_scalar must be a finite number > 0, got {scale!r}")
         for name in ("k_rx", "k_tx"):
             check_count(name, getattr(self, name))
+        check_seed("master_seed", self.master_seed)
+        if not isinstance(self.geometry, dict):
+            raise ValueError(f"geometry must be a dict, got {self.geometry!r}")
         try:
             origin = tuple(self.tx_origin)
         except TypeError:
@@ -116,6 +119,16 @@ def _checked_curves(path, curves) -> list:
     return [(int(epoch), float(train), float(test)) for epoch, train, test in curves]
 
 
+def _check_subarrays(path, config: DitConfig, meta: CheckpointMeta) -> None:
+    """Refuse meta subarray counts that do not divide the config's antenna counts."""
+    for side in ("rx", "tx"):
+        try:
+            check_subarrays(side, getattr(config, f"n_{side}"), getattr(meta, f"k_{side}"))
+        except ValueError as exc:
+            raise ValueError(
+                f"checkpoint {path}: metadata 'meta' does not fit 'config': {exc}") from None
+
+
 def _decode_metadata(path, blob: bytes) -> dict:
     try:
         meta_json = json.loads(blob.decode("utf-8"))
@@ -132,13 +145,15 @@ def _decode_metadata(path, blob: bytes) -> dict:
         name: _metadata_section(path, cls, name, meta_json[name])
         for name, cls in _SECTIONS.items()
     }
+    _check_subarrays(path, sections["config"], sections["meta"])
     return {**sections, "curves": _checked_curves(path, meta_json["curves"])}
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write ``ckpt``; a group whose names or shapes miss the config is fatal.
 
-    Every group and the curves are checked before the file is opened.
+    Every group, the curves and the meta's subarray counts are checked
+    before the file is opened.
     """
     shapes = param_shapes(ckpt.config)
     vectors = [
@@ -148,6 +163,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     ]
     meta = {name: asdict(getattr(ckpt, name)) for name in _SECTIONS}
     meta["curves"] = _checked_curves(path, ckpt.curves)
+    _check_subarrays(path, ckpt.config, ckpt.meta)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_HEAD.pack(MAGIC, VERSION, len(blob)))

@@ -78,16 +78,11 @@ class DatasetHeader:
     sample_count: int
     normalization_scalar: float = 1.0
     master_seed: int = 0
-    condition_dim: int = CONDITION_DIM
 
     def __post_init__(self):
         check_count("sample_count", self.sample_count)
         check_subarrays("rx", self.n_rx, self.k_rx)
         check_subarrays("tx", self.n_tx, self.k_tx)
-        if self.condition_dim != CONDITION_DIM:
-            raise ValueError(
-                f"condition_dim must be {CONDITION_DIM}, got {self.condition_dim}"
-            )
         scale = self.normalization_scalar
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"normalization_scalar must be a finite number > 0, got {scale}")
@@ -104,7 +99,7 @@ class Dataset:
 
     def __post_init__(self):
         n = self.header.sample_count
-        if self.conditions.shape != (n, self.header.condition_dim):
+        if self.conditions.shape != (n, CONDITION_DIM):
             raise ValueError(
                 f"conditions shape {self.conditions.shape} inconsistent with header"
             )
@@ -262,10 +257,10 @@ def write_dataset(path, dataset: Dataset) -> None:
     header = dataset.header
     n = header.sample_count
     record = np.empty(
-        (n, header.condition_dim + 2 * header.n_rx * header.n_tx), dtype="<f4"
+        (n, CONDITION_DIM + 2 * header.n_rx * header.n_tx), dtype="<f4"
     )
-    record[:, : header.condition_dim] = dataset.conditions
-    record[:, header.condition_dim :] = dataset.tensors.reshape(n, -1)
+    record[:, :CONDITION_DIM] = dataset.conditions
+    record[:, CONDITION_DIM:] = dataset.tensors.reshape(n, -1)
     with open(path, "wb") as f:
         f.write(
             struct.pack(
@@ -276,7 +271,7 @@ def write_dataset(path, dataset: Dataset) -> None:
                 header.n_tx,
                 header.k_rx,
                 header.k_tx,
-                header.condition_dim,
+                CONDITION_DIM,
                 n,
                 header.normalization_scalar,
                 header.master_seed,
@@ -310,9 +305,12 @@ def read_dataset(path) -> Dataset:
                 f"{count} records of {4 * record_len} bytes, {expected} bytes in all"
             )
         try:
+            # Files keep the slot, but the condition vector has one length.
+            if cond_dim != CONDITION_DIM:
+                raise ValueError(f"condition_dim must be {CONDITION_DIM}, got {cond_dim}")
             header = DatasetHeader(
                 n_rx=n_rx, n_tx=n_tx, k_rx=k_rx, k_tx=k_tx, sample_count=count,
-                normalization_scalar=scalar, master_seed=seed, condition_dim=cond_dim,
+                normalization_scalar=scalar, master_seed=seed,
             )
         except ValueError as exc:
             raise ValueError(f"dataset {path} has an invalid header: {exc}") from exc

@@ -5,12 +5,11 @@ score recovery, probability-flow ODE Euler sampler, and EMA of parameters.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, check_count
+from .errors import NumericError, check_count, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -22,7 +21,10 @@ class DiffusionSchedule:
     n_steps: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_min < self.horizon < math.inf:
+        # A bool passes an order check as 0 or 1, and a string fails it with
+        # a TypeError: both must be refused as numbers first.
+        if not (is_finite_number(self.sigma_min) and is_finite_number(self.horizon)
+                and 0.0 < self.sigma_min < self.horizon):
             raise ValueError(
                 f"need 0 < sigma_min < horizon < inf, got {self.sigma_min}, {self.horizon}"
             )
@@ -38,13 +40,6 @@ class DiffusionSchedule:
         """Decreasing uniform grid horizon = t_0 > ... > t_n = sigma_min."""
         n = self.n_steps if n_steps is None else n_steps
         return np.linspace(self.horizon, self.sigma_min, n + 1)
-
-
-def perturb(h0: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Forward marginal H_t = H_0 + sigma * eps with standard Gaussian eps."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return h0 + sigma * rng.standard_normal(h0.shape)
 
 
 def score_from_denoiser(d: np.ndarray, h_t: np.ndarray, sigma: float) -> np.ndarray:
@@ -73,35 +68,25 @@ class AnalyticGaussianDenoiser:
         return (self.sigma_d**2 * h_t + sigma**2 * self.mu) / denom
 
 
-def denoising_loss(
-    denoiser,
-    h0_batch: np.ndarray,
-    conditions,
-    schedule: DiffusionSchedule,
-    rng: np.random.Generator,
-    sigmas=None,
-):
-    """Mean-square-per-entry denoising loss over a batch.
+def denoising_loss(denoiser, h0: np.ndarray, conditions, sigmas, noise) -> float:
+    """Mean-square-per-entry denoising loss of a batch under given noise.
 
-    ``sigmas`` overrides the schedule's log-uniform draw (used by tests and
-    by fixed-noise evaluation).  Returns the loss and the per-sample sigmas.
+    Perturbs every sample at once, ``h_t = h0 + sigma * noise``, and makes
+    one ``denoiser.evaluate`` call on the batch.  The loss is the expression
+    ``DitDenoiser.loss_and_grads`` returns, so the two agree exactly.  A
+    non-finite output is a ``NumericError`` naming the first such sample.
     """
-    batch = np.asarray(h0_batch, dtype=float)
-    if batch.shape[0] == 0:
+    h0 = np.asarray(h0, dtype=float)
+    if len(h0) == 0:
         raise ValueError("batch is empty")
-    if sigmas is None:
-        sigmas = schedule.draw_sigma(rng, size=batch.shape[0])
-    sigmas = np.broadcast_to(np.asarray(sigmas, dtype=float), (batch.shape[0],))
-
-    total = 0.0
-    for i in range(batch.shape[0]):
-        h_t = perturb(batch[i], float(sigmas[i]), rng)
-        cond = None if conditions is None else conditions[i]
-        pred = denoiser.evaluate(h_t, float(sigmas[i]), cond)
-        if not np.all(np.isfinite(pred)):
-            raise NumericError(f"denoiser produced non-finite output for sample {i}")
-        total += np.mean((pred - batch[i]) ** 2)
-    return total / batch.shape[0], sigmas
+    sigmas = np.asarray(sigmas, dtype=float)
+    h_t = h0 + sigmas[:, None, None, None] * noise
+    out = denoiser.evaluate(h_t, sigmas, conditions)
+    finite = np.isfinite(out).reshape(len(out), -1).all(axis=1)
+    if not finite.all():
+        raise NumericError(
+            f"denoiser produced non-finite output for sample {np.argmin(finite)}")
+    return float(np.mean((out - h0) ** 2))
 
 
 def euler_sample(

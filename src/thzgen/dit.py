@@ -4,7 +4,7 @@ The parameters, and each gradient, live as named views into one flat
 vector (``FlatParams``) laid out by ``param_shapes``.  ``forward`` caches
 intermediates so ``backward`` can produce exact parameter gradients
 (verified against central finite differences, in float64, in the test
-suite).  Inference (``denoise``) runs the same block code over fixed-size
+suite).  Inference (``evaluate``) runs the same block code over fixed-size
 slices of the batch and records no cache, so its working set does not grow
 with the batch; a call whose slices carry enough work splits them over
 lanes, threads it starts and joins (``_lanes``).  A denoiser runs its network,
@@ -29,7 +29,7 @@ LN_EPS = 1e-6
 # ``dataset.normalize`` scales every dataset to 1.
 SIGMA_DATA = 1.0
 
-# Token rows per inference slice: ``denoise`` runs ``max(2, ROWS // n_tokens)``
+# Token rows per inference slice: ``evaluate`` runs ``max(2, ROWS // n_tokens)``
 # samples at a time, which keeps a slice's activations small enough to stay
 # in CPU cache while still amortising numpy's per-call overhead.
 ROWS = 256
@@ -564,7 +564,7 @@ class DitDenoiser:
     ):
         """Denoising loss and exact parameter gradients for one batch.
 
-        ``noise`` is the pre-drawn standard-normal perturbation, so the loss
+        ``noise`` is the pre-drawn standard-normal noise, so the loss
         is a deterministic function of the parameters (as the gradient
         checks require).  The loss is a float64 mean over the float64
         output; the gradients are in the weights' dtype.
@@ -581,10 +581,12 @@ class DitDenoiser:
 
     # -- denoiser interface -------------------------------------------------
 
-    def denoise(self, h: np.ndarray, sigma: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """``forward(h, sigma, cond)[0]`` without recording a backward cache.
+    def evaluate(self, h_t: np.ndarray, sigma, condition) -> np.ndarray:
+        """``forward(h_t, sigma, condition)[0]`` without recording a backward cache.
 
-        Runs the forward pass over consecutive slices of
+        The one inference call.  It takes one sample or a batch, and a
+        scalar ``sigma`` or a single condition vector is shared by the whole
+        batch.  It runs the forward pass over consecutive slices of
         ``max(2, ROWS // n_tokens)`` samples and writes each slice into one
         output array, so each lane holds one slice's activations at a time.
         Every sample goes through the same arithmetic as in a whole-batch
@@ -596,9 +598,14 @@ class DitDenoiser:
         The slices run on ``lane_count(...)`` lanes through ``_lanes.run``,
         which raises the error of the lowest failing slice.
         """
-        h = np.asarray(h, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        cond = np.asarray(cond, dtype=float)
+        h = np.asarray(h_t, dtype=float)
+        single = h.ndim == 3
+        if single:
+            h = h[None]
+        sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (len(h),))
+        cond = np.asarray(condition, dtype=float)
+        if cond.ndim == 1:
+            cond = np.broadcast_to(cond, (len(h), len(cond)))
         edges = slice_edges(self.config, len(h))
         out = np.empty(h.shape)
 
@@ -610,25 +617,11 @@ class DitDenoiser:
                 raise _non_finite(start, sigma[start:end]) from None
 
         _lanes.run(len(edges) - 1, lane_count(self.config, len(h)), run_slice)
-        return out
-
-    def evaluate(self, h_t: np.ndarray, sigma, condition) -> np.ndarray:
-        """Shape-preserving denoiser call; accepts single samples or batches."""
-        h_t = np.asarray(h_t, dtype=float)
-        single = h_t.ndim == 3
-        if single:
-            h_t = h_t[None]
-        batch = h_t.shape[0]
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=float), (batch,))
-        condition = np.asarray(condition, dtype=float)
-        if condition.ndim == 1:
-            condition = np.broadcast_to(condition, (batch, condition.shape[0]))
-        out = self.denoise(h_t, sigma, condition)
         return out[0] if single else out
 
 
 def slice_edges(config: DitConfig, batch: int) -> list[int]:
-    """Sample indices at which ``denoise`` cuts a batch into slices."""
+    """Sample indices at which ``evaluate`` cuts a batch into slices."""
     step = max(2, ROWS // config.n_tokens)
     return [*range(0, max(batch - 1, 1), step), batch]
 
@@ -646,7 +639,7 @@ def matmul_flops(config: DitConfig, batch: int) -> int:
 
 
 def lane_count(config: DitConfig, batch: int) -> int:
-    """Threads one ``denoise`` call on ``batch`` samples runs on, by a slice's flops."""
+    """Threads one ``evaluate`` call on ``batch`` samples runs on, by a slice's flops."""
     edges = slice_edges(config, batch)
     slice_flops = matmul_flops(config, edges[1] - edges[0])
     return _lanes.lane_count(len(edges) - 1, slice_flops)

@@ -56,19 +56,12 @@ class ArrayGeometry:
         span = pos.max(axis=0) - pos.min(axis=0)
         return float(np.linalg.norm(span))
 
-    def subarray_aperture(self, side: str) -> float:
-        n_sub = self.n_tx_sub if side == "tx" else self.n_rx_sub
-        return (n_sub - 1) * self.intra_spacing
-
     def _positions(self, side: str) -> np.ndarray:
         if side == "tx":
             return self.element_positions_tx
         if side == "rx":
             return self.element_positions_rx
         raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
-
-    def _centers(self, side: str) -> np.ndarray:
-        return self.subarray_centers_tx if side == "tx" else self.subarray_centers_rx
 
     def with_rx_origin(self, rx_origin) -> "ArrayGeometry":
         """Same layout with the whole Rx array translated to a new origin."""

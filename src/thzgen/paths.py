@@ -55,10 +55,6 @@ class PathSet:
     def __iter__(self):
         return iter(self.paths)
 
-    @property
-    def includes_los(self) -> bool:
-        return any(p.is_los for p in self.paths)
-
 
 @dataclass(frozen=True)
 class GscmConfig:

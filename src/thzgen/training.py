@@ -17,7 +17,7 @@ import numpy as np
 from . import _lanes
 from .checkpoint import Checkpoint, ema_denoiser
 from .dataset import Dataset
-from .diffusion import DiffusionSchedule, ema_update
+from .diffusion import DiffusionSchedule, denoising_loss, ema_update
 from .dit import DitConfig, DitDenoiser, FlatParams, init_params
 from .errors import NumericError, check_count, check_seed, is_finite_number
 
@@ -88,18 +88,9 @@ def evaluate_loss(
     dataset: Dataset,
     sigmas: np.ndarray,
     noise: np.ndarray,
-    chunk: int = 64,
 ) -> float:
     """Denoising loss with fixed noise draws (comparable across epochs)."""
-    total = 0.0
-    n = len(dataset)
-    for start in range(0, n, chunk):
-        end = min(start + chunk, n)
-        h0 = dataset.tensors[start:end]
-        h_t = h0 + sigmas[start:end, None, None, None] * noise[start:end]
-        out = model.denoise(h_t, sigmas[start:end], dataset.conditions[start:end])
-        total += float(np.sum((out - h0) ** 2) / h0[0].size)
-    return total / n
+    return denoising_loss(model, dataset.tensors, dataset.conditions, sigmas, noise)
 
 
 @_lanes.one_blas_thread()

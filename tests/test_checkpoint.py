@@ -241,9 +241,9 @@ def test_ema_denoiser_is_the_trained_one(tmp_path):
     cond = rng.normal(size=(3, 8))
     sigmas = np.array([0.05, 0.7, 2.5])
     np.testing.assert_array_equal(
-        ema_denoiser(back).denoise(x, sigmas, cond),
+        ema_denoiser(back).evaluate(x, sigmas, cond),
         DitDenoiser(CONFIG, params=result.ema_params, dtype=np.float32)
-        .denoise(x, sigmas, cond),
+        .evaluate(x, sigmas, cond),
     )
 
 
@@ -256,6 +256,16 @@ def test_model_is_a_copy_of_the_trained_weights():
     np.testing.assert_array_equal(model.params.vector, ckpt.params.vector)
     model.params.vector[:] = 0.0
     assert np.any(ckpt.params.vector != 0.0)
+
+
+def test_save_refuses_subarrays_that_do_not_divide_the_config(tmp_path):
+    ckpt = random_checkpoint()
+    ckpt.meta.k_tx = 3  # CONFIG has n_tx=16
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=f"^checkpoint {path}: metadata 'meta' does not fit "
+                                         "'config': k_tx=3 does not divide n_tx=16$"):
+        save_checkpoint(path, ckpt)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("loss", [float("nan"), float("inf")])
@@ -324,8 +334,9 @@ def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, sca
                         replace=False)
         group.vector[at] = SPECIALS[: len(at)]
         groups[name] = group
-    meta = CheckpointMeta(normalization_scalar=scale, k_rx=3, k_tx=1, master_seed=seed,
-                          tx_origin=(scale, -0.0, 1.0), geometry={"n_tx": 4})
+    # One subarray per Rx element: k_rx must divide the config's n_rx.
+    meta = CheckpointMeta(normalization_scalar=scale, k_rx=config.n_rx, k_tx=1,
+                          master_seed=seed, tx_origin=(scale, -0.0, 1.0), geometry={"n_tx": 4})
     path = tmp_path_factory.mktemp("round_trip") / "model.ckpt"
     save_checkpoint(path, Checkpoint(config=config, step=step, meta=meta,
                                      schedule=schedule, curves=curves, **groups))
@@ -406,6 +417,11 @@ def metadata_case(case: str) -> bytes:
         "inf_loss": {**good, "curves": [CURVES[0], [2, 0.375, float("inf")]]},
         "huge_integer_loss": {**good, "curves": [[1, 10**400, 0.25]]},
         "huge_integer_scale": {**good, "meta": {**meta, "normalization_scalar": 10**400}},
+        "string_master_seed": {**good, "meta": {**meta, "master_seed": "abc"}},
+        "negative_master_seed": {**good, "meta": {**meta, "master_seed": -5}},
+        "list_geometry": {**good, "meta": {**meta, "geometry": [1, 2]}},
+        "bool_horizon": {**good, "schedule": {**schedule, "horizon": True, "sigma_min": 0.5}},
+        "k_rx_not_dividing_n_rx": {**good, "meta": {**meta, "k_rx": 3}},
         "not_an_object": [config, meta],
     }.get(case)
     return b"{not json" if doc is None else json.dumps(doc).encode("utf-8")
@@ -445,6 +461,11 @@ METADATA_CASES = {
     "inf_loss": "'curves' row 1 has a non-finite loss",
     "huge_integer_loss": "'curves' row 0 has a non-finite loss",
     "huge_integer_scale": "normalization_scalar must be a finite number > 0, got 1000",
+    "string_master_seed": "master_seed must be an integer in [0, 2**64), got 'abc'",
+    "negative_master_seed": "master_seed must be an integer in [0, 2**64), got -5",
+    "list_geometry": "'meta' is invalid: geometry must be a dict, got [1, 2]",
+    "bool_horizon": "'schedule' is invalid: need 0 < sigma_min < horizon < inf, got 0.5, True",
+    "k_rx_not_dividing_n_rx": "'meta' does not fit 'config': k_rx=3 does not divide n_rx=8",
 }
 
 
@@ -476,6 +497,22 @@ def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {path}: metadata ")
     assert METADATA_CASES[case] in err
+
+
+def test_sample_refuses_mismatched_subarrays_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_denoising(*args, **kwargs):
+        raise AssertionError("ran the sampler on a checkpoint whose k_rx does not divide n_rx")
+
+    monkeypatch.setattr(DitDenoiser, "evaluate", no_denoising)
+    path = tmp_path / "model.ckpt"
+    write_with_metadata(path, metadata_case("k_rx_not_dividing_n_rx"), n=N_PARAMS)
+    out = tmp_path / "gen.bin"
+    argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {path}: metadata 'meta' does not fit 'config': "
+        "k_rx=3 does not divide n_rx=8\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [

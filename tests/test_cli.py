@@ -577,7 +577,7 @@ def test_sample_rejects_non_finite_position(workdir, tmp_path, capsys, monkeypat
     def no_denoising(*args, **kwargs):
         raise AssertionError("called the denoiser before checking --pos")
 
-    monkeypatch.setattr(dit.DitDenoiser, "denoise", no_denoising)
+    monkeypatch.setattr(dit.DitDenoiser, "evaluate", no_denoising)
     out = tmp_path / "x.bin"
     assert main(["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", pos,
                  "--out", str(out)]) == 1

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from thzgen import _lanes, dit
 from thzgen.dataset import Dataset, DatasetHeader
+from thzgen.diffusion import denoising_loss
 from thzgen.dit import (
     ROWS,
     DitConfig,
@@ -240,7 +241,7 @@ def test_forward_embeds_each_noise_level():
     assert cache["c"].shape == (3, 8)
     assert not np.allclose(cache["c"][0], cache["c"][1])
     with pytest.raises(ValueError, match="sigma must be > 0"):
-        den.denoise(np.zeros((2, 2, 8, 8)), np.array([0.5, -1.0]), cond[:2])
+        den.evaluate(np.zeros((2, 2, 8, 8)), np.array([0.5, -1.0]), cond[:2])
     with pytest.raises(ValueError, match="sigma must be > 0"):
         den.evaluate(np.zeros((2, 8, 8)), 0.0, cond[0])
 
@@ -264,7 +265,7 @@ def test_non_finite_condition_is_a_value_error(bad):
     with pytest.raises(ValueError, match=msg):
         den.forward(h, np.ones(3), cond)
     with pytest.raises(ValueError, match=msg):
-        den.denoise(h, np.ones(3), cond)
+        den.evaluate(h, np.ones(3), cond)
     with pytest.raises(ValueError, match=msg):
         den.evaluate(h[0], 1.0, np.full(8, bad))
 
@@ -282,7 +283,7 @@ def test_non_finite_sigma_is_a_value_error(bad):
         with pytest.raises(ValueError, match=msg):
             den.forward(h, sigma, cond)
         with pytest.raises(ValueError, match=msg):
-            den.denoise(h, sigma, cond)
+            den.evaluate(h, sigma, cond)
         with pytest.raises(ValueError, match=msg):
             den.evaluate(h[0], bad, cond[0])
 
@@ -482,7 +483,7 @@ def test_dgelu_matches_finite_difference_property(x0):
 # -- cache-free inference ---------------------------------------------------
 
 def slice_samples(cfg):
-    """Samples per denoise slice, as DitDenoiser.denoise sizes it."""
+    """Samples per inference slice, as DitDenoiser.evaluate sizes it."""
     return max(2, ROWS // cfg.n_tokens)
 
 
@@ -497,7 +498,6 @@ def test_denoise_and_evaluate_equal_forward_exactly(patch_size):
         cond = rng.normal(size=(b, cfg.condition_dim))
         sigma = np.exp(rng.uniform(-4.0, 2.0, size=b))
         ref, _ = den.forward(h, sigma, cond)
-        np.testing.assert_array_equal(den.denoise(h, sigma, cond), ref, err_msg=str(b))
         np.testing.assert_array_equal(den.evaluate(h, sigma, cond), ref, err_msg=str(b))
         # Scalar sigma and one condition vector shared by the whole batch.
         ref, _ = den.forward(h, np.full(b, 0.8), np.tile(cond[0], (b, 1)))
@@ -509,20 +509,34 @@ def test_evaluate_loss_matches_forward_reference():
     cfg = small_config(patch_size=2)
     den = randomized_denoiser(cfg, seed=5)
     rng = np.random.default_rng(17)
-    n = 70  # one full chunk of 64 and a short one
+    n = 70  # 16 samples per slice: four full slices and a short one
     header = DatasetHeader(n_rx=cfg.n_rx, n_tx=cfg.n_tx, k_rx=1, k_tx=1, sample_count=n)
     ds = Dataset(header=header, conditions=rng.normal(size=(n, 8)),
                  tensors=rng.normal(size=(n, 2, cfg.n_rx, cfg.n_tx)))
     sigmas = np.exp(rng.uniform(-4.0, 2.0, size=n))
     noise = rng.normal(size=ds.tensors.shape)
-    total = 0.0
-    for start in range(0, n, 64):
-        sl = slice(start, start + 64)
-        h0 = ds.tensors[sl]
-        out, _ = den.forward(h0 + sigmas[sl, None, None, None] * noise[sl],
-                             sigmas[sl], ds.conditions[sl])
-        total += float(np.sum((out - h0) ** 2) / h0[0].size)
-    assert evaluate_loss(den, ds, sigmas, noise) == total / n
+    out, _ = den.forward(ds.tensors + sigmas[:, None, None, None] * noise, sigmas,
+                         ds.conditions)
+    assert evaluate_loss(den, ds, sigmas, noise) == float(np.mean((out - ds.tensors) ** 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 3, 70])
+def test_denoising_loss_equals_the_training_loss(dtype, batch):
+    # The non-gradient loss and the training step's loss are one number: the
+    # same perturbation, the same output bytes from sliced inference as from
+    # the whole-batch forward, and the same mean.  80 tokens make 3 samples a
+    # slice, so B=70 is 22 slices and a lone last sample that joins the 22nd.
+    cfg = small_config(patch_size=2, n_tx=40)
+    assert dit.slice_edges(cfg, 70)[-2:] == [66, 70]
+    den = DitDenoiser(cfg, params=randomized_denoiser(cfg, seed=12).params, dtype=dtype)
+    rng = np.random.default_rng(25)
+    h0 = rng.normal(size=(batch, 2, cfg.n_rx, cfg.n_tx))
+    cond = rng.normal(size=(batch, cfg.condition_dim))
+    sigmas = np.exp(rng.uniform(-4.0, 2.0, size=batch))
+    noise = rng.standard_normal(h0.shape)
+    loss = denoising_loss(den, h0, cond, sigmas, noise)
+    assert loss == den.loss_and_grads(h0, cond, sigmas, noise)[0]
 
 
 # -- float32 inference ------------------------------------------------------
@@ -545,7 +559,6 @@ def test_float32_denoise_and_evaluate_equal_whole_batch_forward(monkeypatch, lan
         sigma = np.exp(rng.uniform(-4.0, 2.0, size=b))
         ref = den._forward(h, sigma, cond)
         assert ref.dtype == np.float64
-        np.testing.assert_array_equal(den.denoise(h, sigma, cond), ref, err_msg=str(b))
         np.testing.assert_array_equal(den.evaluate(h, sigma, cond), ref, err_msg=str(b))
         ref = den._forward(h, np.full(b, 0.8), np.tile(cond[0], (b, 1)))
         np.testing.assert_array_equal(den.evaluate(h, 0.8, cond[0]), ref, err_msg=str(b))
@@ -560,7 +573,7 @@ def test_float32_denoise_is_close_to_float64_forward():
     cond = rng.normal(size=(24, cfg.condition_dim))
     sigma = np.exp(np.linspace(-4.0, 2.0, 24))
     ref, _ = den.forward(h, sigma, cond)
-    got = float32_twin(den).denoise(h, sigma, cond)
+    got = float32_twin(den).evaluate(h, sigma, cond)
     assert 0.0 < np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
@@ -654,7 +667,7 @@ def test_non_finite_output_names_samples_and_sigma():
     cond = rng.normal(size=(b, cfg.condition_dim))
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError) as info:
-            den.denoise(h, sigma, cond)
+            den.evaluate(h, sigma, cond)
         with pytest.raises(NumericError, match=f"samples 0-{b - 1}"):
             den.forward(h, sigma, cond)
     msg = str(info.value)
@@ -686,7 +699,7 @@ needs_blas_setter = pytest.mark.skipif(
 
 
 def use_lanes(monkeypatch, cpus):
-    """Split every ``denoise`` call over up to ``cpus`` lanes, whatever its work."""
+    """Split every ``evaluate`` call over up to ``cpus`` lanes, whatever its work."""
     monkeypatch.setattr(_lanes, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(_lanes, "ITEM_FLOPS", 0)
 
@@ -752,7 +765,7 @@ def test_more_lanes_than_cores_run_each_slice_once(monkeypatch):
     den, h, sigma, cond = lane_case(8 * 60 + 3)
     cpus = _lanes.usable_cpus()
     use_lanes(monkeypatch, 1)
-    expected = den.denoise(h, sigma, cond)
+    expected = den.evaluate(h, sigma, cond)
     runs = []
     run = den._forward
 
@@ -767,7 +780,7 @@ def test_more_lanes_than_cores_run_each_slice_once(monkeypatch):
     try:
         for _ in range(3):
             runs.clear()
-            np.testing.assert_array_equal(den.denoise(h, sigma, cond), expected)
+            np.testing.assert_array_equal(den.evaluate(h, sigma, cond), expected)
             assert sorted(runs) == list(sigma[dit.slice_edges(den.config, len(h))[:-1]])
     finally:
         sys.setswitchinterval(interval)
@@ -824,8 +837,8 @@ def test_short_calls_start_no_thread_and_long_ones_leave_none(monkeypatch):
     monkeypatch.setattr(den, "_forward", slow_helpers)
     use_lanes(monkeypatch, 3)
     before = threading.active_count()
-    den.evaluate(h[:40], sigma[:40], cond[:40])  # five slices, three lanes
-    den.denoise(h[:40], sigma[:40], cond[:40])
+    for _ in range(2):
+        den.evaluate(h[:40], sigma[:40], cond[:40])  # five slices, three lanes
     assert len(made) == 4
     assert not any(t.is_alive() for t in made)
     assert threading.active_count() == before
@@ -839,7 +852,7 @@ def test_lowest_failing_slice_is_named_whatever_finished_first(monkeypatch):
     caller, threads = split_slices_0_and_1(monkeypatch, den, sigma)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError) as info:
-            den.denoise(h, sigma, cond)
+            den.evaluate(h, sigma, cond)
     assert threads[0] == caller != threads[1]
     msg = str(info.value)
     assert "samples 0-7 " in msg
@@ -852,7 +865,7 @@ def test_helper_lane_reraises_nonpositive_sigma(monkeypatch):
     sigma[10] = -1.0
     caller, threads = split_slices_0_and_1(monkeypatch, den, sigma)
     with pytest.raises(ValueError, match="sigma must be > 0"):
-        den.denoise(h, sigma, cond)
+        den.evaluate(h, sigma, cond)
     assert threads[0] == caller != threads[1]
 
 
@@ -865,7 +878,7 @@ def test_helper_lane_keeps_the_callers_errstate(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="samples 8-15 "):
-                den.denoise(h, sigma, cond)
+                den.evaluate(h, sigma, cond)
     assert threads[0] == caller != threads[1]
 
 

@@ -129,7 +129,7 @@ def test_aperture_is_largest_pairwise_span():
     lam = g.wavelength
     # Tx: two 4-element subarrays 16 lambda apart, each spanning 1.5 lambda.
     assert g.aperture("tx") == pytest.approx(16 * lam + 3 * lam / 2)
-    assert g.subarray_aperture("tx") == pytest.approx(3 * lam / 2)
+    assert (g.n_tx_sub - 1) * g.intra_spacing == pytest.approx(3 * lam / 2)
 
 
 def test_direction_round_trip():
