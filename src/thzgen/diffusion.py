@@ -38,6 +38,8 @@ class DiffusionSchedule:
 
     def time_grid(self, n_steps: int | None = None) -> np.ndarray:
         """Decreasing uniform grid horizon = t_0 > ... > t_n = sigma_min."""
+        # No caller in the package passes n_steps; perfbench/tracing.py's
+        # euler_sample tag calls time_grid(None), so the argument stays.
         n = self.n_steps if n_steps is None else n_steps
         return np.linspace(self.horizon, self.sigma_min, n + 1)
 
@@ -95,7 +97,6 @@ def euler_sample(
     schedule: DiffusionSchedule,
     rng: np.random.Generator,
     shape,
-    n_steps: int | None = None,
 ) -> np.ndarray:
     """Integrate the probability-flow ODE from N(0, horizon^2 I) down to sigma_min.
 
@@ -103,7 +104,7 @@ def euler_sample(
     A non-finite update is a ``NumericError`` naming the step, t and the
     first and last non-finite sample (index along the first axis of ``shape``).
     """
-    grid = schedule.time_grid(n_steps)
+    grid = schedule.time_grid()
     h = schedule.horizon * rng.standard_normal(shape)
     for step in range(len(grid) - 1):
         t = float(grid[step])

@@ -155,25 +155,6 @@ def rayleigh_distance(aperture: float, wavelength: float) -> float:
     return 2.0 * aperture**2 / wavelength
 
 
-def unit_direction(azimuth: float, elevation: float) -> np.ndarray:
-    """Unit vector for (azimuth, elevation) under the atan2/asin convention."""
-    ce = np.cos(elevation)
-    return np.array(
-        [ce * np.cos(azimuth), ce * np.sin(azimuth), np.sin(elevation)]
-    )
-
-
-def direction_angles(src, dst) -> tuple[float, float]:
-    """(azimuth, elevation) of the direction pointing from src to dst."""
-    delta = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
-    d = np.linalg.norm(delta)
-    if d == 0.0:
-        raise DegenerateGeometryError("cannot take direction between coincident points")
-    azimuth = float(np.arctan2(delta[1], delta[0]))
-    elevation = float(np.arcsin(np.clip(delta[2] / d, -1.0, 1.0)))
-    return azimuth, elevation
-
-
 def condition_vector(tx_origin, rx_origin) -> np.ndarray:
     """The (8,) float64 array [d, x, y, z, sin(az), cos(az), sin(el), cos(el)]
     of the Rx offset (x, y, z) = rx - tx, its length d and its direction."""

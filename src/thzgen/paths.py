@@ -10,33 +10,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_count
-from .geometry import ArrayGeometry, direction_angles
+from .geometry import ArrayGeometry
 
 
 @dataclass
 class Path:
-    """One propagation path.
+    """One propagation path: its scatterer, or none for the line of sight.
 
-    ``gain_magnitude``/``global_phase`` describe the full-array planar-wave
-    gain.  ``reflection_gain`` is the distance-independent gain factor used
-    when per-pair or per-subarray amplitudes are re-derived from geometry
-    (spherical-wave and hybrid models); it is None for synthetic paths that
-    carry no scatterer position.
+    ``reflection_gain`` is the distance-independent gain factor; the channel
+    models take each path's amplitude and phase from the geometry.
     """
 
-    gain_magnitude: float
-    global_phase: float
-    aod: tuple[float, float]  # (azimuth, elevation) at the Tx
-    aoa: tuple[float, float]  # (azimuth, elevation) at the Rx
     scatterer_position: np.ndarray | None = None
-    is_los: bool = False
-    reflection_gain: float | None = None
+    reflection_gain: float = 1.0
 
     def __post_init__(self):
-        if self.gain_magnitude < 0:
-            raise ValueError(f"gain_magnitude must be >= 0, got {self.gain_magnitude}")
         if self.scatterer_position is not None:
             self.scatterer_position = np.asarray(self.scatterer_position, dtype=float)
+
+    @property
+    def is_los(self) -> bool:
+        return self.scatterer_position is None
 
 
 @dataclass
@@ -78,6 +72,8 @@ class GscmConfig:
     def __post_init__(self):
         for name in ("n_clusters", "rays_per_cluster"):
             check_count(name, getattr(self, name))
+        if self.k_factor_std_db < 0:
+            raise ValueError(f"k_factor_std_db must be >= 0, got {self.k_factor_std_db}")
         if self.azimuth_spread <= 0 or self.elevation_spread <= 0:
             raise ValueError("angular spreads must be > 0")
         if not 0 < self.scatterer_radius_min < self.scatterer_radius_max:
@@ -104,26 +100,13 @@ def draw_paths(
     tx = geometry.tx_origin
     rx = geometry.rx_origin
     lam = geometry.wavelength
-    delta = rx - tx
-    d = float(np.linalg.norm(delta))
+    d = float(np.linalg.norm(rx - tx))
     if d == 0.0:
         raise ValueError("tx and rx origins must be distinct")
 
     ple_amp = d ** (-(config.path_loss_exponent - 2.0) / 2.0)
-    n_full = np.sqrt(geometry.n_rx * geometry.n_tx)
-
-    # Line-of-sight path.
     los_amp = _free_space_amplitude(lam, d) * ple_amp
-    aod = direction_angles(tx, rx)
-    aoa = direction_angles(rx, tx)
-    los = Path(
-        gain_magnitude=n_full * los_amp,
-        global_phase=float((2.0 * np.pi / lam * d) % (2.0 * np.pi)),
-        aod=aod,
-        aoa=aoa,
-        is_los=True,
-        reflection_gain=ple_amp,
-    )
+    paths = [Path(reflection_gain=ple_amp)]  # the line of sight
 
     # Rician K-factor fixes the total scattered power.
     k_db = rng.normal(config.k_factor_mean_db, config.k_factor_std_db)
@@ -135,7 +118,6 @@ def draw_paths(
     weights = rng.exponential(1.0, size=n_rays)
     weights /= weights.sum()
 
-    paths = [los]
     ray = 0
     for _ in range(config.n_clusters):
         radius = rng.uniform(config.scatterer_radius_min, config.scatterer_radius_max)
@@ -159,16 +141,7 @@ def draw_paths(
             amp_target = float(np.sqrt(scattered_power * weights[ray])) * ple_amp
             segment_amp = _free_space_amplitude(lam, d1) * _free_space_amplitude(lam, d2)
             paths.append(
-                Path(
-                    gain_magnitude=n_full * amp_target,
-                    global_phase=float(
-                        (2.0 * np.pi / lam * (d1 + d2)) % (2.0 * np.pi)
-                    ),
-                    aod=direction_angles(tx, scat),
-                    aoa=direction_angles(rx, scat),
-                    scatterer_position=scat,
-                    reflection_gain=amp_target / segment_amp,
-                )
+                Path(scatterer_position=scat, reflection_gain=amp_target / segment_amp)
             )
             ray += 1
     return PathSet(paths=paths)

@@ -83,13 +83,9 @@ def test_criterion_2_field_regimes():
         g = ArrayGeometry.uniform_linear(0.3e12, n_tx=16, n_rx=16)
         d_r = rayleigh_distance(g.aperture("tx"), g.wavelength)
         g = g.with_rx_origin((distance_factor * d_r, 0.0, 0.0))
-        from thzgen.geometry import direction_angles
         from thzgen.paths import Path, PathSet
 
-        aod = direction_angles(g.tx_origin, g.rx_origin)
-        aoa = direction_angles(g.rx_origin, g.tx_origin)
-        p = PathSet([Path(gain_magnitude=1.0, global_phase=0.0, aod=aod, aoa=aoa,
-                          is_los=True)])
+        p = PathSet([Path()])  # the line of sight
         hs = swm_channel(p, g).entries
         hp = pwm_channel(p, g).entries
         return abs(np.vdot(hs, hp)) / (np.linalg.norm(hs) * np.linalg.norm(hp))

@@ -17,20 +17,16 @@ from thzgen.channel import (
 from thzgen.dataset import SamplingRegion, sample_rng
 from thzgen.errors import DegenerateGeometryError
 from thzgen.evaluation import nmse
-from thzgen.geometry import ArrayGeometry, direction_angles, rayleigh_distance, unit_direction
+from thzgen.geometry import ArrayGeometry, rayleigh_distance
 from thzgen.paths import GscmConfig, Path, PathSet, draw_paths
+
+from test_geometry import direction_angles, unit_direction
 
 
 def linear_geometry(n_tx=4, n_rx=4, k_tx=1, k_rx=1, rx_origin=(10.0, 0.0, 0.0)):
     return ArrayGeometry.uniform_linear(
         0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=k_tx, k_rx=k_rx, rx_origin=rx_origin
     )
-
-
-def los_path(geometry, gain=1.0):
-    aod = direction_angles(geometry.tx_origin, geometry.rx_origin)
-    aoa = direction_angles(geometry.rx_origin, geometry.tx_origin)
-    return Path(gain_magnitude=gain, global_phase=0.0, aod=aod, aoa=aoa, is_los=True)
 
 
 # -- channel matrix ---------------------------------------------------------
@@ -118,36 +114,40 @@ def test_steering_bad_subarray_index():
 # -- planar wave model ------------------------------------------------------
 
 def test_pwm_single_broadside_path():
+    # The arrays lie along y and face each other along x, so the line of
+    # sight is broadside to both: every entry is the centers' free-space term.
     g = linear_geometry()
-    path = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0.0, 0.0), aoa=(0.0, 0.0))
-    h = pwm_channel(PathSet([path]), g)
-    np.testing.assert_allclose(h.entries, np.full((4, 4), 0.25), atol=1e-12)
-    assert np.linalg.norm(h.entries) == pytest.approx(1.0)
+    h = pwm_channel(PathSet([Path()]), g).entries
+    k, coef, d = 2.0 * np.pi / g.wavelength, g.wavelength / (4.0 * np.pi), 10.0
+    np.testing.assert_allclose(h, np.full((4, 4), coef / d * np.exp(-1j * k * d)), rtol=1e-12)
+    assert np.linalg.norm(h) == pytest.approx(4 * coef / d)
 
 
 def test_pwm_opposite_gains_cancel():
     g = linear_geometry()
-    a = Path(gain_magnitude=1.0, global_phase=0.3, aod=(0.1, 0.0), aoa=(-0.2, 0.0))
-    b = Path(gain_magnitude=1.0, global_phase=0.3 + np.pi, aod=(0.1, 0.0), aoa=(-0.2, 0.0))
-    h = pwm_channel(PathSet([a, b]), g)
-    np.testing.assert_allclose(h.entries, 0, atol=1e-12)
+    a = Path(scatterer_position=(4.0, 2.0, 0.5), reflection_gain=0.3)
+    b = Path(scatterer_position=(4.0, 2.0, 0.5), reflection_gain=-0.3)
+    h = pwm_channel(PathSet([a, b]), g).entries
+    assert np.linalg.norm(h) <= 1e-12 * np.linalg.norm(pwm_channel(PathSet([a]), g).entries)
 
 
 def test_pwm_on_grid_path_hits_single_beam():
-    # With the array along y and lambda/2 pitch, a direction whose axis
-    # projection is sin(az) = 2b/n matches the b-th DFT column exactly, so
-    # the path occupies a single beamspace bin.  Brute force over all bins.
+    # With the arrays along y and lambda/2 pitch, a direction whose axis
+    # projection is 2b/n matches the b-th DFT column exactly, so a path that
+    # leaves the Tx center and reaches the Rx center along such directions
+    # occupies a single beamspace bin.  Its scatterer lies 5 m from the Tx
+    # and 3 m from the Rx; brute force over all bins.
     g = linear_geometry(n_tx=8, n_rx=8)
     rx_d, tx_d = dictionaries_for(g)
+    coef = g.wavelength / (4.0 * np.pi)
     for bt in range(-3, 4):
         for br in range(-3, 4):
-            path = Path(
-                gain_magnitude=0.7,
-                global_phase=0.0,
-                aod=(float(np.arcsin(2 * bt / 8)), 0.0),
-                aoa=(float(np.arcsin(2 * br / 8)), 0.0),
-            )
-            h = pwm_channel(PathSet([path]), g)
+            u_t, u_r = (np.array([np.sqrt(1 - (b / 4) ** 2), b / 4, 0.0]) for b in (bt, br))
+            g_b = g.with_rx_origin(5.0 * u_t - 3.0 * u_r)
+            # The bin holds sqrt(n_rx * n_tx) * refl * coef^2 / (d1 * d2) = 0.7.
+            path = Path(scatterer_position=5.0 * u_t,
+                        reflection_gain=0.7 * 5.0 * 3.0 / (8 * coef**2))
+            h = pwm_channel(PathSet([path]), g_b)
             hb = np.abs(to_beamspace(h, rx_d, tx_d).entries)
             assert hb.max() == pytest.approx(0.7, abs=1e-10)
             assert np.partition(hb.ravel(), -2)[-2] < 1e-10
@@ -155,13 +155,7 @@ def test_pwm_on_grid_path_hits_single_beam():
 
 def pwm_reference(paths, g):
     """The planar model as a sum of per-path outer products of steering vectors."""
-    h = np.zeros((g.n_rx, g.n_tx), dtype=complex)
-    for path in paths:
-        alpha = path.gain_magnitude * np.exp(-1j * path.global_phase)
-        a_r = steering_vector(g, "rx", "full", *path.aoa)
-        a_t = steering_vector(g, "tx", "full", *path.aod)
-        h += alpha * np.outer(a_r.conj(), a_t.conj())
-    return h
+    return hpsm_reference(paths, g, full=True)
 
 
 def test_pwm_matches_sum_of_outer_products():
@@ -172,6 +166,22 @@ def test_pwm_matches_sum_of_outer_products():
     assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("side", ["tx", "rx"])
+def test_pwm_rejects_scatterer_at_array_center(side):
+    g = linear_geometry(n_tx=16, n_rx=8, k_tx=4, k_rx=2, rx_origin=(6.0, 1.0, 0.0))
+    ps = list(draw_paths(np.random.default_rng(2), GscmConfig(), g))
+    ps[5] = Path(scatterer_position=g.tx_origin if side == "tx" else g.rx_origin)
+    with pytest.raises(DegenerateGeometryError,
+                       match="scatterer 5 coincides with an array center"):
+        pwm_channel(PathSet(ps), g)
+
+
+def test_pwm_rejects_coincident_array_centers():
+    g = linear_geometry(n_tx=8, n_rx=3, rx_origin=(0.0, 0.0, 0.0))
+    with pytest.raises(DegenerateGeometryError, match="array centers coincide"):
+        pwm_channel(PathSet([Path()]), g)
+
+
 # -- spherical wave model ---------------------------------------------------
 
 def test_swm_single_antenna_los():
@@ -179,7 +189,7 @@ def test_swm_single_antenna_los():
     g = ArrayGeometry.uniform_linear(lam, n_tx=1, n_rx=1, rx_origin=(0.0, 0.0, 0.0))
     d = 1000 * g.wavelength
     g = g.with_rx_origin((d, 0.0, 0.0))
-    h = swm_channel(PathSet([los_path(g)]), g)
+    h = swm_channel(PathSet([Path()]), g)
     expected = g.wavelength / (4 * np.pi * d)
     assert h.entries[0, 0] == pytest.approx(expected, abs=1e-15)
     assert abs(np.angle(h.entries[0, 0])) < 1e-6
@@ -189,7 +199,7 @@ def far_near_correlation(distance_factor):
     g = linear_geometry(n_tx=16, n_rx=16)
     d_r = rayleigh_distance(g.aperture("tx"), g.wavelength)
     g = g.with_rx_origin((distance_factor * d_r, 0.0, 0.0))
-    paths = PathSet([los_path(g)])
+    paths = PathSet([Path()])
     hs = swm_channel(paths, g).entries
     hp = pwm_channel(paths, g).entries
     return abs(np.vdot(hs, hp)) / (np.linalg.norm(hs) * np.linalg.norm(hp))
@@ -213,10 +223,7 @@ def test_swm_to_pwm_monotone_convergence():
 def test_swm_rejects_scatterer_on_element():
     g = linear_geometry()
     scat = g.element_positions_tx[0]
-    bad = Path(
-        gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0),
-        scatterer_position=scat, reflection_gain=1.0,
-    )
+    bad = Path(scatterer_position=scat)
     with pytest.raises(DegenerateGeometryError):
         swm_channel(PathSet([bad]), g)
 
@@ -226,19 +233,15 @@ def test_swm_names_the_scatterer_on_an_element(side):
     g = linear_geometry(rx_origin=(6.0, 1.0, 0.0))
     ps = list(draw_paths(np.random.default_rng(1), GscmConfig(), g))
     element = g.element_positions_tx[2] if side == "tx" else g.element_positions_rx[1]
-    ps[4] = Path(
-        gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0),
-        scatterer_position=element, reflection_gain=1.0,
-    )
+    ps[4] = Path(scatterer_position=element)
     with pytest.raises(DegenerateGeometryError, match="scatterer 4 coincides"):
         swm_channel(PathSet(ps), g)
 
 
 def test_swm_rejects_coincident_tx_and_rx_elements():
     g = linear_geometry(n_tx=4, n_rx=4, rx_origin=(0.0, 0.0, 0.0))
-    los = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0), is_los=True)
     with pytest.raises(DegenerateGeometryError, match="tx and rx elements coincide"):
-        swm_channel(PathSet([los]), g)
+        swm_channel(PathSet([Path()]), g)
 
 
 REGION = SamplingRegion((4.0, -3.0, -0.5), (10.0, 3.0, 0.5))
@@ -253,7 +256,7 @@ def swm_reference(paths, geometry):
     coef = lam / (4.0 * np.pi)
     h = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=np.complex128)
     for path in paths:
-        refl = 1.0 if path.reflection_gain is None else path.reflection_gain
+        refl = path.reflection_gain
         if path.scatterer_position is not None:
             s = path.scatterer_position
             d1 = np.linalg.norm(tx_pos - s, axis=1)  # (n_tx,)
@@ -284,7 +287,7 @@ def swm_extended(paths, geometry):
     re = np.zeros((rx_pos.shape[0], tx_pos.shape[0]), dtype=ld)
     im = np.zeros_like(re)
     for path in paths:
-        refl = ld(1.0 if path.reflection_gain is None else path.reflection_gain)
+        refl = ld(path.reflection_gain)
         if path.scatterer_position is not None:
             s = path.scatterer_position.astype(ld)
             d1 = np.sqrt(((tx_pos - s) ** 2).sum(axis=1))
@@ -312,7 +315,7 @@ def pinned_draws(shape):
         yield draw_paths(rng, GscmConfig(), geom_i), geom_i
 
 
-def swm_digest(model):
+def channel_digest(model):
     """SHA-256 of ``model(paths, geometry)``'s bytes over the pinned draws."""
     digest = hashlib.sha256()
     for shape in PINNED_SHAPES:
@@ -333,19 +336,29 @@ SWM_CHANNEL_DIGEST = "7a7f031c39e796a6d223829617261a63ec0453266e5365a73b67ad9a9f
 
 
 def test_swm_bytes_are_pinned():
-    assert swm_digest(swm_reference) == SWM_DIGEST
+    assert channel_digest(swm_reference) == SWM_DIGEST
 
 
 def test_swm_channel_bytes_are_pinned():
-    assert swm_digest(lambda ps, g: swm_channel(ps, g).entries) == SWM_CHANNEL_DIGEST
+    assert channel_digest(lambda ps, g: swm_channel(ps, g).entries) == SWM_CHANNEL_DIGEST
+
+
+# The same draws through hpsm_channel, written by the HPSM code as it stood
+# before pwm_channel moved onto the shared spherical core (numpy 2.4,
+# x86_64): the move kept HPSM's bytes.
+HPSM_CHANNEL_DIGEST = "f17c35754b5b15829ef8812adbfccb36647ba3906662086636f210f7d2441284"
+
+
+def test_hpsm_channel_bytes_are_pinned():
+    assert channel_digest(lambda ps, g: hpsm_channel(ps, g).entries) == HPSM_CHANNEL_DIGEST
 
 
 def swm_case_paths(kind, rng, geometry):
     drawn = list(draw_paths(rng, GscmConfig(), geometry))
     scattered = [p for p in drawn if not p.is_los]
     los = [p for p in drawn if p.is_los]
-    # reflection_gain None counts as 1.
-    unit = [dataclasses.replace(p, reflection_gain=None) for p in scattered[4:7]]
+    # The default reflection gain, 1.
+    unit = [Path(scatterer_position=p.scatterer_position) for p in scattered[4:7]]
     return {
         "scattered": scattered,
         "los": los,
@@ -396,40 +409,27 @@ def test_swm_raises_for_the_first_faulty_path(side):
     g = linear_geometry(rx_origin=(6.0, 1.0, 0.0))
     ps = list(draw_paths(np.random.default_rng(1), GscmConfig(), g))
     element = g.element_positions_tx[2] if side == "tx" else g.element_positions_rx[1]
-    on_element = Path(
-        gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0),
-        scatterer_position=element, reflection_gain=1.0,
-    )
-    planar = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0))
-    ps[1], ps[3] = planar, on_element
-    with pytest.raises(ValueError, match="path 1 is not line-of-sight") as info:
-        swm_channel(PathSet(ps), g)
-    assert type(info.value) is ValueError
-    ps[1], ps[3] = on_element, planar
+    ps[1] = Path(scatterer_position=element)
+    ps[3] = Path(scatterer_position=g.element_positions_tx[0])
     with pytest.raises(DegenerateGeometryError, match="scatterer 1 coincides"):
         swm_channel(PathSet(ps), g)
-
-
-def test_swm_requires_scatterer_for_nlos():
-    g = linear_geometry()
-    synthetic = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0))
-    with pytest.raises(ValueError, match="scatterer"):
-        swm_channel(PathSet([synthetic]), g)
 
 
 # -- hybrid model -----------------------------------------------------------
 
 def test_hpsm_single_subarray_equals_pwm():
-    g = linear_geometry(n_tx=8, n_rx=4, k_tx=1, k_rx=1)
-    path = Path(gain_magnitude=0.9, global_phase=1.1, aod=(0.2, 0.05), aoa=(-0.3, 0.0))
-    hp = pwm_channel(PathSet([path]), g)
-    hh = hpsm_channel(PathSet([path]), g)
-    np.testing.assert_allclose(hh.entries, hp.entries, atol=1e-12)
+    # A lone subarray's center is its array's, so the two models are one.
+    g = linear_geometry(n_tx=8, n_rx=4, k_tx=1, k_rx=1, rx_origin=(6.0, 1.0, 0.3))
+    ps = PathSet([
+        Path(scatterer_position=(3.0, -2.0, 0.5), reflection_gain=1.1),
+        Path(reflection_gain=0.9),
+    ])
+    assert np.array_equal(hpsm_channel(ps, g).entries, pwm_channel(ps, g).entries)
 
 
 def test_hpsm_block_dimensions():
     g = linear_geometry(n_tx=16, n_rx=8, k_tx=4, k_rx=2)
-    h = hpsm_channel(PathSet([los_path(g)]), g)
+    h = hpsm_channel(PathSet([Path()]), g)
     assert h.entries.shape == (8, 16)
     # Each 4x4 block has rank <= 1 for a single path.
     for kr in range(2):
@@ -446,34 +446,45 @@ def test_hpsm_beats_pwm_at_cross_field_range():
     d = np.sqrt(d_full * d_sub)  # geometric middle of the cross-field band
     assert d_sub < d < d_full
     g = g.with_rx_origin((d, 0.0, 0.0))
-    paths = PathSet([los_path(g, gain=np.sqrt(64 * 16) * g.wavelength / (4 * np.pi * d))])
+    paths = PathSet([Path()])
     hs = swm_channel(paths, g).entries
     e_h = nmse(hpsm_channel(paths, g).entries, hs)
     e_p = nmse(pwm_channel(paths, g).entries, hs)
     assert e_h < e_p
 
 
-def hpsm_reference(paths, geometry):
+def hpsm_reference(paths, geometry, full=False):
     """The hybrid model as a loop over (Rx subarray, Tx subarray, path).
 
     Each block is a sum of rank-one outer products of per-subarray steering
     vectors, with gains, phases and angles taken from the subarray centers.
+    With ``full`` the one block per side is the whole array about its
+    origin, which makes it the planar model.
     """
     lam = geometry.wavelength
     k_wave = 2.0 * np.pi / lam
-    n_sub_r, n_sub_t = geometry.n_rx_sub, geometry.n_tx_sub
-    sub_scale = np.sqrt(n_sub_r * n_sub_t)
-    full_scale = np.sqrt(geometry.n_rx * geometry.n_tx)
     coef = lam / (4.0 * np.pi)
+    if full:
+        blocks_r, blocks_t = [("full", geometry.rx_origin)], [("full", geometry.tx_origin)]
+        n_sub_r, n_sub_t = geometry.n_rx, geometry.n_tx
+    else:
+        blocks_r = list(enumerate(geometry.subarray_centers_rx))
+        blocks_t = list(enumerate(geometry.subarray_centers_tx))
+        n_sub_r, n_sub_t = geometry.n_rx_sub, geometry.n_tx_sub
+    sub_scale = np.sqrt(n_sub_r * n_sub_t)
     h = np.zeros((geometry.n_rx, geometry.n_tx), dtype=complex)
-    for kr in range(geometry.k_rx):
-        c_kr = geometry.subarray_centers_rx[kr]
-        for kt in range(geometry.k_tx):
-            c_kt = geometry.subarray_centers_tx[kt]
+    for i, (kr, c_kr) in enumerate(blocks_r):
+        for j, (kt, c_kt) in enumerate(blocks_t):
             block = np.zeros((n_sub_r, n_sub_t), dtype=complex)
             for path in paths:
-                refl = 1.0 if path.reflection_gain is None else path.reflection_gain
-                if path.scatterer_position is not None:
+                refl = path.reflection_gain
+                if path.is_los:
+                    d = float(np.linalg.norm(c_kr - c_kt))
+                    gain = sub_scale * refl * coef / d
+                    phase = k_wave * d
+                    aod = direction_angles(c_kt, c_kr)
+                    aoa = direction_angles(c_kr, c_kt)
+                else:
                     s = path.scatterer_position
                     d1 = float(np.linalg.norm(s - c_kt))
                     d2 = float(np.linalg.norm(c_kr - s))
@@ -481,26 +492,10 @@ def hpsm_reference(paths, geometry):
                     phase = k_wave * (d1 + d2)
                     aod = direction_angles(c_kt, s)
                     aoa = direction_angles(c_kr, s)
-                elif path.is_los:
-                    d = float(np.linalg.norm(c_kr - c_kt))
-                    gain = sub_scale * refl * coef / d
-                    phase = k_wave * d
-                    aod = direction_angles(c_kt, c_kr)
-                    aoa = direction_angles(c_kr, c_kt)
-                else:
-                    u_t = unit_direction(*path.aod)
-                    u_r = unit_direction(*path.aoa)
-                    gain = path.gain_magnitude * sub_scale / full_scale
-                    phase = (
-                        path.global_phase
-                        - k_wave * float((c_kr - geometry.rx_origin) @ u_r)
-                        - k_wave * float((c_kt - geometry.tx_origin) @ u_t)
-                    )
-                    aod, aoa = path.aod, path.aoa
                 a_r = steering_vector(geometry, "rx", kr, *aoa)
                 a_t = steering_vector(geometry, "tx", kt, *aod)
                 block += gain * np.exp(-1j * phase) * np.outer(a_r.conj(), a_t.conj())
-            h[kr * n_sub_r : (kr + 1) * n_sub_r, kt * n_sub_t : (kt + 1) * n_sub_t] = block
+            h[i * n_sub_r : (i + 1) * n_sub_r, j * n_sub_t : (j + 1) * n_sub_t] = block
     return h
 
 
@@ -508,21 +503,14 @@ def hpsm_case_paths(kind, rng, geometry):
     drawn = list(draw_paths(rng, GscmConfig(), geometry))
     scattered = [p for p in drawn if not p.is_los]
     los = [p for p in drawn if p.is_los]
-    # Synthetic planar paths: the drawn angles and gains, no scatterer.
-    planar = [
-        Path(gain_magnitude=p.gain_magnitude, global_phase=p.global_phase,
-             aod=p.aod, aoa=p.aoa)
-        for p in scattered[:4]
-    ]
     return {
         "scattered": scattered,
         "los": los,
-        "planar": planar,
-        "mixed": los + planar[:2] + scattered[2:],
+        "mixed": scattered[:2] + los + scattered[2:],
     }[kind]
 
 
-@pytest.mark.parametrize("kind", ["scattered", "los", "planar", "mixed"])
+@pytest.mark.parametrize("kind", ["scattered", "los", "mixed"])
 @pytest.mark.parametrize(
     "shape", [(4, 8, 1, 1), (8, 16, 2, 4), (64, 256, 4, 8)], ids=str
 )
@@ -536,6 +524,9 @@ def test_hpsm_matches_loop_reference(shape, kind):
         ref = hpsm_reference(ps, geom_i)
         h = hpsm_channel(ps, geom_i).entries
         assert np.linalg.norm(h - ref) <= 1e-10 * np.linalg.norm(ref)
+        if k_rx == k_tx == 1:
+            h = pwm_channel(ps, geom_i).entries
+            assert np.linalg.norm(h - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("side", ["tx", "rx"])
@@ -543,10 +534,7 @@ def test_hpsm_rejects_scatterer_at_subarray_center(side):
     g = linear_geometry(n_tx=16, n_rx=8, k_tx=4, k_rx=2, rx_origin=(6.0, 1.0, 0.0))
     ps = list(draw_paths(np.random.default_rng(2), GscmConfig(), g))
     center = g.subarray_centers_tx[3] if side == "tx" else g.subarray_centers_rx[1]
-    ps[5] = Path(
-        gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0),
-        scatterer_position=center, reflection_gain=1.0,
-    )
+    ps[5] = Path(scatterer_position=center)
     with pytest.raises(DegenerateGeometryError,
                        match="scatterer 5 coincides with a subarray center"):
         hpsm_channel(PathSet(ps), g)
@@ -555,20 +543,16 @@ def test_hpsm_rejects_scatterer_at_subarray_center(side):
 def test_hpsm_rejects_coincident_subarray_centers():
     g = linear_geometry(n_tx=8, n_rx=4, k_tx=2, k_rx=1, rx_origin=(0.0, 0.0, 0.0))
     g = g.with_rx_origin(g.subarray_centers_tx[1])
-    los = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0), is_los=True)
     with pytest.raises(DegenerateGeometryError, match="subarray centers coincide"):
-        hpsm_channel(PathSet([los]), g)
+        hpsm_channel(PathSet([Path()]), g)
 
 
 @pytest.mark.parametrize("los_first", [True, False])
 def test_hpsm_raises_for_the_first_faulty_path(los_first):
     g = linear_geometry(n_tx=8, n_rx=4, k_tx=2, k_rx=1, rx_origin=(0.0, 0.0, 0.0))
     g = g.with_rx_origin(g.subarray_centers_tx[1])
-    los = Path(gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0), is_los=True)
-    on_center = Path(
-        gain_magnitude=1.0, global_phase=0.0, aod=(0, 0), aoa=(0, 0),
-        scatterer_position=g.subarray_centers_tx[0], reflection_gain=1.0,
-    )
+    los = Path()
+    on_center = Path(scatterer_position=g.subarray_centers_tx[0])
     if los_first:
         ps, match = [los, on_center], "subarray centers coincide"
     else:
@@ -618,7 +602,7 @@ def hpsm_extended(paths, geometry):
     re = np.zeros((geometry.n_rx, geometry.n_tx), dtype=ld)
     im = np.zeros_like(re)
     for path in paths:
-        refl = ld(1.0 if path.reflection_gain is None else path.reflection_gain)
+        refl = ld(path.reflection_gain)
         if path.scatterer_position is not None:
             s = path.scatterer_position.astype(ld)
             d1, e1 = to_point(s, c_t, o_t)
@@ -697,17 +681,16 @@ def test_swapping_tx_and_rx_transposes_the_channel(seed, n_rx, n_tx, k_rx, k_tx)
         0.3e12, n_tx=n_rx, n_rx=n_tx, k_tx=k_rx, k_rx=k_tx,
         tx_origin=geom.rx_origin, rx_origin=geom.tx_origin,
     )
-    back = PathSet([dataclasses.replace(p, aod=p.aoa, aoa=p.aod) for p in ps])
-    for model in (swm_channel, hpsm_channel):
+    for model in (swm_channel, hpsm_channel, pwm_channel):
         h = model(ps, geom).entries
-        h_swapped = model(back, swapped).entries
+        h_swapped = model(ps, swapped).entries
         assert np.linalg.norm(h_swapped - h.T) <= 1e-12 * np.linalg.norm(h)
 
 
 @given(seed=SEEDS, n_rx=COUNTS, n_tx=COUNTS)
 def test_hpsm_with_one_subarray_matches_pwm_on_drawn_paths(seed, n_rx, n_tx):
-    # draw_paths stores each path's full-array gain, phase and angles from
-    # the array origins, which are the single subarray centers.
+    # A lone subarray's center is its array's origin, up to the rounding of
+    # the translation that with_rx_origin applies to each.
     ps, geom = drawn(seed, 4 * n_rx, 4 * n_tx, 1, 1)
     h = hpsm_channel(ps, geom).entries
     hp = pwm_channel(ps, geom).entries
@@ -729,6 +712,7 @@ def test_gscm_config_checks_itself():
         {"n_clusters": 0},
         {"elevation_spread": 0.0},
         {"scatterer_radius_min": 5.0, "scatterer_radius_max": 1.0},
+        {"k_factor_std_db": -3.0},
     ):
         with pytest.raises(ValueError):
             GscmConfig(**bad)
@@ -752,11 +736,12 @@ def test_draw_paths_deterministic():
     a = draw_paths(np.random.default_rng(42), cfg, g)
     b = draw_paths(np.random.default_rng(42), cfg, g)
     for pa, pb in zip(a, b):
-        assert pa.gain_magnitude == pb.gain_magnitude
-        assert pa.global_phase == pb.global_phase
-        assert pa.aod == pb.aod and pa.aoa == pb.aoa
+        assert pa.reflection_gain == pb.reflection_gain
+        assert pa.is_los == pb.is_los
+        if not pa.is_los:
+            assert np.array_equal(pa.scatterer_position, pb.scatterer_position)
     c = draw_paths(np.random.default_rng(43), cfg, g)
-    assert any(pa.gain_magnitude != pc.gain_magnitude for pa, pc in zip(a, c))
+    assert any(pa.reflection_gain != pc.reflection_gain for pa, pc in zip(a, c))
 
 
 def test_draw_paths_huge_k_factor_concentrates_los():

@@ -274,6 +274,7 @@ def test_bad_dit_section_is_fatal_for_gen_data(tmp_path, capsys, value):
     ("dataset", {"cell_size": -1.0}, "cell_size must be a finite number > 0, got -1.0"),
     ("training", {"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
     ("training", {"eps": -1.0}, "eps must be a finite number >= 0, got -1.0"),
+    ("gscm", {"k_factor_std_db": -3}, "k_factor_std_db must be >= 0, got -3"),
 ])
 def test_bad_value_is_fatal_before_synthesis(tmp_path, capsys, monkeypatch, section, value,
                                              message):
