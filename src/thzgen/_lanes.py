@@ -11,17 +11,19 @@ bytes at any lane count.
 
 ``lane_count`` decides the lane count from an estimate of the work per item.
 Each item also runs Python that holds the interpreter lock, so a second lane
-pays only when the numpy work of an item outweighs it.  While more than one
-lane runs, OpenBLAS is pinned to one thread: its own threads would contend
-with the lanes for the same cores.  Where numpy's BLAS has no thread setter
-that this module can call, every call runs on one lane.
+pays only when the numpy work of an item outweighs it.
+
+Importing this module (and so any ``import thzgen``) sets OpenBLAS to one
+thread for the rest of the process and does not restore the count, so lanes
+are the package's only parallelism: OpenBLAS's own threads would contend
+with them for the same cores, and its idle threads spin on a core after
+the count drops.  Where numpy's BLAS has no thread setter that this module
+can call, every call runs on one lane.
 """
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import ctypes
-import functools
 import os
 import threading
 
@@ -44,62 +46,29 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@functools.cache
-def _openblas():
-    """OpenBLAS's (get, set) thread-count functions, or None where there are none.
+def _set_one_blas_thread() -> bool:
+    """Set OpenBLAS to one thread; False where there is no setter.
 
-    numpy's bundled ``scipy_openblas`` exports them; they resolve through
-    the handle of numpy's core extension, which links it.
+    numpy's bundled ``scipy_openblas`` exports it; it resolves through the
+    handle of numpy's core extension, which links it.
     """
     try:
         from numpy._core import _multiarray_umath as core
 
-        lib = ctypes.CDLL(core.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
+        set_threads = ctypes.CDLL(core.__file__).scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return True
 
 
-_pin_lock = threading.Lock()
-_pins = 0  # pin contexts open in this process
-_saved_threads = 0  # the BLAS thread count before the first of them
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its thread count.
-
-    Nests and may be entered from several threads at once: the first entry
-    saves the count and the last exit restores it.  Where there is no
-    setter, the block runs unchanged.
-    """
-    global _pins, _saved_threads
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    with _pin_lock:
-        if _pins == 0:
-            _saved_threads = get()
-            set_(1)
-        _pins += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pins -= 1
-            if _pins == 0:
-                set_(_saved_threads)
+_blas_single_threaded = _set_one_blas_thread()  # False: every call runs on one lane
 
 
 def lane_count(count: int, item_flops: float) -> int:
     """Lanes for ``count`` items of ``item_flops`` matmul flops each."""
-    if item_flops < ITEM_FLOPS or _openblas() is None:
+    if item_flops < ITEM_FLOPS or not _blas_single_threaded:
         return 1
     return max(1, min(usable_cpus(), count))
 
@@ -119,16 +88,15 @@ def run(count: int, lanes: int, item) -> None:
     if lanes == 1:
         lane(0)
     else:
-        with one_blas_thread():
-            helpers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, j))
-                       for j in range(1, lanes)]
+        helpers = [threading.Thread(target=contextvars.copy_context().run, args=(lane, j))
+                   for j in range(1, lanes)]
+        for helper in helpers:
+            helper.start()
+        try:
+            lane(0)
+        finally:
             for helper in helpers:
-                helper.start()
-            try:
-                lane(0)
-            finally:
-                for helper in helpers:
-                    helper.join()
+                helper.join()
     failed = [f for f in failures if f is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]

@@ -325,16 +325,6 @@ def _pair_by_condition(gen: Dataset, ref: Dataset) -> list[tuple[int, int]]:
     return pairs
 
 
-def _check_finite(path, dataset: Dataset) -> None:
-    """Reject a dataset with a NaN or Inf in any sample's condition or tensor."""
-    finite = np.isfinite(dataset.conditions).all(axis=1)
-    finite &= np.isfinite(dataset.tensors).all(axis=(1, 2, 3))
-    if not finite.all():
-        raise ValueError(
-            f"{path}: sample {int(np.argmin(finite))} holds a non-finite value"
-        )
-
-
 def cmd_eval(args) -> int:
     metrics = args.metrics.split(",")
     invalid = [m for m in metrics if m not in _VALID_METRICS]
@@ -344,8 +334,6 @@ def cmd_eval(args) -> int:
         )
     gen = read_dataset(args.gen)
     ref = read_dataset(args.ref)
-    for path, data in ((args.gen, gen), (args.ref, ref)):
-        _check_finite(path, data)
     if (gen.header.n_rx, gen.header.n_tx) != (ref.header.n_rx, ref.header.n_tx):
         raise ValueError(
             f"dimension mismatch: generated {gen.header.n_rx}x{gen.header.n_tx} "

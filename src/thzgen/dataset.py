@@ -241,6 +241,11 @@ def split(
         )
     test_set = set(test_idx)
     train_idx = [i for i in range(n) if i not in test_set]
+    if not train_idx:  # the test side holds at least one cell
+        raise InsufficientDataError(
+            f"a {test_fraction:.0%} split of {n} samples leaves the train side empty; "
+            f"add samples or lower test_fraction"
+        )
     test_idx = sorted(test_idx)
 
     def subset(idx):
@@ -281,7 +286,11 @@ def write_dataset(path, dataset: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    """Read a dataset file; a bad header, or a length other than it declares, is fatal."""
+    """Read a dataset file.
+
+    A bad header, a length other than it declares, or a NaN or Inf in any
+    sample's condition or tensor is fatal, naming the file.
+    """
     header_size = struct.calcsize(_HEADER_FMT)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -317,6 +326,9 @@ def read_dataset(path) -> Dataset:
         record = np.fromfile(f, dtype="<f4", count=count * record_len).reshape(
             count, record_len
         )
+    finite = np.isfinite(record).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: sample {int(np.argmin(finite))} holds a non-finite value")
     conditions = record[:, :cond_dim].astype(float)
     tensors = record[:, cond_dim:].astype(float).reshape(count, 2, n_rx, n_tx)
     return Dataset(header=header, conditions=conditions, tensors=tensors)

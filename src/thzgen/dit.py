@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import _lanes
-from .errors import NumericError, is_integer
+from .errors import NumericError, check_count, is_integer
 from .geometry import CONDITION_DIM
 
 LN_EPS = 1e-6
@@ -50,6 +50,8 @@ class DitConfig:
             value = getattr(self, f.name)
             if not is_integer(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        check_count("n_rx", self.n_rx)
+        check_count("n_tx", self.n_tx)
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if min(self.patch_size, self.embed_dim, self.n_heads, self.mlp_ratio) < 1:
@@ -64,8 +66,6 @@ class DitConfig:
             )
         if self.embed_dim % 4:
             raise ValueError("embed_dim must be divisible by 4 for 2-D sincos tables")
-        if self.n_tokens < 1:
-            raise ValueError("need at least one token")
 
     @property
     def condition_dim(self) -> int:

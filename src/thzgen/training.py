@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lanes
 from .checkpoint import Checkpoint, ema_denoiser
 from .dataset import Dataset
 from .diffusion import DiffusionSchedule, denoising_loss, ema_update
@@ -93,7 +92,6 @@ def evaluate_loss(
     return denoising_loss(model, dataset.tensors, dataset.conditions, sigmas, noise)
 
 
-@_lanes.one_blas_thread()
 def train(
     train_set: Dataset,
     test_set: Dataset,
@@ -109,9 +107,7 @@ def train(
     denoiser, takes its loss and gradients there, and casts the gradients
     into one float64 buffer that Adam applies to the master weights.  The
     per-epoch test loss is computed with the EMA weights on a fixed set of
-    noise draws so the curve reflects parameter movement only.  BLAS runs
-    on one thread throughout, with the same bytes: on the toy model's B=8
-    step its second thread cost 6%.
+    noise draws so the curve reflects parameter movement only.
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_params(dit_config, rng)

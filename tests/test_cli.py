@@ -441,6 +441,23 @@ def test_train_refuses_a_test_file_of_another_size(workdir, tmp_path, capsys, ge
     assert "epoch" not in captured.out
 
 
+@pytest.mark.parametrize("part, bad", [("tensors", np.nan), ("conditions", np.inf)])
+def test_train_names_a_non_finite_sample(workdir, tmp_path, capsys, part, bad):
+    # Refused where the file is read, not as a divergence or a bad condition.
+    clean = read_dataset(workdir / "data.train")
+    arrays = {"tensors": clean.tensors.copy(), "conditions": clean.conditions.copy()}
+    arrays[part][5].flat[3] = bad
+    write_dataset(tmp_path / "data.train", Dataset(header=clean.header, **arrays))
+    (tmp_path / "data.test").write_bytes((workdir / "data.test").read_bytes())
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config_path(workdir), "--data", str(tmp_path / "data"),
+                 "--out-ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {tmp_path / 'data.train'}: sample 5 holds a non-finite value\n"
+    assert "epoch" not in captured.out
+    assert not ckpt.exists()
+
+
 def test_diverged_training_is_an_error_line(workdir, tmp_path, capsys):
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps({**CONFIG, "training": {**CONFIG["training"],
@@ -754,24 +771,38 @@ def test_eval_rejects_dimension_mismatch(workdir, tmp_path, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+def run_python(args, **env):
+    """Run ``python args`` on this checkout's package with ``env`` added."""
+    src = str(Path(thzgen.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+
+
 def test_import_loads_no_scipy():
     # numpy is the package's only dependency.
-    src = str(Path(thzgen.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, thzgen, thzgen.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    proc = run_python(["-c", "import sys, thzgen, thzgen.cli; "
+                             "print([m for m in sys.modules if m.startswith('scipy')])"])
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not _lanes._blas_single_threaded,
+                    reason="no OpenBLAS thread setter: every call runs on one lane")
+def test_import_sets_openblas_to_one_thread():
+    # The count is read through ctypes, not through the package.
+    code = ("import ctypes\n"
+            "from numpy._core import _multiarray_umath as core\n"
+            "get = ctypes.CDLL(core.__file__).scipy_openblas_get_num_threads64_\n"
+            "before = get()\n"
+            "import thzgen\n"
+            "print(before, get())\n")
+    before, after = map(int, run_python(["-c", code], OPENBLAS_NUM_THREADS="2").stdout.split())
+    assert (before, after) == (min(2, _lanes.usable_cpus()), 1)
+
+
 def test_python_m_thzgen_runs_the_cli():
-    src = str(Path(thzgen.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "thzgen", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
+    proc = run_python(["-m", "thzgen", "--help"])
     assert proc.stdout.startswith("usage: thzgen ")
     for command in ("gen-data", "train", "sample", "eval"):
         assert command in proc.stdout

@@ -1,9 +1,10 @@
+import re
 import struct
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzgen import _lanes, dataset
@@ -63,7 +64,8 @@ def test_build_deterministic_and_order_independent():
 # -- lanes --------------------------------------------------------------------
 
 needs_blas_setter = pytest.mark.skipif(
-    _lanes._openblas() is None, reason="no OpenBLAS thread setter: every call runs on one lane")
+    not _lanes._blas_single_threaded,
+    reason="no OpenBLAS thread setter: every call runs on one lane")
 
 
 def use_lanes(monkeypatch, lanes):
@@ -76,7 +78,7 @@ def test_build_bytes_do_not_depend_on_lane_count(monkeypatch):
     builds = []
     for lanes in (1, 2, 3):
         use_lanes(monkeypatch, lanes)
-        assert dataset.lane_count(GEOM, 9) == (lanes if _lanes._openblas() else 1)
+        assert dataset.lane_count(GEOM, 9) == (lanes if _lanes._blas_single_threaded else 1)
         builds.append(small_dataset(9, seed=3))
     for lanes, ds in zip((2, 3), builds[1:]):
         assert ds.tensors.tobytes() == builds[0].tensors.tobytes(), lanes
@@ -115,34 +117,6 @@ def test_lowest_degenerate_sample_is_named_on_any_lane(monkeypatch, bad, lowest,
     assert sorted(threads) == ran
     caller = threading.get_ident()  # lane 0 ran the even samples
     assert all((threads[i] == caller) == (i % 2 == 0) for i in ran)
-
-
-@needs_blas_setter
-@pytest.mark.parametrize("bad", [set(), {5}])
-def test_build_restores_the_blas_thread_count(monkeypatch, bad):
-    get, set_ = _lanes._openblas()
-    use_lanes(monkeypatch, 2)
-    degenerate_samples(monkeypatch, bad)
-    refusing = dataset.swm_channel
-    seen = []
-
-    def channel(paths, geometry):
-        seen.append(get())
-        return refusing(paths, geometry)
-
-    monkeypatch.setattr(dataset, "swm_channel", channel)
-    before = get()
-    set_(2)
-    try:
-        if bad:
-            with pytest.raises(DegenerateGeometryError, match="^sample 5: "):
-                small_dataset(10)
-        else:
-            small_dataset(10)
-        assert get() == 2
-    finally:
-        set_(before)
-    assert seen and set(seen) == {1}  # pinned while both lanes ran
 
 
 @needs_blas_setter
@@ -208,6 +182,9 @@ def test_split_rejects_coarse_cells():
     ds = small_dataset(50)
     with pytest.raises(InsufficientDataError):
         split(ds, 0.1, cell_size=100.0)
+    # One sample is one cell: a 99% split would leave nothing to train on.
+    with pytest.raises(InsufficientDataError, match="leaves the train side empty"):
+        split(small_dataset(1), 0.99)
 
 
 def test_split_rejects_bad_fraction():
@@ -232,20 +209,24 @@ def positions_dataset(positions, seed=0):
 
 
 @given(
-    points=st.lists(st.tuples(*[st.floats(-5.0, 5.0)] * 3), min_size=40, max_size=120),
-    repeats=st.lists(st.integers(0, 39), max_size=20),
-    test_fraction=st.floats(0.05, 0.95),
+    points=st.lists(st.tuples(*[st.floats(-5.0, 5.0)] * 3), min_size=1, max_size=120),
+    repeats=st.lists(st.integers(0, 2**16), max_size=20),
+    test_fraction=st.one_of(st.floats(0.001, 0.05), st.floats(0.05, 0.95),
+                            st.floats(0.95, 0.999)),
     cell_size=st.floats(0.05, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_split_keeps_cells_disjoint_and_indices_whole(points, repeats, test_fraction,
                                                       cell_size, seed):
     # Repeated points put several samples in one cell.
-    ds = positions_dataset(points + [points[i] for i in repeats], seed)
+    ds = positions_dataset(points + [points[i % len(points)] for i in repeats], seed)
     try:
         train, test = split(ds, test_fraction, cell_size)
-    except InsufficientDataError:
-        assume(False)
+    except InsufficientDataError as exc:
+        # Too few points or cells for the fraction: a named refusal, not a bad header.
+        assert re.match(r"position cells too coarse|a \d+% split of \d+ samples leaves "
+                        r"the train side empty", str(exc)), exc
+        return
 
     def cells(d):
         return {tuple(np.floor(p / cell_size).astype(int)) for p in d.conditions[:, 1:4]}

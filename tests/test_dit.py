@@ -65,6 +65,11 @@ def test_config_validation():
     for name in ("patch_size", "embed_dim", "n_heads", "mlp_ratio"):
         with pytest.raises(ValueError, match="must be >= 1"):
             DitConfig(n_rx=8, n_tx=16, **{name: 0})
+    # Negative antenna counts would pass the divisibility checks (8 tokens).
+    with pytest.raises(ValueError, match=r"^n_rx must be an integer >= 1, got -8$"):
+        DitConfig(n_rx=-8, n_tx=-16)
+    with pytest.raises(ValueError, match=r"^n_tx must be an integer >= 1, got 0$"):
+        DitConfig(n_rx=8, n_tx=0)
 
 
 def test_config_derived_sizes():
@@ -695,7 +700,8 @@ def test_evaluate_peak_memory_is_bounded_by_slices():
 # -- inference lanes --------------------------------------------------------
 
 needs_blas_setter = pytest.mark.skipif(
-    _lanes._openblas() is None, reason="no OpenBLAS thread setter: every call runs on one lane")
+    not _lanes._blas_single_threaded,
+    reason="no OpenBLAS thread setter: every call runs on one lane")
 
 
 def use_lanes(monkeypatch, cpus):
@@ -800,9 +806,9 @@ def test_lanes_follow_the_work_of_a_slice(monkeypatch):
     assert dit.lane_count(toy, 8) == 1  # one slice
     monkeypatch.setattr(_lanes, "usable_cpus", lambda: 1)
     assert dit.lane_count(toy, 512) == 1
-    # Where BLAS has no thread setter to pin, every call runs on one lane.
+    # Where BLAS has no thread setter, every call runs on one lane.
     monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(_lanes, "_openblas", lambda: None)
+    monkeypatch.setattr(_lanes, "_blas_single_threaded", False)
     assert dit.lane_count(toy, 512) == 1
 
 
