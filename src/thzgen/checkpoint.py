@@ -28,7 +28,14 @@ import numpy as np
 
 from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
-from .errors import check_count, check_seed, check_subarrays, is_finite_number, is_integer
+from .errors import (
+    check_count,
+    check_point,
+    check_seed,
+    check_subarrays,
+    is_finite_number,
+    is_integer,
+)
 
 MAGIC = b"THZW"
 VERSION = 5
@@ -58,13 +65,7 @@ class CheckpointMeta:
         check_seed("master_seed", self.master_seed)
         if not isinstance(self.geometry, dict):
             raise ValueError(f"geometry must be a dict, got {self.geometry!r}")
-        try:
-            origin = tuple(self.tx_origin)
-        except TypeError:
-            origin = ()
-        if len(origin) != 3 or not all(map(is_finite_number, origin)):
-            raise ValueError(f"tx_origin must be 3 finite numbers, got {self.tx_origin!r}")
-        self.tx_origin = origin
+        self.tx_origin = check_point("tx_origin", self.tx_origin)
 
 
 @dataclass

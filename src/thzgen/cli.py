@@ -144,18 +144,7 @@ def load_config(path: str | None) -> RunConfig:
     g = cfg["geometry"]
     region = SamplingRegion(low=tuple(cfg["region"]["low"]), high=tuple(cfg["region"]["high"]))
     center = (np.asarray(region.low) + np.asarray(region.high)) / 2.0
-    geometry = ArrayGeometry.uniform_linear(
-        carrier_frequency=g["carrier_frequency"],
-        n_tx=g["n_tx"],
-        n_rx=g["n_rx"],
-        k_tx=g["k_tx"],
-        k_rx=g["k_rx"],
-        intra_spacing=g["intra_spacing"],
-        inter_spacing=g["inter_spacing"],
-        tx_origin=tuple(g["tx_origin"]),
-        rx_origin=tuple(center),
-        axis=tuple(g["axis"]),
-    )
+    geometry = ArrayGeometry.uniform_linear(**g, rx_origin=center)
     return RunConfig(
         seed=cfg["seed"],
         geometry=geometry,

@@ -6,7 +6,6 @@ length.
 """
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -20,8 +19,11 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientDataError,
     check_count,
+    check_finite,
+    check_point,
     check_seed,
     check_subarrays,
+    is_finite_number,
 )
 from .geometry import CONDITION_DIM, ArrayGeometry, condition_vector
 from .paths import GscmConfig, draw_paths
@@ -39,8 +41,8 @@ class SamplingRegion:
     high: tuple[float, float, float]
 
     def __post_init__(self):
-        low = np.asarray(self.low, dtype=float)
-        high = np.asarray(self.high, dtype=float)
+        low = np.asarray(check_point("region low", self.low), dtype=float)
+        high = np.asarray(check_point("region high", self.high), dtype=float)
         # A flat axis (low == high) is allowed; a single point is not.
         if not np.all(low <= high) or np.all(low == high):
             raise ValueError(f"degenerate sampling region: low={low}, high={high}")
@@ -50,9 +52,10 @@ class SamplingRegion:
 
 
 def _check_split(test_fraction: float, cell_size: float) -> None:
+    check_finite("test_fraction", test_fraction)
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if not 0.0 < cell_size < math.inf:
+    if not (is_finite_number(cell_size) and cell_size > 0):
         raise ValueError(f"cell_size must be a finite number > 0, got {cell_size}")
 
 
@@ -84,7 +87,7 @@ class DatasetHeader:
         check_subarrays("rx", self.n_rx, self.k_rx)
         check_subarrays("tx", self.n_tx, self.k_tx)
         scale = self.normalization_scalar
-        if not (math.isfinite(scale) and scale > 0):
+        if not (is_finite_number(scale) and scale > 0):
             raise ValueError(f"normalization_scalar must be a finite number > 0, got {scale}")
         check_seed("master_seed", self.master_seed)
 

@@ -343,23 +343,17 @@ def _embed_backward(d_out, params, grads, name, x, pre, act):
 class DitDenoiser:
     """Preconditioned conditional DiT: D(h, sigma, p) = c_skip*h + c_out*F(...).
 
-    F and its gradients run in ``dtype``, the dtype of the weights it holds;
-    ``backward`` returns gradients in that dtype.  ``training.train`` steps a
-    float32 denoiser and keeps the float64 master weights itself.
+    It holds a ``dtype`` copy of ``params``, a name-to-tensor mapping checked
+    against ``param_shapes(config)``; ``init_params`` draws a fresh one.  F
+    and its gradients run in ``dtype``; ``backward`` returns gradients in
+    that dtype.  ``training.train`` steps a float32 denoiser and keeps the
+    float64 master weights itself.
     """
 
-    def __init__(
-        self,
-        config: DitConfig,
-        params: dict | None = None,
-        rng: np.random.Generator | None = None,
-        dtype=np.float64,
-    ):
+    def __init__(self, config: DitConfig, params: dict, dtype=np.float64):
         self.config = config
         self.shapes = param_shapes(config)
         self.dtype = np.dtype(dtype)
-        if params is None:
-            params = init_params(config, rng or np.random.default_rng(0))
         self.params = FlatParams.copy_of(self.shapes, params, dtype=self.dtype)
         self.pos = positional_table(config.grid, config.embed_dim).astype(self.dtype)
 

@@ -17,6 +17,23 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def check_finite(name: str, value) -> None:
+    """Refuse a value that is not a finite number, naming it."""
+    if not is_finite_number(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_point(name: str, value) -> tuple:
+    """Refuse a value that is not 3 finite numbers, naming it; return the 3 as a tuple."""
+    try:
+        point = tuple(value)
+    except TypeError:
+        point = ()
+    if len(point) != 3 or not all(map(is_finite_number, point)):
+        raise ValueError(f"{name} must be 3 finite numbers, got {value!r}")
+    return point
+
+
 def check_count(name: str, value) -> None:
     """Refuse a count that is not an integer >= 1, naming it."""
     if not is_integer(value) or value < 1:

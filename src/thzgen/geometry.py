@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, check_subarrays
+from .errors import DegenerateGeometryError, check_finite, check_point, check_subarrays
 
 CONDITION_DIM = 8
 
@@ -94,6 +94,7 @@ class ArrayGeometry:
         """
         check_subarrays("tx", n_tx, k_tx)
         check_subarrays("rx", n_rx, k_rx)
+        check_finite("carrier_frequency", carrier_frequency)
         if carrier_frequency <= 0:
             raise ValueError(f"carrier_frequency must be > 0, got {carrier_frequency}")
         wavelength = SPEED_OF_LIGHT / carrier_frequency
@@ -101,6 +102,8 @@ class ArrayGeometry:
             intra_spacing = wavelength / 2.0
         if inter_spacing is None:
             inter_spacing = 16.0 * wavelength
+        check_finite("intra_spacing", intra_spacing)
+        check_finite("inter_spacing", inter_spacing)
         if intra_spacing <= 0:
             raise ValueError(f"intra_spacing must be > 0, got {intra_spacing}")
         if inter_spacing < intra_spacing:
@@ -113,8 +116,8 @@ class ArrayGeometry:
         if not 0.0 < norm < np.inf:
             raise ValueError(f"axis must have a finite length > 0, got {axis.tolist()}")
         axis = axis / norm
-        tx_origin = np.asarray(tx_origin, dtype=float)
-        rx_origin = np.asarray(rx_origin, dtype=float)
+        tx_origin = np.asarray(check_point("tx_origin", tx_origin), dtype=float)
+        rx_origin = np.asarray(check_point("rx_origin", rx_origin), dtype=float)
 
         def layout(n, k, origin):
             n_sub = n // k

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count
+from .errors import check_count, check_finite
 from .geometry import ArrayGeometry
 
 
@@ -72,6 +72,10 @@ class GscmConfig:
     def __post_init__(self):
         for name in ("n_clusters", "rays_per_cluster"):
             check_count(name, getattr(self, name))
+        for name in ("k_factor_mean_db", "k_factor_std_db", "azimuth_spread",
+                     "elevation_spread", "path_loss_exponent", "scatterer_radius_min",
+                     "scatterer_radius_max"):
+            check_finite(name, getattr(self, name))
         if self.k_factor_std_db < 0:
             raise ValueError(f"k_factor_std_db must be >= 0, got {self.k_factor_std_db}")
         if self.azimuth_spread <= 0 or self.elevation_spread <= 0:

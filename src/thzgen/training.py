@@ -18,7 +18,7 @@ from .checkpoint import Checkpoint, ema_denoiser
 from .dataset import Dataset
 from .diffusion import DiffusionSchedule, denoising_loss, ema_update
 from .dit import DitConfig, DitDenoiser, FlatParams, init_params
-from .errors import NumericError, check_count, check_seed, is_finite_number
+from .errors import NumericError, check_count, check_finite, check_seed, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class TrainConfig:
             v = getattr(self, name)
             if not (is_finite_number(v) and v >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {v}")
+        for name in ("beta1", "beta2", "ema_decay"):
+            check_finite(name, getattr(self, name))
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:

@@ -209,7 +209,7 @@ def test_criterion_5_gradient_correctness():
 def test_criterion_6_identity_and_loss():
     cfg = DitConfig(n_rx=8, n_tx=16, patch_size=4, embed_dim=16, depth=2, n_heads=2,
                     mlp_ratio=2)
-    den = DitDenoiser(cfg, rng=np.random.default_rng(4))
+    den = DitDenoiser(cfg, params=init_params(cfg, np.random.default_rng(4)))
     rng = np.random.default_rng(5)
     h = rng.normal(size=(4, 2, 8, 16))
     cond = rng.normal(size=(4, 8))

@@ -716,6 +716,15 @@ def test_gscm_config_checks_itself():
     ):
         with pytest.raises(ValueError):
             GscmConfig(**bad)
+    # A statistic that is no finite number is refused by name when built,
+    # not as a non-finite channel or an OverflowError in draw_paths.
+    for name, value in (
+        ("azimuth_spread", float("nan")), ("k_factor_std_db", float("nan")),
+        ("scatterer_radius_max", float("inf")), ("path_loss_exponent", float("inf")),
+        ("k_factor_mean_db", float("nan")), ("elevation_spread", "0.05"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got "):
+            GscmConfig(**{name: value})
     with pytest.raises(dataclasses.FrozenInstanceError):
         GscmConfig().n_clusters = 0
 

@@ -790,15 +790,19 @@ def test_import_loads_no_scipy():
 @pytest.mark.skipif(not _lanes._blas_single_threaded,
                     reason="no OpenBLAS thread setter: every call runs on one lane")
 def test_import_sets_openblas_to_one_thread():
-    # The count is read through ctypes, not through the package.
-    code = ("import ctypes\n"
+    # The count is read through ctypes, not through the package, and the
+    # package loads only the module that sets it.
+    code = ("import ctypes, sys\n"
             "from numpy._core import _multiarray_umath as core\n"
             "get = ctypes.CDLL(core.__file__).scipy_openblas_get_num_threads64_\n"
             "before = get()\n"
             "import thzgen\n"
-            "print(before, get())\n")
-    before, after = map(int, run_python(["-c", code], OPENBLAS_NUM_THREADS="2").stdout.split())
+            "print(before, get())\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'thzgen'))\n")
+    counts, modules = run_python(["-c", code], OPENBLAS_NUM_THREADS="2").stdout.splitlines()
+    before, after = map(int, counts.split())
     assert (before, after) == (min(2, _lanes.usable_cpus()), 1)
+    assert modules.split() == ["thzgen", "thzgen._lanes"]
 
 
 def test_python_m_thzgen_runs_the_cli():

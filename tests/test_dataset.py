@@ -12,6 +12,7 @@ from thzgen.cli import main
 from thzgen.dataset import (
     _HEADER_FMT,
     Dataset,
+    DatasetConfig,
     DatasetHeader,
     SamplingRegion,
     build_dataset,
@@ -189,9 +190,14 @@ def test_split_rejects_coarse_cells():
 
 def test_split_rejects_bad_fraction():
     ds = small_dataset(10)
-    for f in (0.0, 1.0, -0.1):
+    for f in (0.0, 1.0, -0.1, float("nan")):
         with pytest.raises(ValueError):
             split(ds, f)
+    # A string is refused by name, not compared into a TypeError.
+    with pytest.raises(ValueError, match=r"^test_fraction must be a finite number, got '0.1'$"):
+        DatasetConfig(test_fraction="0.1")
+    with pytest.raises(ValueError, match=r"^normalization_scalar must be a finite number > 0"):
+        DatasetHeader(n_rx=1, n_tx=1, k_rx=1, k_tx=1, sample_count=1, normalization_scalar="x")
 
 
 def positions_dataset(positions, seed=0):
@@ -413,6 +419,11 @@ def test_region_validation():
     ):
         with pytest.raises(ValueError, match="degenerate sampling region"):
             SamplingRegion(low, high)
+    # A non-finite corner is refused by name, not as an OverflowError in draw.
+    with pytest.raises(ValueError, match=r"^region high must be 3 finite numbers"):
+        SamplingRegion((0.0, 0.0, 0.0), (float("inf"), 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^region low must be 3 finite numbers"):
+        SamplingRegion((float("nan"), 0.0, 0.0), (1.0, 1.0, 1.0))
     # A flat axis is allowed.
     region = SamplingRegion((4.0, -3.0, 0.0), (10.0, 3.0, 0.0))
     assert region.draw(np.random.default_rng(0))[2] == 0.0

@@ -347,7 +347,7 @@ def test_identity_at_init():
     # Zero-initialized head and modulation maps make the network residual
     # vanish, so the denoiser is exactly the skip term at initialization.
     cfg = small_config(depth=2)
-    den = DitDenoiser(cfg, rng=np.random.default_rng(8))
+    den = DitDenoiser(cfg, params=init_params(cfg, np.random.default_rng(8)))
     rng = np.random.default_rng(9)
     h = rng.normal(size=(3, 2, 8, 8))
     cond = rng.normal(size=(3, 8))
@@ -375,7 +375,8 @@ def test_large_sigma_suppresses_skip():
 
 
 def test_forward_rejects_nonpositive_sigma():
-    den = DitDenoiser(small_config())
+    cfg = small_config()
+    den = DitDenoiser(cfg, params=init_params(cfg, np.random.default_rng(0)))
     with pytest.raises(ValueError):
         den.forward(np.zeros((1, 2, 8, 8)), np.array([0.0]), np.zeros((1, 8)))
 
@@ -442,7 +443,7 @@ def test_gradients_second_block():
 
 def test_zero_loss_gives_zero_gradients():
     cfg = small_config()
-    den = DitDenoiser(cfg, rng=np.random.default_rng(14))
+    den = DitDenoiser(cfg, params=init_params(cfg, np.random.default_rng(14)))
     h0 = np.zeros((2, 2, 8, 8))
     loss, grads = den.loss_and_grads(
         h0, np.zeros((2, 8)), np.array([0.5, 1.5]), np.zeros_like(h0)
@@ -629,10 +630,11 @@ def test_float32_denoiser_trains_on_the_rounded_float64_draws():
     assert type(loss) is float and np.isfinite(loss)
     assert grads.vector.dtype == np.float32
     assert_views_of_one_vector(grads, den.shapes)
-    # A float32 denoiser built from a seed holds the float64 draws, rounded.
+    # A float32 denoiser built from a seed's draws holds them, rounded.
+    draws = init_params(cfg, np.random.default_rng(3))
     np.testing.assert_array_equal(
-        DitDenoiser(cfg, rng=np.random.default_rng(3), dtype=np.float32).params.vector,
-        DitDenoiser(cfg, rng=np.random.default_rng(3)).params.vector.astype(np.float32))
+        DitDenoiser(cfg, params=draws, dtype=np.float32).params.vector,
+        DitDenoiser(cfg, params=draws).params.vector.astype(np.float32))
 
 
 # Over 2000 draws of these configs and noise levels from 0.01 to 20, the

@@ -123,12 +123,26 @@ def test_uniform_linear_names_a_count_that_is_not_an_integer(counts, message):
                  (0.0, 0.0, 0.0), id="zero_axis"),
     pytest.param(0.3e12, None, None, "axis must have a finite length > 0",
                  (0.0, float("nan"), 0.0), id="nan_axis"),
+    # Refused before the layout, whose arithmetic would warn on an infinity.
+    pytest.param(float("nan"), None, None, "^carrier_frequency must be a finite number, got nan",
+                 (0.0, 1.0, 0.0), id="nan_carrier"),
+    pytest.param(0.3e12, float("nan"), None, "^intra_spacing must be a finite number, got nan",
+                 (0.0, 1.0, 0.0), id="nan_intra"),
+    pytest.param(0.3e12, None, float("inf"), "^inter_spacing must be a finite number, got inf",
+                 (0.0, 1.0, 0.0), id="inf_inter"),
 ])
 def test_uniform_linear_rejects_bad_spacings(carrier, intra, inter, match, axis):
     with pytest.raises(ValueError, match=match):
         ArrayGeometry.uniform_linear(carrier, n_tx=16, n_rx=8, k_tx=2, k_rx=2,
                                      intra_spacing=intra, inter_spacing=inter,
                                      axis=axis)
+
+
+@pytest.mark.parametrize("side", ["tx", "rx"])
+def test_uniform_linear_rejects_a_non_finite_origin(side):
+    with pytest.raises(ValueError, match=rf"^{side}_origin must be 3 finite numbers"):
+        ArrayGeometry.uniform_linear(0.3e12, n_tx=16, n_rx=8,
+                                     **{f"{side}_origin": (0.0, float("nan"), 0.0)})
 
 
 def test_with_rx_origin_translates_everything():

@@ -7,7 +7,7 @@ import pytest
 
 from thzgen.dataset import Dataset, SamplingRegion, build_dataset, normalize
 from thzgen.diffusion import DiffusionSchedule
-from thzgen.dit import DitConfig, DitDenoiser
+from thzgen.dit import DitConfig, DitDenoiser, init_params
 from thzgen.errors import NumericError
 from thzgen.geometry import ArrayGeometry
 from thzgen.paths import GscmConfig
@@ -106,6 +106,8 @@ def test_train_config_refuses_a_seed_outside_64_bits(seed):
     ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("eps", -1.0),
     ("eps", float("inf")), ("eps", float("nan")),
     ("learning_rate", float("inf")), ("learning_rate", float("nan")),
+    ("beta1", "0.9"), ("beta2", float("nan")), ("ema_decay", "0.9"),
+    ("ema_decay", float("nan")),
 ])
 def test_train_config_refuses_what_breaks_adam(key, value):
     # beta = 1 zeroes Adam's bias correction 1 - beta**step; a negative eps
@@ -198,7 +200,7 @@ def reference_train(train_set, test_set, dit_config, schedule, cfg):
     takes its gradients and widens them to float64, tensor by tensor.
     """
     rng = np.random.default_rng(cfg.seed)
-    params = DitDenoiser(dit_config, rng=rng).params
+    params = init_params(dit_config, rng)
     work = DitDenoiser(dit_config, params=params, dtype=np.float32)
     ema = {k: a.copy() for k, a in params.items()}
     m = {k: np.zeros_like(a) for k, a in params.items()}
