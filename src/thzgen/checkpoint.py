@@ -1,20 +1,22 @@
 """Binary checkpoint format for the DiT denoiser.
 
-Layout (version 5), all little-endian:
+Layout (version 6), all little-endian:
 
 - magic "THZW", u32 version, u32 JSON length, then JSON metadata with
   exactly the sections "config" (the DitConfig), "meta" (the
-  CheckpointMeta, dataset bookkeeping needed for sampling), "schedule"
-  (the DiffusionSchedule the model was trained with, which sampling
-  reuses) and "curves" ([epoch, train_loss, test_loss] rows).  Each
-  section is checked as it is built, so bad metadata fails as a
-  ValueError naming the file;
+  CheckpointMeta: the run's geometry keys and the dataset bookkeeping
+  sampling needs), "schedule" (the DiffusionSchedule the model was trained
+  with, which sampling reuses) and "curves" ([epoch, train_loss, test_loss]
+  rows).  Each section is built by ``errors.build``, and the meta's antenna
+  counts must be the config's, so bad metadata fails as a ValueError
+  naming the file;
 - u64 step and u64 n, the parameter count of each group;
 - four n-element f8 vectors, each laid out by ``param_shapes(config)``:
   params, ema_params, adam_m, adam_v.
 
 Older versions are refused: 1 and 2 stored one f4 record per tensor, 3 had no
-curves, and 4's config also held ``sigma_data`` and ``condition_dim``, now constants.
+curves, 4's config also held ``sigma_data`` and ``condition_dim``, now constants,
+and 5's meta held the subarray counts and Tx origin beside a geometry object.
 """
 from __future__ import annotations
 
@@ -22,50 +24,36 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
-from .errors import (
-    check_count,
-    check_point,
-    check_seed,
-    check_subarrays,
-    is_finite_number,
-    is_integer,
-)
+from .errors import build, check_seed, is_finite_number, is_integer
+from .geometry import GeometryConfig
 
 MAGIC = b"THZW"
-VERSION = 5
+VERSION = 6
 _HEAD = struct.Struct("<4sII")  # magic, version, JSON length
 _COUNTS = struct.Struct("<QQ")  # step, parameters per group
 _GROUPS = ("params", "ema_params", "adam_m", "adam_v")
 
 
-@dataclass
-class CheckpointMeta:
-    """Dataset-side bookkeeping carried along with the weights."""
+@dataclass(frozen=True)
+class CheckpointMeta(GeometryConfig):
+    """The run's geometry, and the dataset bookkeeping carried with the weights."""
 
     normalization_scalar: float = 1.0
-    k_rx: int = 1
-    k_tx: int = 1
     master_seed: int = 0
-    tx_origin: tuple = (0.0, 0.0, 0.0)
-    geometry: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        super().__post_init__()
         scale = self.normalization_scalar
         if not (is_finite_number(scale) and scale > 0):
             raise ValueError(
                 f"normalization_scalar must be a finite number > 0, got {scale!r}")
-        for name in ("k_rx", "k_tx"):
-            check_count(name, getattr(self, name))
         check_seed("master_seed", self.master_seed)
-        if not isinstance(self.geometry, dict):
-            raise ValueError(f"geometry must be a dict, got {self.geometry!r}")
-        self.tx_origin = check_point("tx_origin", self.tx_origin)
 
 
 @dataclass
@@ -88,19 +76,6 @@ class Checkpoint:
         return DitDenoiser(self.config, params=self.params)
 
 
-def _metadata_section(path, cls, name: str, values):
-    """Build ``cls`` from one metadata section; any fault names the file."""
-    if not isinstance(values, dict):
-        raise ValueError(f"checkpoint {path}: metadata {name!r} must be a JSON object")
-    unknown = sorted(set(values) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"checkpoint {path}: metadata {name!r} has unknown keys {unknown}")
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint {path}: metadata {name!r} is invalid: {exc}") from exc
-
-
 _SECTIONS = {"config": DitConfig, "meta": CheckpointMeta, "schedule": DiffusionSchedule}
 
 
@@ -120,14 +95,12 @@ def _checked_curves(path, curves) -> list:
     return [(int(epoch), float(train), float(test)) for epoch, train, test in curves]
 
 
-def _check_subarrays(path, config: DitConfig, meta: CheckpointMeta) -> None:
-    """Refuse meta subarray counts that do not divide the config's antenna counts."""
-    for side in ("rx", "tx"):
-        try:
-            check_subarrays(side, getattr(config, f"n_{side}"), getattr(meta, f"k_{side}"))
-        except ValueError as exc:
-            raise ValueError(
-                f"checkpoint {path}: metadata 'meta' does not fit 'config': {exc}") from None
+def _check_arrays(path, config: DitConfig, meta: CheckpointMeta) -> None:
+    """Refuse a meta whose antenna counts are not the config's."""
+    if (meta.n_rx, meta.n_tx) != (config.n_rx, config.n_tx):
+        raise ValueError(
+            f"checkpoint {path}: metadata 'meta' does not fit 'config': "
+            f"arrays {meta.n_rx}x{meta.n_tx} in 'meta', {config.n_rx}x{config.n_tx} in 'config'")
 
 
 def _decode_metadata(path, blob: bytes) -> dict:
@@ -143,17 +116,17 @@ def _decode_metadata(path, blob: bytes) -> dict:
             f"{sorted([*_SECTIONS, 'curves'])}, it has {sorted(meta_json)}"
         )
     sections = {
-        name: _metadata_section(path, cls, name, meta_json[name])
+        name: build(cls, meta_json[name], f"checkpoint {path}: metadata {name!r}")
         for name, cls in _SECTIONS.items()
     }
-    _check_subarrays(path, sections["config"], sections["meta"])
+    _check_arrays(path, sections["config"], sections["meta"])
     return {**sections, "curves": _checked_curves(path, meta_json["curves"])}
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write ``ckpt``; a group whose names or shapes miss the config is fatal.
 
-    Every group, the curves and the meta's subarray counts are checked
+    Every group, the curves and the meta's antenna counts are checked
     before the file is opened.
     """
     shapes = param_shapes(ckpt.config)
@@ -164,7 +137,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     ]
     meta = {name: asdict(getattr(ckpt, name)) for name in _SECTIONS}
     meta["curves"] = _checked_curves(path, ckpt.curves)
-    _check_subarrays(path, ckpt.config, ckpt.meta)
+    _check_arrays(path, ckpt.config, ckpt.meta)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_HEAD.pack(MAGIC, VERSION, len(blob)))

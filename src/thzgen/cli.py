@@ -1,10 +1,10 @@
 """Command-line interface: gen-data, train, sample, eval.
 
-A JSON config overlays defaults read from the config dataclasses, and
-``load_config`` builds every section at once; each dataclass checks itself
-when built, so a bad value in any section fails every command before it
-does any work.  All randomness flows from the declared seeds, so every
-command is reproducible bit-for-bit.
+``load_config`` builds every section of a JSON config at once, each a
+dataclass that holds its own defaults and checks itself when built, so a
+bad value in any section fails every command before it does any work.
+All randomness flows from the declared seeds, so every command is
+reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -40,88 +40,19 @@ from .dataset import (
 from .diffusion import DiffusionSchedule, euler_sample
 from .dit import DitConfig
 from .dit import lane_count as dit_lanes
-from .errors import NumericError, check_seed, is_finite_number
+from .errors import NumericError, build, check_keys, check_seed
 from .evaluation import angular_power, compare_power, nmse, ssim_complex
-from .geometry import ArrayGeometry, condition_vector
+from .geometry import GeometryConfig, condition_vector
 from .paths import GscmConfig
 from .training import TrainConfig, train
-
-_CONFIG_DEFAULTS = {
-    "seed": 0,
-    "geometry": {
-        "carrier_frequency": 0.3e12,
-        "n_tx": 16,
-        "n_rx": 8,
-        "k_tx": 2,
-        "k_rx": 2,
-        "intra_spacing": None,
-        "inter_spacing": None,
-        "tx_origin": [0.0, 0.0, 0.0],
-        "axis": [0.0, 1.0, 0.0],
-    },
-    "gscm": asdict(GscmConfig()),
-    "region": {"low": [4.0, -3.0, -0.5], "high": [10.0, 3.0, 0.5]},
-    "dataset": asdict(DatasetConfig()),
-    # n_rx and n_tx come from the geometry.
-    "dit": {f.name: f.default for f in fields(DitConfig) if f.name not in ("n_rx", "n_tx")},
-    "schedule": asdict(DiffusionSchedule()),
-    "training": {k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
-}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_leaf(key: str, default, value) -> None:
-    """A config value must have the JSON type of its default, and be finite.
-
-    ``json.load`` accepts the NaN and Infinity literals and integers of any
-    size; no config key takes them.
-    """
-    if isinstance(default, list):
-        ok = (isinstance(value, list) and len(value) == len(default)
-              and all(map(_is_number, value)))
-        want = f"a list of {len(default)} numbers"
-    elif default is None:
-        ok, want = value is None or _is_number(value), "a number or null"
-    elif isinstance(default, int):
-        ok, want = _is_number(value) and isinstance(value, int), "an integer"
-    else:
-        ok, want = _is_number(value), "a number"
-    if not ok:
-        raise ValueError(f"config key {key} must be {want}, got {json.dumps(value)}")
-    items = value if isinstance(value, list) else [value]
-    if not all(v is None or is_finite_number(v) for v in items):
-        raise ValueError(f"config key {key} must be a finite number")
-
-
-def _merge_strict(defaults, data, path=""):
-    """Overlay data on defaults; an unknown key or a mistyped value is fatal."""
-    if not isinstance(data, dict):
-        raise ValueError(f"config section {path or '<root>'} must be an object")
-    merged = {}
-    for key, default in defaults.items():
-        if key in data:
-            value = data[key]
-            if isinstance(default, dict) and default:
-                value = _merge_strict(default, value, f"{path}{key}.")
-            else:
-                _check_leaf(path + key, default, value)
-            merged[key] = value
-        else:
-            merged[key] = default
-    for key in data:
-        if key not in defaults:
-            raise ValueError(f"unknown config key: {path}{key}")
-    return merged
 
 
 @dataclass
 class RunConfig:
+    """A run's seed and config sections; each field is a top-level key."""
+
     seed: int
-    geometry: ArrayGeometry
-    geometry_raw: dict
+    geometry: GeometryConfig
     gscm: GscmConfig
     region: SamplingRegion
     dataset: DatasetConfig
@@ -131,6 +62,13 @@ class RunConfig:
 
 
 def load_config(path: str | None) -> RunConfig:
+    """The config in the JSON file at ``path``; ``None`` takes every default.
+
+    Each section is built by ``errors.build``, so an unknown key or a value
+    the section's dataclass refuses is one ValueError naming the section.
+    DitConfig's antenna counts come from the geometry and TrainConfig's seed
+    from the top-level seed, so neither is a key of its section.
+    """
     data = {}
     if path is not None:
         with open(path) as f:
@@ -138,23 +76,23 @@ def load_config(path: str | None) -> RunConfig:
                 data = json.load(f)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"config {path} is not valid JSON: {exc}") from None
-    cfg = _merge_strict(_CONFIG_DEFAULTS, data)
-    check_seed("config key seed", cfg["seed"], typed=True)
+    check_keys("config", data, {f.name for f in fields(RunConfig)})
+    seed = data.get("seed", 0)
+    check_seed("config key seed", seed)
 
-    g = cfg["geometry"]
-    region = SamplingRegion(low=tuple(cfg["region"]["low"]), high=tuple(cfg["region"]["high"]))
-    center = (np.asarray(region.low) + np.asarray(region.high)) / 2.0
-    geometry = ArrayGeometry.uniform_linear(**g, rx_origin=center)
+    def section(name, cls, **fixed):
+        return build(cls, data.get(name, {}), f"config section {name!r}", **fixed)
+
+    geometry = section("geometry", GeometryConfig)
     return RunConfig(
-        seed=cfg["seed"],
+        seed=seed,
         geometry=geometry,
-        geometry_raw=g,
-        gscm=GscmConfig(**cfg["gscm"]),
-        region=region,
-        dataset=DatasetConfig(**cfg["dataset"]),
-        dit=DitConfig(n_rx=geometry.n_rx, n_tx=geometry.n_tx, **cfg["dit"]),
-        schedule=DiffusionSchedule(**cfg["schedule"]),
-        training=TrainConfig(seed=cfg["seed"], **cfg["training"]),
+        gscm=section("gscm", GscmConfig),
+        region=section("region", SamplingRegion),
+        dataset=section("dataset", DatasetConfig),
+        dit=section("dit", DitConfig, n_rx=geometry.n_rx, n_tx=geometry.n_tx),
+        schedule=section("schedule", DiffusionSchedule),
+        training=section("training", TrainConfig, seed=seed),
     )
 
 
@@ -176,8 +114,11 @@ def cmd_gen_data(args) -> int:
         check_seed("--seed", args.seed, typed=True)
     seed = cfg.seed if args.seed is None else args.seed
     count = cfg.dataset.count if args.count is None else args.count
+    # The base layout has the Rx at the region's center; each sample moves it.
+    center = (np.asarray(cfg.region.low) + np.asarray(cfg.region.high)) / 2.0
+    geometry = cfg.geometry.at(center)
     start = time.perf_counter()
-    dataset = build_dataset(seed, cfg.geometry, cfg.gscm, cfg.region, count)
+    dataset = build_dataset(seed, geometry, cfg.gscm, cfg.region, count)
     elapsed = time.perf_counter() - start
     dataset, _ = normalize(dataset)
     train_set, test_set = split(dataset, cfg.dataset.test_fraction, cfg.dataset.cell_size)
@@ -187,7 +128,7 @@ def cmd_gen_data(args) -> int:
     _print_header("test", test_set.header)
     print(
         f"synthesized {count} samples in {1e3 * elapsed:.1f} ms "
-        f"({count / elapsed:.1f} samples/s on {_threads(dataset_lanes(cfg.geometry, count))})"
+        f"({count / elapsed:.1f} samples/s on {_threads(dataset_lanes(geometry, count))})"
     )
     return 0
 
@@ -198,10 +139,9 @@ def cmd_train(args) -> int:
     train_set = read_dataset(train_path)
     test_set = read_dataset(test_path)
     header = train_set.header
-    for name, got, want in (
-        ("n_rx", header.n_rx, cfg.geometry.n_rx),
-        ("n_tx", header.n_tx, cfg.geometry.n_tx),
-    ):
+    # The checkpoint meta records the config's geometry, so the data must fit it.
+    for name in ("n_rx", "n_tx", "k_rx", "k_tx"):
+        got, want = getattr(header, name), getattr(cfg.geometry, name)
         if got != want:
             raise ValueError(
                 f"dataset {name}={got} does not match config {name}={want}"
@@ -225,12 +165,9 @@ def cmd_train(args) -> int:
         f"({elapsed_ms / state.step:.2f} ms/step, float32 step on float64 weights)"
     )
     state.meta = CheckpointMeta(
+        **asdict(cfg.geometry),
         normalization_scalar=header.normalization_scalar,
-        k_rx=header.k_rx,
-        k_tx=header.k_tx,
         master_seed=header.master_seed,
-        tx_origin=tuple(cfg.geometry.tx_origin),
-        geometry=cfg.geometry_raw,
     )
     save_checkpoint(args.out_ckpt, state)
     csv_path = args.out_csv or args.out_ckpt + ".csv"

@@ -37,8 +37,8 @@ _HEADER_FMT = "<4sI5IQdQ"  # magic, version, Nr, Nt, Kr, Kt, cond_dim, count, sc
 class SamplingRegion:
     """Axis-aligned box of Rx positions (absolute coordinates, meters)."""
 
-    low: tuple[float, float, float]
-    high: tuple[float, float, float]
+    low: tuple[float, float, float] = (4.0, -3.0, -0.5)
+    high: tuple[float, float, float] = (10.0, 3.0, 0.5)
 
     def __post_init__(self):
         low = np.asarray(check_point("region low", self.low), dtype=float)

@@ -1,6 +1,7 @@
-"""Exception types and the value checks shared across the package."""
+"""Exception types, the value checks shared across the package, and ``build``."""
 import math
 import numbers
+from dataclasses import fields
 
 
 def is_integer(value) -> bool:
@@ -56,6 +57,29 @@ def check_seed(name: str, seed, typed: bool = False) -> None:
     if not (is_integer(seed) and 0 <= seed < 2**64):
         raise ValueError(
             f"{name} must be {'' if typed else 'an integer '}in [0, 2**64), got {seed!r}")
+
+
+def check_keys(where: str, data, allowed) -> None:
+    """Refuse ``data`` unless it is a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}")
+
+
+def build(cls, data, where: str, **fixed):
+    """``cls(**data, **fixed)`` for a config dataclass that checks itself.
+
+    ``data`` is one JSON section: an object whose keys are fields of ``cls``
+    other than those in ``fixed``.  Whatever is refused, the section or the
+    dataclass's own check, is one ValueError naming ``where``.
+    """
+    check_keys(where, data, {f.name for f in fields(cls)} - set(fixed))
+    try:
+        return cls(**data, **fixed)
+    except (TypeError, ValueError) as exc:  # TypeError: a required field is missing
+        raise ValueError(f"{where} is invalid: {exc}") from exc
 
 
 class DegenerateGeometryError(ValueError):

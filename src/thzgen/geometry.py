@@ -1,4 +1,4 @@
-"""Array geometry, Rayleigh distance, and the geometry conditioning vector."""
+"""Array geometry and its config, Rayleigh distance, and the conditioning vector."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
@@ -19,9 +19,8 @@ class ArrayGeometry:
 
     Each side has ``n`` antennas organized into ``k`` subarrays: elements
     inside a subarray are closely spaced (``intra_spacing``), subarray
-    centers are widely spaced (``inter_spacing``).  ``uniform_linear``
-    builds one and checks its counts and spacings; ``with_rx_origin`` copies
-    a built one.
+    centers are widely spaced (``inter_spacing``).  ``GeometryConfig.at``
+    and ``uniform_linear`` build one; ``with_rx_origin`` copies a built one.
     """
 
     carrier_frequency: float
@@ -89,19 +88,41 @@ class ArrayGeometry:
     ) -> "ArrayGeometry":
         """Uniform linear subarrays along ``axis``, centered on each origin.
 
-        Defaults: half-wavelength pitch inside a subarray, 16-wavelength
-        pitch between subarray centers.
+        The ``GeometryConfig`` of these values, laid out at ``rx_origin``.
         """
-        check_subarrays("tx", n_tx, k_tx)
-        check_subarrays("rx", n_rx, k_rx)
-        check_finite("carrier_frequency", carrier_frequency)
-        if carrier_frequency <= 0:
-            raise ValueError(f"carrier_frequency must be > 0, got {carrier_frequency}")
-        wavelength = SPEED_OF_LIGHT / carrier_frequency
-        if intra_spacing is None:
-            intra_spacing = wavelength / 2.0
-        if inter_spacing is None:
-            inter_spacing = 16.0 * wavelength
+        return GeometryConfig(
+            carrier_frequency, n_tx, n_rx, k_tx, k_rx, intra_spacing, inter_spacing,
+            tx_origin, axis,
+        ).at(rx_origin)
+
+
+@dataclass(frozen=True)
+class GeometryConfig:
+    """The Tx/Rx array geometry of a run, checked when built.
+
+    ``n`` antennas per side in ``k`` uniform linear subarrays along ``axis``;
+    a ``None`` spacing is a half-wavelength pitch inside a subarray and a
+    16-wavelength pitch between subarray centers.  ``at`` lays the arrays
+    out with the Rx array centered on a position.
+    """
+
+    carrier_frequency: float = 0.3e12
+    n_tx: int = 16
+    n_rx: int = 8
+    k_tx: int = 2
+    k_rx: int = 2
+    intra_spacing: float | None = None
+    inter_spacing: float | None = None
+    tx_origin: tuple = (0.0, 0.0, 0.0)
+    axis: tuple = (0.0, 1.0, 0.0)
+
+    def __post_init__(self):
+        check_subarrays("tx", self.n_tx, self.k_tx)
+        check_subarrays("rx", self.n_rx, self.k_rx)
+        check_finite("carrier_frequency", self.carrier_frequency)
+        if self.carrier_frequency <= 0:
+            raise ValueError(f"carrier_frequency must be > 0, got {self.carrier_frequency}")
+        intra_spacing, inter_spacing = self.spacings
         check_finite("intra_spacing", intra_spacing)
         check_finite("inter_spacing", inter_spacing)
         if intra_spacing <= 0:
@@ -111,12 +132,29 @@ class ArrayGeometry:
                 f"inter_spacing ({inter_spacing}) must be >= "
                 f"intra_spacing ({intra_spacing})"
             )
-        axis = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(axis)
-        if not 0.0 < norm < np.inf:
-            raise ValueError(f"axis must have a finite length > 0, got {axis.tolist()}")
-        axis = axis / norm
-        tx_origin = np.asarray(check_point("tx_origin", tx_origin), dtype=float)
+        axis = check_point("axis", self.axis)
+        if not 0.0 < np.linalg.norm(axis) < np.inf:
+            raise ValueError(
+                f"axis must have a finite length > 0, got {list(map(float, axis))}")
+        # Keep the checked points as tuples (JSON gives lists); the class is frozen.
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "tx_origin", check_point("tx_origin", self.tx_origin))
+
+    @property
+    def spacings(self) -> tuple:
+        """``(intra_spacing, inter_spacing)`` with a ``None`` resolved."""
+        wavelength = SPEED_OF_LIGHT / self.carrier_frequency
+        return (
+            wavelength / 2.0 if self.intra_spacing is None else self.intra_spacing,
+            16.0 * wavelength if self.inter_spacing is None else self.inter_spacing,
+        )
+
+    def at(self, rx_origin) -> ArrayGeometry:
+        """The arrays laid out, with the Rx array centered on ``rx_origin``."""
+        intra_spacing, inter_spacing = self.spacings
+        axis = np.asarray(self.axis, dtype=float)
+        axis = axis / np.linalg.norm(axis)
+        tx_origin = np.asarray(self.tx_origin, dtype=float)
         rx_origin = np.asarray(check_point("rx_origin", rx_origin), dtype=float)
 
         def layout(n, k, origin):
@@ -130,14 +168,14 @@ class ArrayGeometry:
             elements = (centers[:, None, :] + offsets[None, :, :]).reshape(n, 3)
             return elements, centers
 
-        el_tx, c_tx = layout(n_tx, k_tx, tx_origin)
-        el_rx, c_rx = layout(n_rx, k_rx, rx_origin)
+        el_tx, c_tx = layout(self.n_tx, self.k_tx, tx_origin)
+        el_rx, c_rx = layout(self.n_rx, self.k_rx, rx_origin)
         return ArrayGeometry(
-            carrier_frequency=carrier_frequency,
-            n_tx=n_tx,
-            n_rx=n_rx,
-            k_tx=k_tx,
-            k_rx=k_rx,
+            carrier_frequency=self.carrier_frequency,
+            n_tx=self.n_tx,
+            n_rx=self.n_rx,
+            k_tx=self.k_tx,
+            k_rx=self.k_rx,
             intra_spacing=intra_spacing,
             inter_spacing=inter_spacing,
             tx_origin=tx_origin,

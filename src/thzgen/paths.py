@@ -50,6 +50,16 @@ class PathSet:
         return iter(self.paths)
 
 
+# draw_paths divides by the K factor 10 ** (k_db / 10), which is finite and
+# non-zero in float64 only for |k_db| below about 3080 dB; with these bounds
+# even a 25-sigma draw stays within 2800 dB.
+K_FACTOR_MEAN_DB_LIMIT = 300.0
+K_FACTOR_STD_DB_LIMIT = 100.0
+# In metres from the Tx-Rx midpoint, far beyond any local cluster, so every
+# path distance and its square stay finite in float64.
+SCATTERER_RADIUS_LIMIT = 1e6
+
+
 @dataclass(frozen=True)
 class GscmConfig:
     """Statistics of the stochastic scatterer layout.
@@ -76,8 +86,15 @@ class GscmConfig:
                      "elevation_spread", "path_loss_exponent", "scatterer_radius_min",
                      "scatterer_radius_max"):
             check_finite(name, getattr(self, name))
+        if abs(self.k_factor_mean_db) > K_FACTOR_MEAN_DB_LIMIT:
+            raise ValueError(
+                f"k_factor_mean_db must be in [-{K_FACTOR_MEAN_DB_LIMIT:g}, "
+                f"{K_FACTOR_MEAN_DB_LIMIT:g}], got {self.k_factor_mean_db}")
         if self.k_factor_std_db < 0:
             raise ValueError(f"k_factor_std_db must be >= 0, got {self.k_factor_std_db}")
+        if self.k_factor_std_db > K_FACTOR_STD_DB_LIMIT:
+            raise ValueError(f"k_factor_std_db must be <= {K_FACTOR_STD_DB_LIMIT:g}, "
+                             f"got {self.k_factor_std_db}")
         if self.azimuth_spread <= 0 or self.elevation_spread <= 0:
             raise ValueError("angular spreads must be > 0")
         if not 0 < self.scatterer_radius_min < self.scatterer_radius_max:
@@ -85,6 +102,9 @@ class GscmConfig:
                 f"need 0 < radius min < max, got "
                 f"[{self.scatterer_radius_min}, {self.scatterer_radius_max}]"
             )
+        if self.scatterer_radius_max > SCATTERER_RADIUS_LIMIT:
+            raise ValueError(f"scatterer_radius_max must be <= {SCATTERER_RADIUS_LIMIT:g}, "
+                             f"got {self.scatterer_radius_max}")
 
 
 def _free_space_amplitude(wavelength: float, distance: float) -> float:

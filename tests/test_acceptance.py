@@ -15,17 +15,14 @@ from thzgen.channel import SPATIAL, ChannelMatrix, hpsm_channel, pwm_channel, sw
 from thzgen.checkpoint import Checkpoint, CheckpointMeta, ema_denoiser
 from thzgen.cli import main
 from thzgen.dataset import Dataset, SamplingRegion, build_dataset, normalize, split
-from thzgen.diffusion import (
-    AnalyticGaussianDenoiser,
-    DiffusionSchedule,
-    denoising_loss,
-    euler_sample,
-)
+from thzgen.diffusion import DiffusionSchedule, denoising_loss, euler_sample
 from thzgen.dit import DitConfig, DitDenoiser, init_params
 from thzgen.evaluation import angular_power, compare_power, nmse, ssim, ssim_complex
 from thzgen.geometry import ArrayGeometry, rayleigh_distance
 from thzgen.paths import GscmConfig, draw_paths
 from thzgen.training import TrainConfig, train
+
+from test_diffusion import AnalyticGaussianDenoiser
 
 
 # One line per criterion; conftest prints these in the terminal summary so

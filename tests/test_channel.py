@@ -725,6 +725,26 @@ def test_gscm_config_checks_itself():
     ):
         with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got "):
             GscmConfig(**{name: value})
+    # Finite, but 10 ** (k_db / 10) or a scatterer distance would leave float64
+    # in draw_paths; each is refused by name with its bound.
+    for name, value, message in (
+        ("k_factor_mean_db", 1e6, r"must be in \[-300, 300\], got 1000000.0"),
+        ("k_factor_mean_db", -300.5, r"must be in \[-300, 300\], got -300.5"),
+        ("k_factor_std_db", 100.5, "must be <= 100, got 100.5"),
+        ("scatterer_radius_max", 1e300, r"must be <= 1e\+06, got 1e\+300"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} {message}$"):
+            GscmConfig(**{name: value})
+    # At the bounds every draw stays finite and non-zero.
+    geometry = ArrayGeometry.uniform_linear(0.3e12, n_tx=16, n_rx=8, k_tx=2, k_rx=2,
+                                            rx_origin=(6.0, 1.0, 0.0))
+    for bounds in ({"k_factor_mean_db": 300.0, "k_factor_std_db": 100.0},
+                   {"k_factor_mean_db": -300.0, "k_factor_std_db": 100.0},
+                   {"scatterer_radius_min": 9e5, "scatterer_radius_max": 1e6}):
+        for seed in range(20):
+            gains = [p.reflection_gain for p in draw_paths(
+                np.random.default_rng(seed), GscmConfig(**bounds), geometry)]
+            assert np.all(np.isfinite(gains)) and np.all(np.abs(gains) > 0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         GscmConfig().n_clusters = 0
 

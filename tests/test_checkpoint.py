@@ -1,7 +1,7 @@
 import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ def random_checkpoint(seed=0):
             k_tx=2,
             master_seed=99,
             tx_origin=(0.0, 1.0, 2.0),
-            geometry={"carrier_frequency": 0.3e12},
+            carrier_frequency=0.14e12,
         ),
     )
 
@@ -67,7 +67,8 @@ def test_round_trip(tmp_path):
     assert back.meta.k_rx == 2 and back.meta.k_tx == 2
     assert back.meta.master_seed == 99
     assert back.meta.tx_origin == (0.0, 1.0, 2.0)
-    assert back.meta.geometry["carrier_frequency"] == 0.3e12
+    assert back.meta.carrier_frequency == 0.14e12
+    assert back.meta == ckpt.meta
     assert back.curves == [(1, 0.5, 0.25), (2, 0.375, 0.125)]
     for mine, theirs in (
         (ckpt.params, back.params),
@@ -104,16 +105,17 @@ def test_rejects_unknown_version(tmp_path):
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_rejects_float32_layouts(tmp_path, version, capsys):
-    # Versions 1-4 share version 5's first 12 bytes: magic, version and
+    # Versions 1-5 share version 6's first 12 bytes: magic, version and
     # metadata length.  Versions 1 and 2 followed them with per-tensor f4
     # records; version 3 had version 4's layout without the curves; version
-    # 4's config also held sigma_data and condition_dim.
+    # 4's config also held sigma_data and condition_dim; version 5's meta
+    # held k_rx, k_tx and tx_origin beside a geometry object.
     path = tmp_path / f"v{version}.ckpt"
     save_checkpoint(path, random_checkpoint())
     raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (5,)
+    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (6,)
     path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
     with pytest.raises(ValueError, match=f"version {version}, an older layout") as info:
         load_checkpoint(path)
@@ -258,14 +260,29 @@ def test_model_is_a_copy_of_the_trained_weights():
     assert np.any(ckpt.params.vector != 0.0)
 
 
-def test_save_refuses_subarrays_that_do_not_divide_the_config(tmp_path):
+@pytest.mark.parametrize("arrays", [{"n_rx": 4}, {"n_tx": 32}])
+def test_checkpoint_refuses_a_meta_whose_arrays_are_not_the_config(tmp_path, arrays):
     ckpt = random_checkpoint()
-    ckpt.meta.k_tx = 3  # CONFIG has n_tx=16
+    ckpt.meta = replace(ckpt.meta, **arrays)  # CONFIG is 8x16
+    meta = ckpt.meta
+    fault = (f"metadata 'meta' does not fit 'config': arrays {meta.n_rx}x{meta.n_tx} "
+             "in 'meta', 8x16 in 'config'")
     path = tmp_path / "model.ckpt"
-    with pytest.raises(ValueError, match=f"^checkpoint {path}: metadata 'meta' does not fit "
-                                         "'config': k_tx=3 does not divide n_tx=16$"):
+    with pytest.raises(ValueError, match=f"^checkpoint {path}: {fault}$"):
         save_checkpoint(path, ckpt)
     assert not path.exists()
+    # The same file written by hand is refused on load.
+    blob = json.dumps({"config": asdict(CONFIG), "meta": asdict(meta),
+                       "schedule": asdict(DiffusionSchedule()), "curves": CURVES}).encode()
+    write_with_metadata(path, blob, n=N_PARAMS)
+    with pytest.raises(ValueError, match=f"^checkpoint {path}: {fault}$"):
+        load_checkpoint(path)
+
+
+def test_meta_refuses_subarrays_that_do_not_divide_its_arrays():
+    # The meta's geometry checks itself, so no checkpoint can hold such a meta.
+    with pytest.raises(ValueError, match="^k_tx=3 does not divide n_tx=16$"):
+        replace(random_checkpoint().meta, k_tx=3)
 
 
 @pytest.mark.parametrize("loss", [float("nan"), float("inf")])
@@ -283,7 +300,7 @@ def test_file_bytes_are_pinned(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, random_checkpoint(seed=5))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "1540de79f8160d07a5d4da1e39721e18a18b2405831970a19d43125039138cdb"
+        "a6c56ad51afae6afb1025f28370d5e6472c2cbd2b330c08a30bb532294a14e2e"
     )
 
 
@@ -334,9 +351,10 @@ def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, sca
                         replace=False)
         group.vector[at] = SPECIALS[: len(at)]
         groups[name] = group
-    # One subarray per Rx element: k_rx must divide the config's n_rx.
-    meta = CheckpointMeta(normalization_scalar=scale, k_rx=config.n_rx, k_tx=1,
-                          master_seed=seed, tx_origin=(scale, -0.0, 1.0), geometry={"n_tx": 4})
+    # The config's arrays, one subarray per Rx element.
+    meta = CheckpointMeta(normalization_scalar=scale, n_rx=config.n_rx, n_tx=config.n_tx,
+                          k_rx=config.n_rx, k_tx=1, master_seed=seed,
+                          tx_origin=(scale, -0.0, 1.0))
     path = tmp_path_factory.mktemp("round_trip") / "model.ckpt"
     save_checkpoint(path, Checkpoint(config=config, step=step, meta=meta,
                                      schedule=schedule, curves=curves, **groups))
@@ -420,6 +438,8 @@ def metadata_case(case: str) -> bytes:
         "string_master_seed": {**good, "meta": {**meta, "master_seed": "abc"}},
         "negative_master_seed": {**good, "meta": {**meta, "master_seed": -5}},
         "list_geometry": {**good, "meta": {**meta, "geometry": [1, 2]}},
+        "meta_arrays_not_config": {**good, "meta": {**meta, "n_rx": 4}},
+        "two_element_axis": {**good, "meta": {**meta, "axis": [0.0, 1.0]}},
         "bool_horizon": {**good, "schedule": {**schedule, "horizon": True, "sigma_min": 0.5}},
         "k_rx_not_dividing_n_rx": {**good, "meta": {**meta, "k_rx": 3}},
         "not_an_object": [config, meta],
@@ -463,9 +483,11 @@ METADATA_CASES = {
     "huge_integer_scale": "normalization_scalar must be a finite number > 0, got 1000",
     "string_master_seed": "master_seed must be an integer in [0, 2**64), got 'abc'",
     "negative_master_seed": "master_seed must be an integer in [0, 2**64), got -5",
-    "list_geometry": "'meta' is invalid: geometry must be a dict, got [1, 2]",
+    "list_geometry": "'meta' has unknown keys ['geometry']",
+    "meta_arrays_not_config": "'meta' does not fit 'config': arrays 4x16 in 'meta', 8x16",
+    "two_element_axis": "'meta' is invalid: axis must be 3 finite numbers, got [0.0, 1.0]",
     "bool_horizon": "'schedule' is invalid: need 0 < sigma_min < horizon < inf, got 0.5, True",
-    "k_rx_not_dividing_n_rx": "'meta' does not fit 'config': k_rx=3 does not divide n_rx=8",
+    "k_rx_not_dividing_n_rx": "'meta' is invalid: k_rx=3 does not divide n_rx=8",
 }
 
 
@@ -487,7 +509,8 @@ def test_rejects_bad_metadata(tmp_path, case):
                                   "string_scale", "missing_curves", "curves_not_list",
                                   "short_curve_row", "fractional_epoch", "nan_loss",
                                   "inf_loss", "huge_integer_scale", "float_patch_size",
-                                  "float_depth", "negative_depth", "infinite_horizon"])
+                                  "float_depth", "negative_depth", "infinite_horizon",
+                                  "meta_arrays_not_config", "list_geometry"])
 def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     path = tmp_path / "model.ckpt"
     write_with_metadata(path, metadata_case(case), n=N_PARAMS)
@@ -510,7 +533,7 @@ def test_sample_refuses_mismatched_subarrays_before_sampling(tmp_path, capsys, m
     argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0", "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        f"error: checkpoint {path}: metadata 'meta' does not fit 'config': "
+        f"error: checkpoint {path}: metadata 'meta' is invalid: "
         "k_rx=3 does not divide n_rx=8\n")
     assert not out.exists()
 

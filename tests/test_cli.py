@@ -7,7 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +15,19 @@ import pytest
 
 import thzgen
 from thzgen import _lanes, cli, dit
-from thzgen.checkpoint import ema_denoiser, load_checkpoint
+from thzgen.checkpoint import CheckpointMeta, ema_denoiser, load_checkpoint
 from thzgen.cli import main
 from thzgen.dataset import (
     _HEADER_FMT,
     Dataset,
     DatasetConfig,
     DatasetHeader,
+    SamplingRegion,
     read_dataset,
     write_dataset,
 )
 from thzgen.diffusion import DiffusionSchedule, euler_sample
-from thzgen.geometry import CONDITION_DIM, condition_vector
+from thzgen.geometry import CONDITION_DIM, GeometryConfig, condition_vector
 from thzgen.paths import GscmConfig
 from thzgen.training import TrainConfig
 
@@ -139,9 +140,19 @@ def test_config_that_is_not_json_is_fatal(tmp_path, capsys):
 
 def test_unknown_config_key_is_fatal(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"dataset": {"countt": 10}}))
-    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert "unknown config key: dataset.countt" in capsys.readouterr().err
+    for doc, message in (
+        ({"dataset": {"countt": 10}}, "config section 'dataset' has unknown keys ['countt']"),
+        ({"datasett": {}}, "config has unknown keys ['datasett']"),
+        ([1, 2], "config must be a JSON object"),
+        ({"gscm": 3}, "config section 'gscm' must be a JSON object"),
+        # Set by other keys: the DiT's antenna counts by the geometry, the
+        # training seed by "seed".
+        ({"dit": {"n_rx": 8}}, "config section 'dit' has unknown keys ['n_rx']"),
+        ({"training": {"seed": 1}}, "config section 'training' has unknown keys ['seed']"),
+    ):
+        cfg.write_text(json.dumps(doc))
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("key, value", [
@@ -159,7 +170,13 @@ def test_unknown_config_key_is_fatal(tmp_path, capsys):
     ("training.epochs", True),
 ])
 def test_mistyped_config_value_is_fatal(tmp_path, capsys, key, value):
-    # Each value must have the JSON type of its default.
+    # Each section's dataclass refuses a value of the wrong type by name.
+    assert_refused_by_name(tmp_path, capsys, key, value)
+
+
+def assert_refused_by_name(tmp_path, capsys, key, value):
+    """gen-data with ``key`` (section.name) set to ``value`` ends in one error
+    line that names the section and the key, before any output is written."""
     doc = value
     for part in reversed(key.split(".")):
         doc = {part: doc}
@@ -167,7 +184,13 @@ def test_mistyped_config_value_is_fatal(tmp_path, capsys, key, value):
     cfg.write_text(json.dumps(doc))
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config key {key} must be ")
+    assert err.count("\n") == 1
+    if "." in key:
+        section, name = key.split(".")
+        assert err.startswith(f"error: config section '{section}' is invalid: ")
+        assert name in err.split(" is invalid: ")[1]
+    else:
+        assert err.startswith(f"error: config key {key} must be ")
     assert not (tmp_path / "x.train").exists()
 
 
@@ -181,34 +204,37 @@ def test_mistyped_config_value_is_fatal(tmp_path, capsys, key, value):
 ])
 def test_non_finite_config_number_is_fatal(tmp_path, capsys, key, value):
     # json.load takes the NaN and Infinity literals and integers of any size.
-    doc = value
-    for part in reversed(key.split(".")):
-        doc = {part: doc}
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(doc))
-    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == f"error: config key {key} must be a finite number\n"
-    assert not (tmp_path / "x.train").exists()
+    assert_refused_by_name(tmp_path, capsys, key, value)
 
 
-def test_well_typed_config_values_are_accepted():
+def test_well_typed_config_values_are_accepted(tmp_path):
     # An int where a float is expected, and null or a number for an optional.
-    cfg = cli._merge_strict(cli._CONFIG_DEFAULTS, {
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
         "schedule": {"horizon": 3}, "region": {"low": [4, -3.0, -0.5]},
         "geometry": {"intra_spacing": 0.001, "inter_spacing": None},
-    })
-    assert cfg["schedule"] == {"horizon": 3, "sigma_min": 0.01, "n_steps": 100}
-    assert cfg["region"]["low"] == [4, -3.0, -0.5]
-    assert cfg["geometry"]["intra_spacing"] == 0.001
+    }))
+    cfg = cli.load_config(str(path))
+    assert cfg.schedule == DiffusionSchedule(horizon=3)
+    assert cfg.region == SamplingRegion(low=[4, -3.0, -0.5])
+    assert cfg.geometry == GeometryConfig(intra_spacing=0.001)
 
 
-def flatten(section, prefix=""):
-    out = {}
-    for key, value in section.items():
-        if isinstance(value, dict) and value:
-            out.update(flatten(value, f"{prefix}{key}."))
-        else:
-            out[prefix + key] = value
+# A section's keys are its dataclass's fields but these, which other keys set:
+# the DiT's antenna counts come from the geometry, the training seed is "seed".
+FIXED = {"dit": ("n_rx", "n_tx"), "training": ("seed",)}
+
+
+def config_defaults():
+    """Every config key with its default, read from the section dataclasses."""
+    cfg = cli.load_config(None)
+    out = {"seed": cfg.seed}
+    for section in fields(cli.RunConfig)[1:]:
+        values = getattr(cfg, section.name)
+        for f in fields(values):
+            if f.name not in FIXED.get(section.name, ()):
+                out[f"{section.name}.{f.name}"] = f.default
+                assert getattr(values, f.name) == f.default
     return out
 
 
@@ -218,13 +244,13 @@ def test_config_keys_and_defaults_are_unchanged():
         "seed": 0,
         "geometry.carrier_frequency": 0.3e12, "geometry.n_tx": 16, "geometry.n_rx": 8,
         "geometry.k_tx": 2, "geometry.k_rx": 2, "geometry.intra_spacing": None,
-        "geometry.inter_spacing": None, "geometry.tx_origin": [0.0, 0.0, 0.0],
-        "geometry.axis": [0.0, 1.0, 0.0],
+        "geometry.inter_spacing": None, "geometry.tx_origin": (0.0, 0.0, 0.0),
+        "geometry.axis": (0.0, 1.0, 0.0),
         "gscm.n_clusters": 3, "gscm.rays_per_cluster": 5, "gscm.k_factor_mean_db": 10.0,
         "gscm.k_factor_std_db": 3.0, "gscm.azimuth_spread": 0.05,
         "gscm.elevation_spread": 0.05, "gscm.path_loss_exponent": 2.0,
         "gscm.scatterer_radius_min": 1.0, "gscm.scatterer_radius_max": 5.0,
-        "region.low": [4.0, -3.0, -0.5], "region.high": [10.0, 3.0, 0.5],
+        "region.low": (4.0, -3.0, -0.5), "region.high": (10.0, 3.0, 0.5),
         "dataset.count": 1000, "dataset.test_fraction": 0.1, "dataset.cell_size": 0.5,
         "dit.patch_size": 4, "dit.embed_dim": 64, "dit.depth": 4, "dit.n_heads": 4,
         "dit.mlp_ratio": 4,
@@ -233,12 +259,13 @@ def test_config_keys_and_defaults_are_unchanged():
         "training.eps": 1e-3, "training.ema_decay": 0.999, "training.epochs": 100,
         "training.batch_size": 8,
     }
-    got = flatten(cli._CONFIG_DEFAULTS)
-    assert got == pinned
-    # Each default keeps its JSON type, which _check_leaf enforces: an int
-    # stays an int.
+    got = config_defaults()
+    assert len(got) == 39 and got == pinned
+    # Each default keeps its type: an int stays an int.
     assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in pinned.items()}
     cfg = cli.load_config(None)
+    assert cfg.geometry == GeometryConfig()
+    assert cfg.region == SamplingRegion()
     assert cfg.gscm == GscmConfig()
     assert cfg.dataset == DatasetConfig()
     assert cfg.schedule == DiffusionSchedule()
@@ -251,7 +278,8 @@ def test_dit_config_fields_are_the_config_keys():
     # is a config key: a field no config key sets would be a knob only a
     # checkpoint could turn.
     config = dit.DitConfig(n_rx=8, n_tx=16)
-    assert set(asdict(config)) == {*cli._CONFIG_DEFAULTS["dit"], "n_rx", "n_tx"}
+    keys = {key.split(".")[1] for key in config_defaults() if key.startswith("dit.")}
+    assert set(asdict(config)) == {*keys, "n_rx", "n_tx"}
     # The traced benchmark's flop count reads it.
     assert config.condition_dim == CONDITION_DIM
 
@@ -275,6 +303,12 @@ def test_bad_dit_section_is_fatal_for_gen_data(tmp_path, capsys, value):
     ("training", {"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
     ("training", {"eps": -1.0}, "eps must be a finite number >= 0, got -1.0"),
     ("gscm", {"k_factor_std_db": -3}, "k_factor_std_db must be >= 0, got -3"),
+    # Finite, but draw_paths would leave float64: an OverflowError at
+    # 10 ** (k_db / 10), or a ZeroDivisionError, instead of a named key.
+    ("gscm", {"k_factor_mean_db": 1e6}, "k_factor_mean_db must be in [-300, 300], got 1000000.0"),
+    ("gscm", {"k_factor_std_db": 1e3}, "k_factor_std_db must be <= 100, got 1000.0"),
+    ("gscm", {"scatterer_radius_max": 1e300},
+     "scatterer_radius_max must be <= 1e+06, got 1e+300"),
 ])
 def test_bad_value_is_fatal_before_synthesis(tmp_path, capsys, monkeypatch, section, value,
                                              message):
@@ -285,7 +319,8 @@ def test_bad_value_is_fatal_before_synthesis(tmp_path, capsys, monkeypatch, sect
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({section: value}))
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == (
+        f"error: config section {section!r} is invalid: {message}\n")
 
 
 def test_indivisible_subarrays_are_fatal(tmp_path, capsys):
@@ -300,7 +335,8 @@ def test_antenna_count_below_one_is_fatal(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"geometry": {"n_tx": -16}}))
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == "error: n_tx must be an integer >= 1, got -16\n"
+    assert capsys.readouterr().err == (
+        "error: config section 'geometry' is invalid: n_tx must be an integer >= 1, got -16\n")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -332,7 +368,7 @@ def test_gen_data_refuses_a_seed_outside_64_bits(tmp_path, capsys, monkeypatch, 
     cfg.write_text(json.dumps({"seed": seed}))
     assert main(["gen-data", "--config", str(cfg), "--out", out]) == 1
     assert capsys.readouterr().err == (
-        f"error: config key seed must be in [0, 2**64), got {seed}\n")
+        f"error: config key seed must be an integer in [0, 2**64), got {seed}\n")
     assert not (tmp_path / "x.train").exists()
 
 
@@ -397,6 +433,38 @@ def test_train_rejects_mismatched_dataset(workdir, tmp_path, capsys):
         == 1
     )
     assert "does not match config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("geometry, name", [({"k_rx": 1}, "k_rx"), ({"k_tx": 4}, "k_tx")])
+def test_train_refuses_a_dataset_of_other_subarrays(workdir, tmp_path, capsys, geometry, name):
+    # The checkpoint meta takes its subarray counts from the config, so the
+    # dataset's must be the same.
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps({**CONFIG, "geometry": geometry}))
+    ckpt = tmp_path / "x.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(workdir / "data"),
+                 "--out-ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: dataset {name}=2 does not match config {name}={geometry[name]}\n")
+    assert "epoch" not in captured.out and not ckpt.exists()
+
+
+def test_train_stores_the_config_geometry(tmp_path, capsys):
+    geometry = {"carrier_frequency": 0.14e12, "tx_origin": [3, 0, 0]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "dataset": {**CONFIG["dataset"], "count": 60},
+                               "training": {**CONFIG["training"], "epochs": 1},
+                               "geometry": geometry}))
+    data, ckpt = str(tmp_path / "data"), tmp_path / "model.ckpt"
+    assert main(["gen-data", "--config", str(cfg), "--out", data]) == 0
+    assert main(["train", "--config", str(cfg), "--data", data, "--out-ckpt", str(ckpt)]) == 0
+    meta = load_checkpoint(ckpt).meta
+    header = read_dataset(data + ".train").header
+    assert meta == CheckpointMeta(
+        **asdict(GeometryConfig(carrier_frequency=0.14e12, tx_origin=(3.0, 0.0, 0.0))),
+        normalization_scalar=header.normalization_scalar, master_seed=header.master_seed)
+    assert (meta.carrier_frequency, meta.tx_origin) == (0.14e12, (3, 0, 0))
 
 
 def train_with_test_file(workdir, tmp_path, test_bytes):

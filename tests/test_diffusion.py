@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from thzgen.diffusion import (
-    AnalyticGaussianDenoiser,
     DiffusionSchedule,
     denoising_loss,
     ema_update,
@@ -10,6 +9,25 @@ from thzgen.diffusion import (
     score_from_denoiser,
 )
 from thzgen.errors import NumericError
+
+
+class AnalyticGaussianDenoiser:
+    """Posterior-mean denoiser for an isotropic Gaussian prior N(mu, sigma_d^2 I).
+
+    Test oracle: its induced score is available in closed form.
+    """
+
+    def __init__(self, mu, sigma_d: float):
+        if sigma_d < 0:
+            raise ValueError(f"sigma_d must be >= 0, got {sigma_d}")
+        self.mu = np.asarray(mu, dtype=float)
+        self.sigma_d = float(sigma_d)
+
+    def evaluate(self, h_t: np.ndarray, sigma: float, condition=None) -> np.ndarray:
+        denom = self.sigma_d**2 + sigma**2
+        if denom == 0.0:
+            return np.asarray(h_t, dtype=float)
+        return (self.sigma_d**2 * h_t + sigma**2 * self.mu) / denom
 
 
 class IdentityDenoiser:

@@ -121,8 +121,14 @@ def test_uniform_linear_names_a_count_that_is_not_an_integer(counts, message):
     (0.3e12, 1e-3, 1e-4, "inter_spacing", (0.0, 1.0, 0.0)),
     pytest.param(0.3e12, None, None, "axis must have a finite length > 0",
                  (0.0, 0.0, 0.0), id="zero_axis"),
-    pytest.param(0.3e12, None, None, "axis must have a finite length > 0",
+    pytest.param(0.3e12, None, None, r"^axis must be 3 finite numbers, got \(0.0, nan, 0.0\)",
                  (0.0, float("nan"), 0.0), id="nan_axis"),
+    # Without its own check, numpy failed the first unnamed ("operands could
+    # not be broadcast") and took the second as (1, 0, 0).
+    pytest.param(0.3e12, None, None, r"^axis must be 3 finite numbers, got \(0, 1\)",
+                 (0, 1), id="two_element_axis"),
+    pytest.param(0.3e12, None, None, r"^axis must be 3 finite numbers, got \(True, 0, 0\)",
+                 (True, 0, 0), id="bool_axis"),
     # Refused before the layout, whose arithmetic would warn on an infinity.
     pytest.param(float("nan"), None, None, "^carrier_frequency must be a finite number, got nan",
                  (0.0, 1.0, 0.0), id="nan_carrier"),
