@@ -31,10 +31,8 @@ import threading
 # lanes.  Measured on a 2-core x86_64 host with BLAS at one thread, one lane
 # against two: inference slices of 30.1 MFLOP (embed 32, depth 4) ran 2%
 # slower on two lanes, of 32.5 MFLOP (embed 48, depth 2) 1.2x faster and of
-# 111 MFLOP (the toy model) 1.4x faster; build_dataset samples of 64x256
-# (42 MFLOP) ran 1.4x faster, and of 8x16 (25 kFLOP) lost 19% of their
-# rate.  Between them, 64x128 samples (12.6 MFLOP) ran 1.2x faster but stay
-# on one lane.
+# 111 MFLOP (the toy model) 1.4x faster.  build_dataset counts a sample in
+# the same flops (``dataset.ENTRY_FLOPS``).
 ITEM_FLOPS = 32_000_000
 
 

@@ -41,6 +41,13 @@ class ChannelMatrix:
             raise ValueError("channel matrix contains non-finite entries")
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Lengths of the 3-vectors on the last axis: ``np.linalg.norm(v, axis=-1)``,
+    byte for byte (the same squares, summed left to right), without numpy's
+    slow reduction over a 3-long axis."""
+    return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
+
+
 def _subarray_rows(delta, dist, offsets, amplitude, wave_number: float) -> np.ndarray:
     """(S, n) rows amplitude/d * exp(-jk (d - <o, u>)) over the elements of one side.
 
@@ -132,11 +139,11 @@ def _spherical_channel(paths, geometry: ArrayGeometry, c_r, c_t, names) -> Chann
     s = np.array([paths[l].scatterer_position for l in scattered]).reshape(-1, 3)  # (S, 3)
     to_t = s[:, None] - c_t  # (S, k_t, 3)
     to_r = s[:, None] - c_r  # (S, k_r, 3)
-    d1 = np.linalg.norm(to_t, axis=-1)
-    d2 = np.linalg.norm(to_r, axis=-1)
+    d1 = _norm(to_t)
+    d2 = _norm(to_r)
     near = iter(np.minimum(d1.min(axis=1), d2.min(axis=1)) < _MIN_SEGMENT)
     if los:
-        d = np.linalg.norm(c_r[:, None] - c_t, axis=-1)  # (k_r, k_t)
+        d = _norm(c_r[:, None] - c_t)  # (k_r, k_t)
     for l, path in enumerate(paths):
         if path.is_los:
             if d.min() < _MIN_SEGMENT:

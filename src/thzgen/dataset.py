@@ -20,12 +20,11 @@ from .errors import (
     InsufficientDataError,
     check_count,
     check_finite,
-    check_point,
     check_seed,
     check_subarrays,
     is_finite_number,
 )
-from .geometry import CONDITION_DIM, ArrayGeometry, condition_vector
+from .geometry import CONDITION_DIM, ArrayGeometry, check_position, condition_vector
 from .paths import GscmConfig, draw_paths
 
 MAGIC = b"THZC"
@@ -41,8 +40,8 @@ class SamplingRegion:
     high: tuple[float, float, float] = (10.0, 3.0, 0.5)
 
     def __post_init__(self):
-        low = np.asarray(check_point("region low", self.low), dtype=float)
-        high = np.asarray(check_point("region high", self.high), dtype=float)
+        low = np.asarray(check_position("region low", self.low), dtype=float)
+        high = np.asarray(check_position("region high", self.high), dtype=float)
         # A flat axis (low == high) is allowed; a single point is not.
         if not np.all(low <= high) or np.all(low == high):
             raise ValueError(f"degenerate sampling region: low={low}, high={high}")
@@ -174,15 +173,26 @@ def build_dataset(
     return Dataset(header=header, conditions=conditions, tensors=tensors)
 
 
+# A sample's numpy work, in the float32 matmul flops that ``_lanes.ITEM_FLOPS``
+# counts, per channel entry.  Most of it is the SWM's per-entry line-of-sight
+# term (a distance, a complex exponential and a division); the scattered
+# paths' rank-S product and the block beamspace transform add the rest.
+# Measured on a 2-core x86_64 host with BLAS at one thread: past the 0.41 ms
+# a sample's interpreter-bound part takes, each entry adds about 75 ns, and
+# float32 matmuls ran at 100 GFLOP/s.  One lane against two, in samples/s
+# (median of 15 alternating builds): 8x16 (k 2x2) 1831 and 1886, 32x64
+# (k 4x4) 1643 and 1297, 64x128 (k 4x4) 952 and 1077, 64x256 (k 4x8) 599
+# and 778; this estimate splits the last two.
+ENTRY_FLOPS = 7_500
+
+
 def lane_count(geometry: ArrayGeometry, n: int) -> int:
     """Threads ``build_dataset`` runs ``n`` samples of ``geometry`` on.
 
-    A sample's work is taken as its beamspace transform's complex matmuls,
-    ``8 * n_rx * n_tx * (n_rx + n_tx)`` flops, which grow with the channel
-    as ``n_rx * n_tx`` does.
+    A sample's work is taken as ``ENTRY_FLOPS`` per channel entry, so it
+    grows with the channel as ``n_rx * n_tx`` does.
     """
-    n_rx, n_tx = geometry.n_rx, geometry.n_tx
-    return _lanes.lane_count(n, 8 * n_rx * n_tx * (n_rx + n_tx))
+    return _lanes.lane_count(n, ENTRY_FLOPS * geometry.n_rx * geometry.n_tx)
 
 
 def normalize(dataset: Dataset) -> tuple[Dataset, float]:

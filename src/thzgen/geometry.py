@@ -12,6 +12,26 @@ CONDITION_DIM = 8
 # Speed of light in vacuum, m/s (exact by the SI definition of the metre).
 SPEED_OF_LIGHT = 299792458.0
 
+# Hz: 1 MHz to 100 THz, wavelengths of 300 m down to 3 um.  With every
+# coordinate inside COORDINATE_LIMIT, each free-space amplitude
+# lambda / (4 pi d) of a path, and the product of a scattered path's two,
+# stays a normal non-zero float64; at a 1e300 Hz carrier they underflow to 0.
+CARRIER_BAND = (1e6, 1e14)
+# Metres, per coordinate, for the Tx origin and the sampling region's
+# corners, as paths.SCATTERER_RADIUS_LIMIT is for the scatterers: every
+# distance and its square stay finite, and the free-space amplitudes
+# non-zero; at a 1e300 m origin they underflow to 0.
+COORDINATE_LIMIT = 1e6
+
+
+def check_position(name: str, value) -> tuple:
+    """``check_point``, and refuse a coordinate beyond ``COORDINATE_LIMIT``."""
+    point = check_point(name, value)
+    if max(abs(c) for c in point) > COORDINATE_LIMIT:
+        raise ValueError(f"{name} must be 3 numbers in [-{COORDINATE_LIMIT:g}, "
+                         f"{COORDINATE_LIMIT:g}] m, got {list(point)}")
+    return point
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -122,6 +142,10 @@ class GeometryConfig:
         check_finite("carrier_frequency", self.carrier_frequency)
         if self.carrier_frequency <= 0:
             raise ValueError(f"carrier_frequency must be > 0, got {self.carrier_frequency}")
+        low, high = CARRIER_BAND
+        if not low <= self.carrier_frequency <= high:
+            raise ValueError(f"carrier_frequency must be in [{low:g}, {high:g}] Hz, "
+                             f"got {self.carrier_frequency}")
         intra_spacing, inter_spacing = self.spacings
         check_finite("intra_spacing", intra_spacing)
         check_finite("inter_spacing", inter_spacing)
@@ -138,7 +162,7 @@ class GeometryConfig:
                 f"axis must have a finite length > 0, got {list(map(float, axis))}")
         # Keep the checked points as tuples (JSON gives lists); the class is frozen.
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "tx_origin", check_point("tx_origin", self.tx_origin))
+        object.__setattr__(self, "tx_origin", check_position("tx_origin", self.tx_origin))
 
     @property
     def spacings(self) -> tuple:

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzgen.beamspace import (
-    block_dictionary,
-    dft_dictionary,
-    dictionaries_for,
-    from_beamspace,
-    to_beamspace,
-)
+from thzgen.beamspace import dft_dictionary, dictionaries_for, from_beamspace, to_beamspace
 from thzgen.channel import BEAMSPACE, SPATIAL, ChannelMatrix, swm_channel
 from thzgen.geometry import ArrayGeometry
 from thzgen.paths import GscmConfig, draw_paths
+
+
+def block_dictionary(k: int, n_sub: int) -> np.ndarray:
+    """The dense reference: k copies of the n_sub-point DFT on the diagonal."""
+    block = dft_dictionary(n_sub)
+    matrix = np.zeros((k * n_sub, k * n_sub), dtype=complex)
+    for i in range(0, k * n_sub, n_sub):
+        matrix[i:i + n_sub, i:i + n_sub] = block
+    return matrix
 
 
 def random_channel(geometry, rng):
@@ -63,8 +66,8 @@ def test_block_dictionary_unitary(k, n_sub):
 
 
 def test_block_dictionary_bytes_are_pinned():
-    # The digest of scipy.linalg.block_diag's matrices over this grid; the
-    # slice-filled matrices must keep their bytes, -0.0 included.
+    # The digest of scipy.linalg.block_diag's matrices over this grid: the
+    # dense reference keeps their bytes, -0.0 included.
     digest = hashlib.sha256()
     for k in (1, 2, 3, 4, 8):
         for n_sub in (1, 2, 4, 8, 32):
@@ -91,6 +94,27 @@ def test_block_dictionary_is_unitary_and_block_built(k, n_sub):
     assert np.abs(d.conj().T @ d - np.eye(k * n_sub)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n_rx,n_tx,k_rx,k_tx", [
+    (8, 16, 2, 2), (64, 256, 4, 8), (64, 128, 4, 4), (32, 64, 4, 4),
+    (16, 32, 1, 1), (16, 32, 2, 4), (16, 32, 1, 4), (16, 32, 4, 1),
+])
+def test_block_transform_is_the_dense_product_byte_for_byte(n_rx, n_tx, k_rx, k_tx):
+    # k = 1 on either side is its own case: a batch of row vectors there
+    # would be a matrix-vector product, which rounds unlike the GEMM.
+    g = ArrayGeometry.uniform_linear(0.3e12, n_tx=n_tx, n_rx=n_rx, k_tx=k_tx, k_rx=k_rx,
+                                     rx_origin=(6.0, 1.0, 0.0))
+    rx_d, tx_d = dictionaries_for(g)
+    a_r, a_t = block_dictionary(k_rx, n_rx // k_rx), block_dictionary(k_tx, n_tx // k_tx)
+    for i in range(10):
+        h = swm_channel(draw_paths(np.random.default_rng([5, i]), GscmConfig(), g), g)
+        hb = to_beamspace(h, rx_d, tx_d)
+        assert hb.entries.tobytes() == (a_r.conj().T @ h.entries @ a_t).tobytes()
+        back = from_beamspace(hb, rx_d, tx_d)
+        assert back.entries.tobytes() == (a_r @ hb.entries @ a_t.conj().T).tobytes()
+        err = np.linalg.norm(back.entries - h.entries) / np.linalg.norm(h.entries)
+        assert err < 1e-12
+
+
 @pytest.mark.parametrize(
     "n_rx,n_tx,k_rx,k_tx", [(8, 16, 2, 2), (64, 256, 4, 8)]
 )
@@ -113,7 +137,7 @@ def test_single_entry_recovery():
     rx_d, tx_d = dictionaries_for(g)
     e = np.zeros((4, 8), dtype=complex)
     e[1, 5] = 2.0 - 1.0j
-    spatial = rx_d @ e @ tx_d.conj().T
+    spatial = block_dictionary(2, 2) @ e @ block_dictionary(2, 4).conj().T
     h = ChannelMatrix(entries=spatial, domain_tag=SPATIAL, geometry=g)
     np.testing.assert_allclose(to_beamspace(h, rx_d, tx_d).entries, e, atol=1e-10)
 
@@ -132,7 +156,8 @@ def test_domain_tag_enforced():
 def test_dimension_mismatch():
     g = ArrayGeometry.uniform_linear(0.3e12, n_tx=4, n_rx=4)
     h = random_channel(g, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="do not match"):
+    with pytest.raises(ValueError, match=r"^dictionary sizes \(8, 4\) do not match "
+                                         r"subarray size \(4, 4\)$"):
         to_beamspace(h, dft_dictionary(8), dft_dictionary(4))
 
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from thzgen.beamspace import dictionaries_for, to_beamspace
 from thzgen.channel import (
     SPATIAL,
     ChannelMatrix,
+    _norm,
     hpsm_channel,
     pwm_channel,
     swm_channel,
@@ -17,7 +19,7 @@ from thzgen.channel import (
 from thzgen.dataset import SamplingRegion, sample_rng
 from thzgen.errors import DegenerateGeometryError
 from thzgen.evaluation import nmse
-from thzgen.geometry import ArrayGeometry, rayleigh_distance
+from thzgen.geometry import ArrayGeometry, GeometryConfig, rayleigh_distance
 from thzgen.paths import GscmConfig, Path, PathSet, draw_paths
 
 from test_geometry import direction_angles, unit_direction
@@ -697,6 +699,22 @@ def test_hpsm_with_one_subarray_matches_pwm_on_drawn_paths(seed, n_rx, n_tx):
     assert np.linalg.norm(h - hp) <= 1e-9 * np.linalg.norm(hp)
 
 
+# Zeros of both signs, and magnitudes whose squares stay normal and whose
+# sums of three squares stay finite, so no operation warns.
+COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, m: sign * m, st.sampled_from([1.0, -1.0]),
+              st.floats(1e-150, 1e150)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6).map(
+    lambda shape: (*shape, 3)), elements=COMPONENTS))
+def test_norm_is_numpys_norm_byte_for_byte(v):
+    assert _norm(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+
+
 # -- stochastic path generator ----------------------------------------------
 
 def test_draw_paths_count():
@@ -747,6 +765,20 @@ def test_gscm_config_checks_itself():
             assert np.all(np.isfinite(gains)) and np.all(np.abs(gains) > 0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         GscmConfig().n_clusters = 0
+
+
+@pytest.mark.parametrize("carrier", [1e6, 1e14])
+def test_paths_and_channels_stay_non_zero_at_the_geometry_bounds(carrier):
+    # The carrier band's edges, with the Tx origin and the Rx at opposite
+    # corners of the coordinate box and scatterers as far out as allowed.
+    config = GeometryConfig(carrier_frequency=carrier, tx_origin=(1e6, 1e6, 1e6))
+    geometry = config.at((-1e6, -1e6, -1e6))
+    gscm = GscmConfig(scatterer_radius_min=9e5, scatterer_radius_max=1e6)
+    for seed in range(5):
+        paths = draw_paths(np.random.default_rng(seed), gscm, geometry)
+        gains = [p.reflection_gain for p in paths]
+        assert np.all(np.isfinite(gains)) and np.all(np.abs(gains) > 0)
+        assert np.all(np.abs(swm_channel(paths, geometry).entries) > 0)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -21,6 +21,7 @@ from thzgen.cli import main
 from thzgen.dataset import Dataset, DatasetHeader
 from thzgen.diffusion import DiffusionSchedule
 from thzgen.dit import DitConfig, DitDenoiser, FlatParams, init_params, param_shapes
+from thzgen.geometry import COORDINATE_LIMIT
 from thzgen.training import TrainConfig, train
 
 CONFIG = DitConfig(n_rx=8, n_tx=16, patch_size=4, embed_dim=16, depth=1, n_heads=2,
@@ -334,12 +335,13 @@ def small_configs(draw):
         n_steps=st.integers(1, 10**6),
     ),
     scale=st.floats(1e-300, 1e300),
+    x=st.floats(-COORDINATE_LIMIT, COORDINATE_LIMIT),
     curves=st.lists(st.tuples(st.integers(), *[st.floats(allow_nan=False,
                                                          allow_infinity=False)] * 2)),
 )
 @example(config=CONFIG, seed=0, step=2**24 + 1, schedule=DiffusionSchedule(), scale=1.0,
-         curves=[(1, 5e-324, -0.0), (2**70, 1e308, 0.1)])
-def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, scale, curves):
+         x=5e-324, curves=[(1, 5e-324, -0.0), (2**70, 1e308, 0.1)])
+def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, scale, x, curves):
     rng = np.random.default_rng(seed)
     shapes = param_shapes(config)
     groups = {}
@@ -354,7 +356,7 @@ def test_round_trip_is_exact(tmp_path_factory, config, seed, step, schedule, sca
     # The config's arrays, one subarray per Rx element.
     meta = CheckpointMeta(normalization_scalar=scale, n_rx=config.n_rx, n_tx=config.n_tx,
                           k_rx=config.n_rx, k_tx=1, master_seed=seed,
-                          tx_origin=(scale, -0.0, 1.0))
+                          tx_origin=(x, -0.0, 1.0))
     path = tmp_path_factory.mktemp("round_trip") / "model.ckpt"
     save_checkpoint(path, Checkpoint(config=config, step=step, meta=meta,
                                      schedule=schedule, curves=curves, **groups))

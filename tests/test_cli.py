@@ -323,6 +323,24 @@ def test_bad_value_is_fatal_before_synthesis(tmp_path, capsys, monkeypatch, sect
         f"error: config section {section!r} is invalid: {message}\n")
 
 
+@pytest.mark.parametrize("section, value, name", [
+    ("geometry", {"carrier_frequency": 1e300}, "carrier_frequency"),
+    ("geometry", {"tx_origin": [1e300, 0, 0]}, "tx_origin"),
+    ("region", {"low": [1e300, 0, 0], "high": [1e300, 1, 1]}, "region low"),
+])
+def test_finite_value_whose_amplitudes_underflow_is_fatal(tmp_path, capsys, section, value,
+                                                          name):
+    # Finite, but draw_paths's free-space amplitudes underflowed to 0 and it
+    # ended in a ZeroDivisionError instead of a named key.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: value}))
+    argv = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x"), "--count", "4"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: config section {section!r} is invalid: {name} must be ")
+
+
 def test_indivisible_subarrays_are_fatal(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"geometry": {"n_tx": 10, "k_tx": 4}}))

@@ -424,6 +424,12 @@ def test_region_validation():
         SamplingRegion((0.0, 0.0, 0.0), (float("inf"), 1.0, 1.0))
     with pytest.raises(ValueError, match=r"^region low must be 3 finite numbers"):
         SamplingRegion((float("nan"), 0.0, 0.0), (1.0, 1.0, 1.0))
+    # Finite, but the free-space amplitudes of draw_paths would underflow to 0.
+    with pytest.raises(ValueError, match=r"^region low must be 3 numbers in \[-1e\+06, 1e\+06\] m"):
+        SamplingRegion((1e300, 0.0, 0.0), (1e300, 1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^region high must be 3 numbers in \[-1e\+06, 1e\+06\] m"):
+        SamplingRegion((0.0, 0.0, 0.0), (1.0, 1.0, 2e6))
+    SamplingRegion((-1e6, -1e6, -1e6), (1e6, 1e6, 1e6))
     # A flat axis is allowed.
     region = SamplingRegion((4.0, -3.0, 0.0), (10.0, 3.0, 0.0))
     assert region.draw(np.random.default_rng(0))[2] == 0.0

@@ -132,6 +132,11 @@ def test_uniform_linear_names_a_count_that_is_not_an_integer(counts, message):
     # Refused before the layout, whose arithmetic would warn on an infinity.
     pytest.param(float("nan"), None, None, "^carrier_frequency must be a finite number, got nan",
                  (0.0, 1.0, 0.0), id="nan_carrier"),
+    # Finite, but the free-space amplitudes of draw_paths would underflow to 0.
+    pytest.param(1e300, None, None, r"^carrier_frequency must be in \[1e\+06, 1e\+14\] Hz, "
+                 r"got 1e\+300$", (0.0, 1.0, 0.0), id="carrier_above_band"),
+    pytest.param(9e5, None, None, r"^carrier_frequency must be in \[1e\+06, 1e\+14\] Hz, "
+                 r"got 900000.0$", (0.0, 1.0, 0.0), id="carrier_below_band"),
     pytest.param(0.3e12, float("nan"), None, "^intra_spacing must be a finite number, got nan",
                  (0.0, 1.0, 0.0), id="nan_intra"),
     pytest.param(0.3e12, None, float("inf"), "^inter_spacing must be a finite number, got inf",
