@@ -30,7 +30,7 @@ import numpy as np
 
 from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
-from .errors import build, check_seed, is_finite_number, is_integer
+from .errors import build, check_seed, check_size, decode_json, is_finite_number, is_integer
 from .geometry import GeometryConfig
 
 MAGIC = b"THZW"
@@ -104,10 +104,7 @@ def _check_arrays(path, config: DitConfig, meta: CheckpointMeta) -> None:
 
 
 def _decode_metadata(path, blob: bytes) -> dict:
-    try:
-        meta_json = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"checkpoint {path}: metadata is not valid JSON: {exc}") from exc
+    meta_json = decode_json(blob, f"checkpoint {path}: metadata")
     if not isinstance(meta_json, dict):
         raise ValueError(f"checkpoint {path}: metadata must be a JSON object")
     if set(meta_json) != {*_SECTIONS, "curves"}:
@@ -147,14 +144,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             vector.astype("<f8", copy=False).tofile(f)
 
 
-def _require(path, needed: int, size: int) -> None:
-    if size < needed:
-        raise ValueError(
-            f"checkpoint {path} is truncated: its layout needs at least {needed} "
-            f"bytes, the file has {size}"
-        )
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file shorter or longer than its layout is fatal.
 
@@ -163,7 +152,7 @@ def load_checkpoint(path) -> Checkpoint:
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        _require(path, _HEAD.size, size)
+        check_size(f"checkpoint {path}", _HEAD.size, size)
         magic, version, blob_len = _HEAD.unpack(f.read(_HEAD.size))
         if magic != MAGIC:
             raise ValueError(f"{path} is not a checkpoint file: bad magic")
@@ -175,11 +164,11 @@ def load_checkpoint(path) -> Checkpoint:
         if version != VERSION:
             raise ValueError(f"checkpoint {path} has unsupported version {version}")
         vectors_at = _HEAD.size + blob_len + _COUNTS.size
-        _require(path, vectors_at, size)
+        check_size(f"checkpoint {path}", vectors_at, size)
         blob = f.read(blob_len)
         step, n = _COUNTS.unpack(f.read(_COUNTS.size))
         end = vectors_at + 8 * len(_GROUPS) * n
-        _require(path, end, size)
+        check_size(f"checkpoint {path}", end, size)
         if size > end:
             raise ValueError(
                 f"checkpoint {path} has {size} bytes, but its layout ends at "

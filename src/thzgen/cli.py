@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .checkpoint import (
 from .dataset import (
     Dataset,
     DatasetConfig,
-    DatasetHeader,
     SamplingRegion,
     build_dataset,
     lane_count as dataset_lanes,
@@ -40,7 +38,7 @@ from .dataset import (
 from .diffusion import DiffusionSchedule, euler_sample
 from .dit import DitConfig
 from .dit import lane_count as dit_lanes
-from .errors import NumericError, build, check_keys, check_seed
+from .errors import NumericError, build, check_keys, check_seed, decode_json
 from .evaluation import angular_power, compare_power, nmse, ssim_complex
 from .geometry import GeometryConfig, condition_vector
 from .paths import GscmConfig
@@ -71,11 +69,8 @@ def load_config(path: str | None) -> RunConfig:
     """
     data = {}
     if path is not None:
-        with open(path) as f:
-            try:
-                data = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config {path} is not valid JSON: {exc}") from None
+        with open(path, "rb") as f:
+            data = decode_json(f.read(), f"config {path}")
     check_keys("config", data, {f.name for f in fields(RunConfig)})
     seed = data.get("seed", 0)
     check_seed("config key seed", seed)
@@ -96,12 +91,23 @@ def load_config(path: str | None) -> RunConfig:
     )
 
 
-def _print_header(label: str, header: DatasetHeader) -> None:
+def _print_header(label: str, dataset: Dataset) -> None:
+    header = dataset.header
     print(
-        f"{label}: {header.sample_count} samples, "
+        f"{label}: {len(dataset)} samples, "
         f"{header.n_rx}x{header.n_tx} (subarrays {header.k_rx}x{header.k_tx}), "
         f"scale {header.normalization_scalar:.6g}, seed {header.master_seed}"
     )
+
+
+def _require_same(cls, a, a_source: str, b, b_source: str) -> None:
+    """Refuse the first field of ``cls`` on which records ``a`` and ``b`` differ,
+    naming it, both sources and both values."""
+    for f in fields(cls):
+        got, want = getattr(a, f.name), getattr(b, f.name)
+        if got != want:
+            raise ValueError(
+                f"{a_source} has {f.name}={got}, but {b_source} has {f.name}={want}")
 
 
 def _threads(lanes: int, kind: str = "") -> str:
@@ -124,8 +130,8 @@ def cmd_gen_data(args) -> int:
     train_set, test_set = split(dataset, cfg.dataset.test_fraction, cfg.dataset.cell_size)
     write_dataset(args.out + ".train", train_set)
     write_dataset(args.out + ".test", test_set)
-    _print_header("train", train_set.header)
-    _print_header("test", test_set.header)
+    _print_header("train", train_set)
+    _print_header("test", test_set)
     print(
         f"synthesized {count} samples in {1e3 * elapsed:.1f} ms "
         f"({count / elapsed:.1f} samples/s on {_threads(dataset_lanes(geometry, count))})"
@@ -138,21 +144,12 @@ def cmd_train(args) -> int:
     train_path, test_path = args.data + ".train", args.data + ".test"
     train_set = read_dataset(train_path)
     test_set = read_dataset(test_path)
-    header = train_set.header
-    # The checkpoint meta records the config's geometry, so the data must fit it.
-    for name in ("n_rx", "n_tx", "k_rx", "k_tx"):
-        got, want = getattr(header, name), getattr(cfg.geometry, name)
-        if got != want:
-            raise ValueError(
-                f"dataset {name}={got} does not match config {name}={want}"
-            )
-    # Both files must come from one gen-data run: same shape, scale and seed.
-    for name in ("n_rx", "n_tx", "k_rx", "k_tx", "normalization_scalar", "master_seed"):
-        got, want = getattr(test_set.header, name), getattr(header, name)
-        if got != want:
-            raise ValueError(
-                f"dataset {test_path} has {name}={got}, but {train_path} has {name}={want}"
-            )
+    # The checkpoint records the data's run, so the config must describe it,
+    # and both files must come from one gen-data run.
+    _require_same(GeometryConfig, cfg.geometry, "config section 'geometry'",
+                  train_set.header, f"dataset {train_path}")
+    _require_same(CheckpointMeta, test_set.header, f"dataset {test_path}",
+                  train_set.header, f"dataset {train_path}")
 
     def progress(epoch, train_loss, test_loss):
         print(f"epoch {epoch}: train {train_loss:.5f} test {test_loss:.5f}")
@@ -164,11 +161,7 @@ def cmd_train(args) -> int:
         f"trained {state.step} steps in {elapsed_ms:.1f} ms "
         f"({elapsed_ms / state.step:.2f} ms/step, float32 step on float64 weights)"
     )
-    state.meta = CheckpointMeta(
-        **asdict(cfg.geometry),
-        normalization_scalar=header.normalization_scalar,
-        master_seed=header.master_seed,
-    )
+    state.meta = train_set.header
     save_checkpoint(args.out_ckpt, state)
     csv_path = args.out_csv or args.out_ckpt + ".csv"
     with open(csv_path, "w", newline="") as f:
@@ -201,17 +194,9 @@ def sample_channels(
     shape = (num, 2, ckpt.config.n_rx, ckpt.config.n_tx)
     samples = euler_sample(denoiser, cond, schedule, rng, shape)
     samples = samples * ckpt.meta.normalization_scalar
-    header = DatasetHeader(
-        n_rx=ckpt.config.n_rx,
-        n_tx=ckpt.config.n_tx,
-        k_rx=ckpt.meta.k_rx,
-        k_tx=ckpt.meta.k_tx,
-        sample_count=num,
-        normalization_scalar=ckpt.meta.normalization_scalar,
-        master_seed=seed,
-    )
     conditions = np.broadcast_to(cond, (num, len(cond))).copy()
-    return Dataset(header=header, conditions=conditions, tensors=samples)
+    return Dataset(header=replace(ckpt.meta, master_seed=seed), conditions=conditions,
+                   tensors=samples)
 
 
 def cmd_sample(args) -> int:
@@ -227,7 +212,7 @@ def cmd_sample(args) -> int:
     dataset = sample_channels(ckpt, position, args.num, args.seed)
     elapsed_ms = 1e3 * (time.perf_counter() - start)
     write_dataset(args.out, dataset)
-    _print_header("generated", dataset.header)
+    _print_header("generated", dataset)
     nfe = ckpt.schedule.n_steps  # one denoiser call per Euler step
     print(
         f"sampler: {nfe} denoiser calls (NFE) at batch {args.num}, "
@@ -260,11 +245,8 @@ def cmd_eval(args) -> int:
         )
     gen = read_dataset(args.gen)
     ref = read_dataset(args.ref)
-    if (gen.header.n_rx, gen.header.n_tx) != (ref.header.n_rx, ref.header.n_tx):
-        raise ValueError(
-            f"dimension mismatch: generated {gen.header.n_rx}x{gen.header.n_tx} "
-            f"vs reference {ref.header.n_rx}x{ref.header.n_tx}"
-        )
+    _require_same(GeometryConfig, gen.header, f"dataset {args.gen}",
+                  ref.header, f"dataset {args.ref}")
     pairs = _pair_by_condition(gen, ref)
     gen_mats = gen.complex_matrices()
     ref_mats = ref.complex_matrices()

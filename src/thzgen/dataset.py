@@ -1,35 +1,45 @@
 """Dataset construction, normalization, position-disjoint splitting, and file IO.
 
-``SamplingRegion``, ``DatasetConfig`` and ``DatasetHeader`` check themselves
-when built; ``read_dataset`` names the file in any fault of its header or
-length.
+A dataset's header is its run's ``CheckpointMeta``: the geometry that made
+it, the normalization scalar and the seed, the record a checkpoint carries.
+
+File layout (version 2), all little-endian: magic "THZC", u32 version,
+u32 JSON length, u64 sample count, then the header as a JSON object (built
+by ``errors.build``), then one f4 record per sample: its condition vector
+and its real/imag tensor.  ``read_dataset`` names the file in any fault of
+its header or length.  Version 1 packed a header of counts only and is
+refused.
 """
 from __future__ import annotations
 
+import json
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import _lanes
 from .beamspace import dictionaries_for, to_beamspace
 from .channel import swm_channel
+from .checkpoint import CheckpointMeta
 from .errors import (
     DegenerateGeometryError,
     InsufficientDataError,
+    build,
     check_count,
     check_finite,
     check_seed,
-    check_subarrays,
+    check_size,
+    decode_json,
     is_finite_number,
 )
 from .geometry import CONDITION_DIM, ArrayGeometry, check_position, condition_vector
 from .paths import GscmConfig, draw_paths
 
 MAGIC = b"THZC"
-VERSION = 1
-_HEADER_FMT = "<4sI5IQdQ"  # magic, version, Nr, Nt, Kr, Kt, cond_dim, count, scalar, seed
+VERSION = 2
+_HEAD = struct.Struct("<4sIIQ")  # magic, version, JSON length, sample count
 
 
 @dataclass(frozen=True)
@@ -71,36 +81,17 @@ class DatasetConfig:
         _check_split(self.test_fraction, self.cell_size)
 
 
-@dataclass(frozen=True)
-class DatasetHeader:
-    n_rx: int
-    n_tx: int
-    k_rx: int
-    k_tx: int
-    sample_count: int
-    normalization_scalar: float = 1.0
-    master_seed: int = 0
-
-    def __post_init__(self):
-        check_count("sample_count", self.sample_count)
-        check_subarrays("rx", self.n_rx, self.k_rx)
-        check_subarrays("tx", self.n_tx, self.k_tx)
-        scale = self.normalization_scalar
-        if not (is_finite_number(scale) and scale > 0):
-            raise ValueError(f"normalization_scalar must be a finite number > 0, got {scale}")
-        check_seed("master_seed", self.master_seed)
-
-
 @dataclass
 class Dataset:
     """In-memory dataset: stacked conditions (n, 8) and tensors (n, 2, Nr, Nt)."""
 
-    header: DatasetHeader
+    header: CheckpointMeta
     conditions: np.ndarray
     tensors: np.ndarray
 
     def __post_init__(self):
-        n = self.header.sample_count
+        n = len(self.conditions)
+        check_count("sample count", n)
         if self.conditions.shape != (n, CONDITION_DIM):
             raise ValueError(
                 f"conditions shape {self.conditions.shape} inconsistent with header"
@@ -111,7 +102,7 @@ class Dataset:
             )
 
     def __len__(self) -> int:
-        return self.header.sample_count
+        return len(self.conditions)
 
     def complex_matrices(self) -> np.ndarray:
         """(n, Nr, Nt) complex view of the stacked real/imag tensors."""
@@ -162,14 +153,7 @@ def build_dataset(
 
     _lanes.run(n, lane_count(geometry, n), synthesize)
 
-    header = DatasetHeader(
-        n_rx=geometry.n_rx,
-        n_tx=geometry.n_tx,
-        k_rx=geometry.k_rx,
-        k_tx=geometry.k_tx,
-        sample_count=n,
-        master_seed=master_seed,
-    )
+    header = CheckpointMeta(**asdict(geometry.config), master_seed=master_seed)
     return Dataset(header=header, conditions=conditions, tensors=tensors)
 
 
@@ -263,7 +247,7 @@ def split(
 
     def subset(idx):
         return Dataset(
-            header=replace(dataset.header, sample_count=len(idx)),
+            header=dataset.header,
             conditions=dataset.conditions[idx],
             tensors=dataset.tensors[idx],
         )
@@ -273,28 +257,16 @@ def split(
 
 def write_dataset(path, dataset: Dataset) -> None:
     header = dataset.header
-    n = header.sample_count
+    n = len(dataset)
+    blob = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
     record = np.empty(
         (n, CONDITION_DIM + 2 * header.n_rx * header.n_tx), dtype="<f4"
     )
     record[:, :CONDITION_DIM] = dataset.conditions
     record[:, CONDITION_DIM:] = dataset.tensors.reshape(n, -1)
     with open(path, "wb") as f:
-        f.write(
-            struct.pack(
-                _HEADER_FMT,
-                MAGIC,
-                VERSION,
-                header.n_rx,
-                header.n_tx,
-                header.k_rx,
-                header.k_tx,
-                CONDITION_DIM,
-                n,
-                header.normalization_scalar,
-                header.master_seed,
-            )
-        )
+        f.write(_HEAD.pack(MAGIC, VERSION, len(blob), n))
+        f.write(blob)
         record.tofile(f)
 
 
@@ -304,44 +276,38 @@ def read_dataset(path) -> Dataset:
     A bad header, a length other than it declares, or a NaN or Inf in any
     sample's condition or tensor is fatal, naming the file.
     """
-    header_size = struct.calcsize(_HEADER_FMT)
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        if size < header_size:
-            raise ValueError(
-                f"dataset {path} is truncated: the header needs {header_size} "
-                f"bytes, the file has {size}"
-            )
-        magic, version, n_rx, n_tx, k_rx, k_tx, cond_dim, count, scalar, seed = (
-            struct.unpack(_HEADER_FMT, f.read(header_size))
-        )
+        check_size(f"dataset {path}", _HEAD.size, size)
+        magic, version, blob_len, count = _HEAD.unpack(f.read(_HEAD.size))
         if magic != MAGIC:
             raise ValueError(f"{path} is not a dataset file: bad magic {magic!r}")
+        if 0 < version < VERSION:
+            raise ValueError(
+                f"dataset {path} has version {version}, an older layout; this "
+                f"reader takes version {VERSION} only, so regenerate it"
+            )
         if version != VERSION:
             raise ValueError(f"dataset {path} has unsupported version {version}")
-        record_len = cond_dim + 2 * n_rx * n_tx
-        expected = header_size + 4 * count * record_len
+        records_at = _HEAD.size + blob_len
+        check_size(f"dataset {path}", records_at, size)
+        where = f"dataset {path}: header"
+        header = build(CheckpointMeta, decode_json(f.read(blob_len), where), where)
+        if count < 1:
+            raise ValueError(f"{where} is invalid: sample_count must be an integer >= 1, got 0")
+        record_len = CONDITION_DIM + 2 * header.n_rx * header.n_tx
+        expected = records_at + 4 * count * record_len
         if size != expected:
             raise ValueError(
                 f"dataset {path} has {size} bytes, but its header declares "
                 f"{count} records of {4 * record_len} bytes, {expected} bytes in all"
             )
-        try:
-            # Files keep the slot, but the condition vector has one length.
-            if cond_dim != CONDITION_DIM:
-                raise ValueError(f"condition_dim must be {CONDITION_DIM}, got {cond_dim}")
-            header = DatasetHeader(
-                n_rx=n_rx, n_tx=n_tx, k_rx=k_rx, k_tx=k_tx, sample_count=count,
-                normalization_scalar=scalar, master_seed=seed,
-            )
-        except ValueError as exc:
-            raise ValueError(f"dataset {path} has an invalid header: {exc}") from exc
         record = np.fromfile(f, dtype="<f4", count=count * record_len).reshape(
             count, record_len
         )
     finite = np.isfinite(record).all(axis=1)
     if not finite.all():
         raise ValueError(f"{path}: sample {int(np.argmin(finite))} holds a non-finite value")
-    conditions = record[:, :cond_dim].astype(float)
-    tensors = record[:, cond_dim:].astype(float).reshape(count, 2, n_rx, n_tx)
+    conditions = record[:, :CONDITION_DIM].astype(float)
+    tensors = record[:, CONDITION_DIM:].astype(float).reshape(count, 2, header.n_rx, header.n_tx)
     return Dataset(header=header, conditions=conditions, tensors=tensors)

@@ -11,6 +11,15 @@ import numpy as np
 
 from .errors import NumericError, check_count, is_finite_number
 
+# The sampler's Euler step takes dt * t and t**2 (score_from_denoiser) and
+# the preconditioning sigma**2 in float64, finite only up to about 1e154.
+# Long before that the sample is lost: the last step subtracts the noise,
+# of size up to about 5 * horizon, from the sample, and that rounds off
+# horizon * 1e-15 of it.  At this bound even a one-step sampler keeps unit-RMS
+# (normalized) data to 1e-9, finer than the float32 the file stores; at a
+# 1e150 horizon the samples came out all 0.
+HORIZON_LIMIT = 1e6
+
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
@@ -28,6 +37,8 @@ class DiffusionSchedule:
             raise ValueError(
                 f"need 0 < sigma_min < horizon < inf, got {self.sigma_min}, {self.horizon}"
             )
+        if self.horizon > HORIZON_LIMIT:
+            raise ValueError(f"horizon must be <= {HORIZON_LIMIT:g}, got {self.horizon}")
         check_count("n_steps", self.n_steps)
 
     def draw_sigma(self, rng: np.random.Generator, size=None) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Exception types, the value checks shared across the package, and ``build``."""
+import json
 import math
 import numbers
 from dataclasses import fields
@@ -66,6 +67,21 @@ def check_keys(where: str, data, allowed) -> None:
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ValueError(f"{where} has unknown keys {unknown}")
+
+
+def check_size(where: str, needed: int, size: int) -> None:
+    """Refuse a file of ``size`` bytes whose layout needs ``needed``, naming ``where``."""
+    if size < needed:
+        raise ValueError(f"{where} is truncated: its layout needs at least {needed} "
+                         f"bytes, the file has {size}")
+
+
+def decode_json(blob: bytes, where: str):
+    """The JSON value ``blob`` holds as UTF-8, or one ValueError naming ``where``."""
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise ValueError(f"{where} is not valid JSON: {exc}") from exc
 
 
 def build(cls, data, where: str, **fixed):

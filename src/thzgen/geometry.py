@@ -1,6 +1,7 @@
 """Array geometry and its config, Rayleigh distance, and the conditioning vector."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +21,10 @@ CARRIER_BAND = (1e6, 1e14)
 # Metres, per coordinate, for the Tx origin and the sampling region's
 # corners, as paths.SCATTERER_RADIUS_LIMIT is for the scatterers: every
 # distance and its square stay finite, and the free-space amplitudes
-# non-zero; at a 1e300 m origin they underflow to 0.
+# non-zero; at a 1e300 m origin they underflow to 0.  Each array's extent
+# along its axis is bounded by it too, so no element coordinate exceeds 1.5
+# times the limit and the element distances stay as finite; at a 1e300 m
+# spacing they overflowed.
 COORDINATE_LIMIT = 1e6
 
 
@@ -40,7 +44,8 @@ class ArrayGeometry:
     Each side has ``n`` antennas organized into ``k`` subarrays: elements
     inside a subarray are closely spaced (``intra_spacing``), subarray
     centers are widely spaced (``inter_spacing``).  ``GeometryConfig.at``
-    and ``uniform_linear`` build one; ``with_rx_origin`` copies a built one.
+    and ``uniform_linear`` build one, and ``config`` is the
+    ``GeometryConfig`` that laid it out; ``with_rx_origin`` copies a built one.
     """
 
     carrier_frequency: float
@@ -56,6 +61,7 @@ class ArrayGeometry:
     element_positions_rx: np.ndarray = field(repr=False)
     subarray_centers_tx: np.ndarray = field(repr=False)
     subarray_centers_rx: np.ndarray = field(repr=False)
+    config: GeometryConfig = field(repr=False)
 
     @property
     def wavelength(self) -> float:
@@ -156,8 +162,16 @@ class GeometryConfig:
                 f"inter_spacing ({inter_spacing}) must be >= "
                 f"intra_spacing ({intra_spacing})"
             )
+        for side in ("tx", "rx"):
+            n, k = getattr(self, f"n_{side}"), getattr(self, f"k_{side}")
+            extent = (k - 1) * inter_spacing + (n // k - 1) * intra_spacing
+            if extent > COORDINATE_LIMIT:
+                raise ValueError(
+                    f"the {side} array's extent (k_{side} - 1) * inter_spacing + "
+                    f"(n_{side} / k_{side} - 1) * intra_spacing must be <= "
+                    f"{COORDINATE_LIMIT:g} m, got {extent:g} m")
         axis = check_point("axis", self.axis)
-        if not 0.0 < np.linalg.norm(axis) < np.inf:
+        if not any(axis):  # finite components: only the zero vector has no direction
             raise ValueError(
                 f"axis must have a finite length > 0, got {list(map(float, axis))}")
         # Keep the checked points as tuples (JSON gives lists); the class is frozen.
@@ -177,6 +191,10 @@ class GeometryConfig:
         """The arrays laid out, with the Rx array centered on ``rx_origin``."""
         intra_spacing, inter_spacing = self.spacings
         axis = np.asarray(self.axis, dtype=float)
+        # Scaled by a power of two first, so the length cannot overflow; the
+        # scaling is exact, so this is axis / norm(axis) wherever that norm is
+        # finite and non-zero.
+        axis = np.ldexp(axis, -math.frexp(np.abs(axis).max())[1])
         axis = axis / np.linalg.norm(axis)
         tx_origin = np.asarray(self.tx_origin, dtype=float)
         rx_origin = np.asarray(check_point("rx_origin", rx_origin), dtype=float)
@@ -208,6 +226,7 @@ class GeometryConfig:
             element_positions_rx=el_rx,
             subarray_centers_tx=c_tx,
             subarray_centers_rx=c_rx,
+            config=self,
         )
 
 

@@ -58,6 +58,11 @@ K_FACTOR_STD_DB_LIMIT = 100.0
 # In metres from the Tx-Rx midpoint, far beyond any local cluster, so every
 # path distance and its square stay finite in float64.
 SCATTERER_RADIUS_LIMIT = 1e6
+# draw_paths scales each amplitude by d ** (-(ple - 2) / 2) at the Tx-Rx
+# distance d, and a scattered path by its square; across the coordinate box
+# (d up to 3.5e6 m) these stay within 1e-53 and 1e14, so every gain stays a
+# finite non-zero float64.  At -1000 the power overflows, at 1000 it is 0.
+PATH_LOSS_EXPONENT_RANGE = (0.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,10 @@ class GscmConfig:
         if self.k_factor_std_db > K_FACTOR_STD_DB_LIMIT:
             raise ValueError(f"k_factor_std_db must be <= {K_FACTOR_STD_DB_LIMIT:g}, "
                              f"got {self.k_factor_std_db}")
+        low, high = PATH_LOSS_EXPONENT_RANGE
+        if not low <= self.path_loss_exponent <= high:
+            raise ValueError(f"path_loss_exponent must be in [{low:g}, {high:g}], "
+                             f"got {self.path_loss_exponent}")
         if self.azimuth_spread <= 0 or self.elevation_spread <= 0:
             raise ValueError("angular spreads must be > 0")
         if not 0 < self.scatterer_radius_min < self.scatterer_radius_max:

@@ -20,7 +20,7 @@ from thzgen.dataset import SamplingRegion, sample_rng
 from thzgen.errors import DegenerateGeometryError
 from thzgen.evaluation import nmse
 from thzgen.geometry import ArrayGeometry, GeometryConfig, rayleigh_distance
-from thzgen.paths import GscmConfig, Path, PathSet, draw_paths
+from thzgen.paths import PATH_LOSS_EXPONENT_RANGE, GscmConfig, Path, PathSet, draw_paths
 
 from test_geometry import direction_angles, unit_direction
 
@@ -750,6 +750,8 @@ def test_gscm_config_checks_itself():
         ("k_factor_mean_db", -300.5, r"must be in \[-300, 300\], got -300.5"),
         ("k_factor_std_db", 100.5, "must be <= 100, got 100.5"),
         ("scatterer_radius_max", 1e300, r"must be <= 1e\+06, got 1e\+300"),
+        ("path_loss_exponent", -1000, r"must be in \[0, 10\], got -1000"),
+        ("path_loss_exponent", 10.5, r"must be in \[0, 10\], got 10.5"),
     ):
         with pytest.raises(ValueError, match=rf"^{name} {message}$"):
             GscmConfig(**{name: value})
@@ -771,14 +773,18 @@ def test_gscm_config_checks_itself():
 def test_paths_and_channels_stay_non_zero_at_the_geometry_bounds(carrier):
     # The carrier band's edges, with the Tx origin and the Rx at opposite
     # corners of the coordinate box and scatterers as far out as allowed.
+    # Each path-loss exponent bound too, which scales the gains by a power of
+    # that long distance.
     config = GeometryConfig(carrier_frequency=carrier, tx_origin=(1e6, 1e6, 1e6))
     geometry = config.at((-1e6, -1e6, -1e6))
-    gscm = GscmConfig(scatterer_radius_min=9e5, scatterer_radius_max=1e6)
-    for seed in range(5):
-        paths = draw_paths(np.random.default_rng(seed), gscm, geometry)
-        gains = [p.reflection_gain for p in paths]
-        assert np.all(np.isfinite(gains)) and np.all(np.abs(gains) > 0)
-        assert np.all(np.abs(swm_channel(paths, geometry).entries) > 0)
+    for exponent in PATH_LOSS_EXPONENT_RANGE:
+        gscm = GscmConfig(scatterer_radius_min=9e5, scatterer_radius_max=1e6,
+                          path_loss_exponent=exponent)
+        for seed in range(5):
+            paths = draw_paths(np.random.default_rng(seed), gscm, geometry)
+            gains = [p.reflection_gain for p in paths]
+            assert np.all(np.isfinite(gains)) and np.all(np.abs(gains) > 0)
+            assert np.all(np.abs(swm_channel(paths, geometry).entries) > 0)
 
 
 @pytest.mark.parametrize("key, value", [

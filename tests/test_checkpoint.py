@@ -18,7 +18,7 @@ from thzgen.checkpoint import (
     save_checkpoint,
 )
 from thzgen.cli import main
-from thzgen.dataset import Dataset, DatasetHeader
+from thzgen.dataset import Dataset
 from thzgen.diffusion import DiffusionSchedule
 from thzgen.dit import DitConfig, DitDenoiser, FlatParams, init_params, param_shapes
 from thzgen.geometry import COORDINATE_LIMIT
@@ -225,7 +225,7 @@ def test_ema_denoiser_is_the_trained_one(tmp_path):
     # A short run on random data; what train returns is what the file holds,
     # and the reloaded EMA model is bit-for-bit the trained one.
     rng = np.random.default_rng(4)
-    header = DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=12)
+    header = CheckpointMeta(n_rx=8, n_tx=16, k_rx=2, k_tx=2)
     data = Dataset(header=header, conditions=rng.normal(size=(12, 8)),
                    tensors=rng.normal(size=(12, 2, 8, 16)))
     schedule = DiffusionSchedule(horizon=3.0, sigma_min=0.01, n_steps=5)

@@ -7,7 +7,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +18,18 @@ from thzgen import _lanes, cli, dit
 from thzgen.checkpoint import CheckpointMeta, ema_denoiser, load_checkpoint
 from thzgen.cli import main
 from thzgen.dataset import (
-    _HEADER_FMT,
     Dataset,
     DatasetConfig,
-    DatasetHeader,
     SamplingRegion,
     read_dataset,
     write_dataset,
 )
-from thzgen.diffusion import DiffusionSchedule, euler_sample
+from thzgen.diffusion import HORIZON_LIMIT, DiffusionSchedule, euler_sample
 from thzgen.geometry import CONDITION_DIM, GeometryConfig, condition_vector
 from thzgen.paths import GscmConfig
 from thzgen.training import TrainConfig
+
+from test_dataset import rewrite_header
 
 CONFIG = {
     "seed": 3,
@@ -112,18 +112,14 @@ def test_gen_data_reports_throughput(workdir, tmp_path, capsys):
     (3, "k_rx=3 does not divide n_rx=8"),
 ])
 def test_bad_subarray_count_in_header_stops_train(workdir, tmp_path, capsys, k_rx, match):
-    raw = bytearray((workdir / "data.train").read_bytes())
-    fields = list(struct.unpack_from(_HEADER_FMT, raw))
-    fields[4] = k_rx  # magic, version, n_rx, n_tx, k_rx, ...
-    struct.pack_into(_HEADER_FMT, raw, 0, *fields)
     bad = tmp_path / "data.train"
-    bad.write_bytes(bytes(raw))
+    bad.write_bytes(rewrite_header((workdir / "data.train").read_bytes(), k_rx=k_rx))
     (tmp_path / "data.test").write_bytes((workdir / "data.test").read_bytes())
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--config", config_path(workdir), "--data", str(tmp_path / "data"),
                  "--out-ckpt", str(ckpt)]) == 1
     captured = capsys.readouterr()
-    assert f"error: dataset {bad} has an invalid header: {match}" in captured.err
+    assert captured.err == f"error: dataset {bad}: header is invalid: {match}\n"
     assert "epoch" not in captured.out
     assert not ckpt.exists()
 
@@ -341,6 +337,44 @@ def test_finite_value_whose_amplitudes_underflow_is_fatal(tmp_path, capsys, sect
     assert err.startswith(f"error: config section {section!r} is invalid: {name} must be ")
 
 
+@pytest.mark.parametrize("section, value, name", [
+    # An OverflowError at d ** (-(ple - 2) / 2), and an all-zero dataset that
+    # failed normalization, naming no key.
+    ("gscm", {"path_loss_exponent": -1000}, "path_loss_exponent must be in [0, 10]"),
+    ("gscm", {"path_loss_exponent": 1000}, "path_loss_exponent must be in [0, 10]"),
+    # Overflow warnings in the channel, then a non-finite channel naming no key.
+    ("geometry", {"inter_spacing": 1e300}, "the tx array's extent"),
+    ("geometry", {"intra_spacing": 1e200, "inter_spacing": 1e200}, "the tx array's extent"),
+])
+def test_extreme_finite_value_is_one_error_line(tmp_path, capsys, section, value, name):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({section: value}))
+    argv = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x"), "--count", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: config section {section!r} is invalid: {name}")
+    assert not (tmp_path / "x.train").exists()
+
+
+def test_axis_of_huge_components_is_a_direction(tmp_path, capsys):
+    # Its length overflows a plain norm, but it points where [1, 1, 0] does.
+    out = {}
+    for label, axis in (("huge", [1e300, 1e300, 0]), ("unit", [1, 1, 0])):
+        cfg = tmp_path / f"{label}.json"
+        cfg.write_text(json.dumps({"geometry": {"axis": axis}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / label),
+                         "--count", "20"]) == 0
+        assert capsys.readouterr().err == ""
+        out[label] = read_dataset(tmp_path / f"{label}.train")
+    assert out["huge"].header.axis == (1e300, 1e300, 0)
+    np.testing.assert_allclose(out["huge"].tensors, out["unit"].tensors, rtol=0, atol=1e-5)
+
+
 def test_indivisible_subarrays_are_fatal(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"geometry": {"n_tx": 10, "k_tx": 4}}))
@@ -450,13 +484,14 @@ def test_train_rejects_mismatched_dataset(workdir, tmp_path, capsys):
         )
         == 1
     )
-    assert "does not match config" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: config section 'geometry' has n_rx=16, but dataset {workdir / 'data.train'} "
+        f"has n_rx=8\n")
 
 
 @pytest.mark.parametrize("geometry, name", [({"k_rx": 1}, "k_rx"), ({"k_tx": 4}, "k_tx")])
 def test_train_refuses_a_dataset_of_other_subarrays(workdir, tmp_path, capsys, geometry, name):
-    # The checkpoint meta takes its subarray counts from the config, so the
-    # dataset's must be the same.
+    # The checkpoint records the dataset's run, so the config must describe it.
     cfg = tmp_path / "other.json"
     cfg.write_text(json.dumps({**CONFIG, "geometry": geometry}))
     ckpt = tmp_path / "x.ckpt"
@@ -464,7 +499,30 @@ def test_train_refuses_a_dataset_of_other_subarrays(workdir, tmp_path, capsys, g
                  "--out-ckpt", str(ckpt)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: dataset {name}=2 does not match config {name}={geometry[name]}\n")
+        f"error: config section 'geometry' has {name}={geometry[name]}, "
+        f"but dataset {workdir / 'data.train'} has {name}=2\n")
+    assert "epoch" not in captured.out and not ckpt.exists()
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("carrier_frequency", 0.14e12, "140000000000.0"), ("n_tx", 8, "8"),
+    ("intra_spacing", 5e-4, "0.0005"), ("inter_spacing", 0.02, "0.02"),
+    ("tx_origin", [3, 0, 0], "(3, 0, 0)"), ("axis", [1, 1, 0.5], "(1, 1, 0.5)"),
+])
+def test_train_refuses_a_config_of_another_geometry(workdir, tmp_path, capsys, key, value,
+                                                    shown):
+    # Data made at the default geometry, and a config that differs in one key
+    # (n_rx and the subarray counts are the tests above): the checkpoint
+    # would record a geometry the data was never made with.
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps({**CONFIG, "geometry": {key: value}}))
+    ckpt = tmp_path / "x.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(workdir / "data"),
+                 "--out-ckpt", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    default = getattr(GeometryConfig(), key)
+    assert captured.err == (f"error: config section 'geometry' has {key}={shown}, but dataset "
+                            f"{workdir / 'data.train'} has {key}={default}\n")
     assert "epoch" not in captured.out and not ckpt.exists()
 
 
@@ -479,10 +537,47 @@ def test_train_stores_the_config_geometry(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--data", data, "--out-ckpt", str(ckpt)]) == 0
     meta = load_checkpoint(ckpt).meta
     header = read_dataset(data + ".train").header
-    assert meta == CheckpointMeta(
+    assert meta == header == CheckpointMeta(
         **asdict(GeometryConfig(carrier_frequency=0.14e12, tx_origin=(3.0, 0.0, 0.0))),
         normalization_scalar=header.normalization_scalar, master_seed=header.master_seed)
     assert (meta.carrier_frequency, meta.tx_origin) == (0.14e12, (3, 0, 0))
+
+
+def test_train_and_sample_at_the_horizon_bound(workdir, tmp_path, capsys):
+    # Past the bound the sampler squared t into an OverflowError; at it
+    # every train and sample step stays finite.
+    cfg = tmp_path / "config.json"
+    ckpt, out = tmp_path / "model.ckpt", tmp_path / "gen.bin"
+    for horizon in (HORIZON_LIMIT, HORIZON_LIMIT * (1 + 1e-9)):
+        schedule = {**CONFIG["schedule"], "horizon": horizon, "n_steps": 2}
+        cfg.write_text(json.dumps({**CONFIG, "schedule": schedule,
+                                   "training": {**CONFIG["training"], "epochs": 1}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = main(["train", "--config", str(cfg), "--data", str(workdir / "data"),
+                           "--out-ckpt", str(ckpt)])
+            if horizon == HORIZON_LIMIT:
+                assert status == 0
+                assert main(["sample", "--ckpt", str(ckpt), "--pos", "6,1,0", "--num", "3",
+                             "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert status == 1 and captured.err == (
+        "error: config section 'schedule' is invalid: horizon must be <= 1e+06, "
+        f"got {horizon}\n")
+    tensors = read_dataset(out).tensors
+    assert np.all(np.isfinite(tensors)) and np.any(tensors != 0)
+    # A checkpoint whose schedule is past the bound is refused before sampling.
+    raw = ckpt.read_bytes()
+    head = struct.Struct("<4sII")
+    magic, version, blob_len = head.unpack_from(raw)
+    meta = json.loads(raw[head.size:head.size + blob_len])
+    meta["schedule"]["horizon"] = horizon
+    blob = json.dumps(meta).encode()
+    ckpt.write_bytes(head.pack(magic, version, len(blob)) + blob + raw[head.size + blob_len:])
+    assert main(["sample", "--ckpt", str(ckpt), "--pos", "6,1,0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {ckpt}: metadata 'schedule' is invalid: horizon must be <= 1e+06, "
+        f"got {horizon}\n")
 
 
 def train_with_test_file(workdir, tmp_path, test_bytes):
@@ -496,20 +591,20 @@ def train_with_test_file(workdir, tmp_path, test_bytes):
     return status
 
 
-@pytest.mark.parametrize("index, name, value", [
-    (4, "k_rx", 4), (5, "k_tx", 4), (8, "normalization_scalar", 2.5), (9, "master_seed", 4),
+@pytest.mark.parametrize("name, value", [
+    pytest.param("k_rx", 4, id="4-k_rx-4"), pytest.param("k_tx", 4, id="5-k_tx-4"),
+    pytest.param("normalization_scalar", 2.5, id="8-normalization_scalar-2.5"),
+    pytest.param("master_seed", 4, id="9-master_seed-4"),
+    pytest.param("tx_origin", [3, 0, 0], id="tx_origin"),
 ])
-def test_train_refuses_a_test_file_from_another_run(workdir, tmp_path, capsys, index, name,
-                                                    value):
-    raw = bytearray((workdir / "data.test").read_bytes())
-    fields = list(struct.unpack_from(_HEADER_FMT, raw))
-    want = fields[index]
-    fields[index] = value  # magic, version, n_rx, n_tx, k_rx, k_tx, cond_dim, count, ...
-    struct.pack_into(_HEADER_FMT, raw, 0, *fields)
-    assert train_with_test_file(workdir, tmp_path, bytes(raw)) == 1
+def test_train_refuses_a_test_file_from_another_run(workdir, tmp_path, capsys, name, value):
+    raw = (workdir / "data.test").read_bytes()
+    want = getattr(read_dataset(workdir / "data.test").header, name)
+    assert train_with_test_file(workdir, tmp_path, rewrite_header(raw, **{name: value})) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: dataset {tmp_path / 'data.test'} has {name}={value}, "
-                            f"but {tmp_path / 'data.train'} has {name}={want}\n")
+    got = tuple(value) if isinstance(value, list) else value
+    assert captured.err == (f"error: dataset {tmp_path / 'data.test'} has {name}={got}, "
+                            f"but dataset {tmp_path / 'data.train'} has {name}={want}\n")
     assert "epoch" not in captured.out
 
 
@@ -522,7 +617,7 @@ def test_train_refuses_a_test_file_of_another_size(workdir, tmp_path, capsys, ge
     assert train_with_test_file(workdir, tmp_path, (tmp_path / "other.test").read_bytes()) == 1
     captured = capsys.readouterr()
     assert re.fullmatch(rf"error: dataset {re.escape(str(tmp_path / 'data.test'))} has "
-                        rf"{name}=\d+, but {re.escape(str(tmp_path / 'data.train'))} has "
+                        rf"{name}=\d+, but dataset {re.escape(str(tmp_path / 'data.train'))} has "
                         rf"{name}=\d+\n", captured.err)
     assert "epoch" not in captured.out
 
@@ -747,7 +842,7 @@ def test_eval_scores_each_pair_once(workdir, tmp_path, monkeypatch):
 def random_dataset(seed, count, n_rx, n_tx):
     rng = np.random.default_rng(seed)
     return Dataset(
-        header=DatasetHeader(n_rx=n_rx, n_tx=n_tx, k_rx=1, k_tx=1, sample_count=count),
+        header=CheckpointMeta(n_rx=n_rx, n_tx=n_tx, k_rx=1, k_tx=1),
         conditions=rng.normal(size=(count, 8)),
         tensors=rng.normal(size=(count, 2, n_rx, n_tx)),
     )
@@ -824,19 +919,15 @@ def test_eval_rejects_unknown_metric(workdir, tmp_path, capsys):
     assert "psnr" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, name", [(2, "n_rx"), (3, "n_tx")])
-def test_eval_rejects_a_header_without_antennas(workdir, tmp_path, capsys, field, name):
-    raw = (workdir / "data.test").read_bytes()
-    header = struct.calcsize(_HEADER_FMT)
-    fields = list(struct.unpack_from(_HEADER_FMT, raw))
-    fields[field] = 0  # magic, version, n_rx, n_tx, ...
-    record = 4 * (fields[6] + 2 * fields[2] * fields[3])  # the body cut to match
+@pytest.mark.parametrize("name", [pytest.param("n_rx", id="2-n_rx"),
+                                  pytest.param("n_tx", id="3-n_tx")])
+def test_eval_rejects_a_header_without_antennas(workdir, tmp_path, capsys, name):
     bad = tmp_path / "data.test"
-    bad.write_bytes(struct.pack(_HEADER_FMT, *fields) + raw[header:header + fields[7] * record])
+    bad.write_bytes(rewrite_header((workdir / "data.test").read_bytes(), **{name: 0}))
     assert main(["eval", "--gen", str(bad), "--ref", str(workdir / "data.test"),
                  "--out-csv", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == (
-        f"error: dataset {bad} has an invalid header: {name} must be an integer >= 1, got 0\n")
+        f"error: dataset {bad}: header is invalid: {name} must be an integer >= 1, got 0\n")
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -854,7 +945,25 @@ def test_eval_rejects_dimension_mismatch(workdir, tmp_path, capsys):
         )
         == 1
     )
-    assert "dimension mismatch" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: dataset {tmp_path / 'small.test'} has n_tx=8, "
+                                       f"but dataset {workdir / 'data.test'} has n_tx=16\n")
+
+
+@pytest.mark.parametrize("key, value", [("k_rx", 1), ("carrier_frequency", 0.14e12)])
+def test_eval_refuses_data_of_another_geometry(workdir, tmp_path, capsys, key, value):
+    # Same antenna counts, so the metrics would run, but other subarrays or
+    # another carrier: not the same channels.
+    ref = read_dataset(workdir / "data.test")
+    gen = tmp_path / "gen.bin"
+    write_dataset(gen, Dataset(replace(ref.header, **{key: value}), ref.conditions,
+                               ref.tensors))
+    out = tmp_path / "x.csv"
+    assert main(["eval", "--gen", str(gen), "--ref", str(workdir / "data.test"),
+                 "--out-csv", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset {gen} has {key}={value}, but dataset {workdir / 'data.test'} has "
+        f"{key}={getattr(ref.header, key)}\n")
+    assert not out.exists()
 
 
 def run_python(args, **env):

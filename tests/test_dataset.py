@@ -1,19 +1,23 @@
+import json
 import re
 import struct
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thzgen import _lanes, dataset
+from thzgen.checkpoint import CheckpointMeta
 from thzgen.cli import main
 from thzgen.dataset import (
-    _HEADER_FMT,
+    _HEAD,
+    MAGIC,
+    VERSION,
     Dataset,
     DatasetConfig,
-    DatasetHeader,
     SamplingRegion,
     build_dataset,
     normalize,
@@ -22,7 +26,7 @@ from thzgen.dataset import (
     write_dataset,
 )
 from thzgen.errors import DegenerateGeometryError, InsufficientDataError
-from thzgen.geometry import ArrayGeometry
+from thzgen.geometry import CARRIER_BAND, COORDINATE_LIMIT, ArrayGeometry
 from thzgen.paths import GscmConfig
 
 GEOM = ArrayGeometry.uniform_linear(0.3e12, n_tx=16, n_rx=8, k_tx=2, k_rx=2)
@@ -36,7 +40,8 @@ def small_dataset(n=10, seed=0):
 def test_build_bookkeeping():
     ds = small_dataset(10)
     assert len(ds) == 10
-    assert ds.header.sample_count == 10
+    # The header is the run's record: the geometry that made the data, and its seed.
+    assert ds.header == CheckpointMeta(**asdict(GEOM.config), master_seed=0)
     assert ds.conditions.shape == (10, 8)
     assert ds.tensors.shape == (10, 2, 8, 16)
     assert np.all(np.isfinite(ds.tensors))
@@ -131,8 +136,7 @@ def test_small_channels_stay_on_one_lane_and_large_ones_split(monkeypatch):
 
 def constant_dataset(value, n=1):
     tensors = np.full((n, 2, 8, 16), float(value))
-    header = DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=n)
-    return Dataset(header=header, conditions=np.zeros((n, 8)), tensors=tensors)
+    return Dataset(header=CheckpointMeta(n_rx=8, n_tx=16, k_rx=2, k_tx=2), conditions=np.zeros((n, 8)), tensors=tensors)
 
 
 def test_normalize_constant_case():
@@ -197,7 +201,7 @@ def test_split_rejects_bad_fraction():
     with pytest.raises(ValueError, match=r"^test_fraction must be a finite number, got '0.1'$"):
         DatasetConfig(test_fraction="0.1")
     with pytest.raises(ValueError, match=r"^normalization_scalar must be a finite number > 0"):
-        DatasetHeader(n_rx=1, n_tx=1, k_rx=1, k_tx=1, sample_count=1, normalization_scalar="x")
+        CheckpointMeta(n_rx=1, n_tx=1, k_rx=1, k_tx=1, normalization_scalar="x")
 
 
 def positions_dataset(positions, seed=0):
@@ -206,8 +210,7 @@ def positions_dataset(positions, seed=0):
     conditions = np.zeros((n, 8))
     conditions[:, 1:4] = positions
     return Dataset(
-        header=DatasetHeader(n_rx=1, n_tx=1, k_rx=1, k_tx=1, sample_count=n,
-                             master_seed=seed),
+        header=CheckpointMeta(n_rx=1, n_tx=1, k_rx=1, k_tx=1, master_seed=seed),
         conditions=conditions,
         tensors=np.broadcast_to(np.arange(n, dtype=float)[:, None, None, None],
                                 (n, 2, 1, 1)).copy(),
@@ -241,7 +244,7 @@ def test_split_keeps_cells_disjoint_and_indices_whole(points, repeats, test_frac
     index = np.concatenate([train.tensors[:, 0, 0, 0], test.tensors[:, 0, 0, 0]])
     assert sorted(index) == list(range(len(ds)))
     for side in (train, test):
-        assert side.header.sample_count == len(side.conditions) == len(side.tensors)
+        assert side.header == ds.header and len(side.tensors) == len(side.conditions)
 
 
 @pytest.mark.parametrize("cell_size", [0.0, -0.5, float("nan"), float("inf")])
@@ -255,9 +258,7 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "ds.bin"
     write_dataset(path, ds)
     back = read_dataset(path)
-    assert back.header.n_rx == ds.header.n_rx
-    assert back.header.normalization_scalar == ds.header.normalization_scalar
-    assert back.header.master_seed == ds.header.master_seed
+    assert back.header == ds.header
     # Tensors survive bit-exactly modulo the f32 storage precision.
     np.testing.assert_array_equal(
         back.tensors, ds.tensors.astype(np.float32).astype(float)
@@ -294,15 +295,32 @@ def test_read_rejects_unknown_version(tmp_path):
     assert str(path) in str(info.value)
 
 
-HEADER_BYTES = struct.calcsize(_HEADER_FMT)
 RECORD_BYTES = 4 * (8 + 2 * 8 * 16)  # condition + real/imag 8x16 tensor, f32
+
+
+def header_bytes(raw: bytes) -> int:
+    """Bytes before a file's first record: the fixed head and the JSON header."""
+    return _HEAD.size + _HEAD.unpack_from(raw)[2]
+
+
+def pack(blob: bytes, count: int, body: bytes, version: int = VERSION) -> bytes:
+    """A dataset file of the given JSON header bytes, sample count and records."""
+    return _HEAD.pack(MAGIC, version, len(blob), count) + blob + body
+
+
+def rewrite_header(raw: bytes, **changes) -> bytes:
+    """A dataset file's bytes with keys of its JSON header set, the rest unchanged."""
+    at = header_bytes(raw)
+    header = json.loads(raw[_HEAD.size:at])
+    count = _HEAD.unpack_from(raw)[3]
+    return pack(json.dumps({**header, **changes}).encode(), count, raw[at:])
 
 
 def corrupt(raw: bytes, case: str) -> bytes:
     """A dataset file's bytes with one kind of length damage."""
     return {
-        "short_header": raw[: HEADER_BYTES - 3],
-        "truncated_body": raw[: HEADER_BYTES + RECORD_BYTES],
+        "short_header": raw[: header_bytes(raw) - 3],
+        "truncated_body": raw[: header_bytes(raw) + RECORD_BYTES],
         "truncated_record": raw[:-5],
         "trailing_bytes": raw + b"\0" * 7,
     }[case]
@@ -316,7 +334,7 @@ def dataset_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ds") / "ok.bin"
     write_dataset(path, normalize(small_dataset(3, seed=2))[0])
     raw = path.read_bytes()
-    assert len(raw) == HEADER_BYTES + 3 * RECORD_BYTES
+    assert len(raw) == header_bytes(raw) + 3 * RECORD_BYTES
     return raw
 
 
@@ -330,7 +348,7 @@ def test_read_rejects_wrong_length(tmp_path, dataset_bytes, case):
     msg = str(info.value)
     assert str(path) in msg
     assert str(len(data)) in msg
-    expected = HEADER_BYTES if case == "short_header" else len(dataset_bytes)
+    expected = header_bytes(dataset_bytes) if case == "short_header" else len(dataset_bytes)
     assert str(expected) in msg
 
 
@@ -360,45 +378,110 @@ def test_cut_or_extended_file_is_a_value_error(tmp_path_factory, dataset_bytes, 
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("count, scale, cond_dim, match", [
-    pytest.param(0, 1.0, 8, "sample_count must be an integer >= 1, got 0",
+def version_1(raw: bytes) -> bytes:
+    """The file in the version-1 layout: a packed header of counts, then the records."""
+    fields = (MAGIC, 1, 8, 16, 2, 2, 8, 3, 1.0, 0)  # ..., cond_dim, count, scalar, seed
+    return struct.pack("<4sI5IQdQ", *fields) + raw[header_bytes(raw):]
+
+
+@pytest.mark.parametrize("damage, match", [
+    pytest.param(lambda raw: pack(json.dumps(asdict(CheckpointMeta())).encode(), 0, b""),
+                 "header is invalid: sample_count must be an integer >= 1, got 0",
                  id="0-1.0-sample_count must be an integer >= 1"),
-    pytest.param(3, float("nan"), 8,
-                 "normalization_scalar must be a finite number > 0, got nan",
+    pytest.param(lambda raw: rewrite_header(raw, normalization_scalar=float("nan")),
+                 "header is invalid: normalization_scalar must be a finite number > 0, got nan",
                  id="3-nan-normalization_scalar must be a finite number > 0, got nan"),
-    pytest.param(3, 1.0, 3, "condition_dim must be 8, got 3", id="condition_dim"),
+    # The condition vector has one length, so the header holds none.
+    pytest.param(lambda raw: rewrite_header(raw, condition_dim=8),
+                 r"header has unknown keys \['condition_dim'\]", id="condition_dim"),
+    pytest.param(lambda raw: rewrite_header(raw, owner="x"),
+                 r"header has unknown keys \['owner'\]", id="unknown_key"),
+    pytest.param(lambda raw: rewrite_header(raw, normalization_scalar="2.0"),
+                 "header is invalid: normalization_scalar must be a finite number > 0, "
+                 "got '2.0'", id="string_scale"),
+    pytest.param(lambda raw: rewrite_header(raw, k_rx=3),
+                 "header is invalid: k_rx=3 does not divide n_rx=8", id="indivisible_k"),
+    pytest.param(lambda raw: pack(raw[_HEAD.size:header_bytes(raw) - 5], 3,
+                                  raw[header_bytes(raw):]),
+                 "header is not valid JSON", id="cut_json"),
+    pytest.param(lambda raw: pack(b"\xff", 3, raw[header_bytes(raw):]),
+                 "header is not valid JSON", id="not_utf8"),
+    pytest.param(lambda raw: pack(b"[8, 16]", 3, raw[header_bytes(raw):]),
+                 "header must be a JSON object", id="json_array"),
+    pytest.param(lambda raw: raw + b"\0" * 4, "trailing|declares", id="trailing_bytes"),
+    pytest.param(version_1, "has version 1, an older layout; this reader takes version 2 "
+                 "only, so regenerate it", id="version_1"),
 ])
-def test_read_rejects_invalid_header(tmp_path, dataset_bytes, count, scale, cond_dim, match):
-    # The length matches what the header declares; the header itself is bad.
-    fields = list(struct.unpack(_HEADER_FMT, dataset_bytes[:HEADER_BYTES]))
-    fields[6:9] = cond_dim, count, scale
-    record_bytes = 4 * (cond_dim + 2 * 8 * 16)
+def test_read_rejects_invalid_header(tmp_path, dataset_bytes, damage, match):
     path = tmp_path / "bad_header.bin"
-    path.write_bytes(struct.pack(_HEADER_FMT, *fields)
-                     + dataset_bytes[HEADER_BYTES:HEADER_BYTES + count * record_bytes])
+    path.write_bytes(damage(dataset_bytes))
     with pytest.raises(ValueError, match=match) as info:
         read_dataset(path)
     assert str(path) in str(info.value)
 
 
 def test_header_validation():
-    for count, scale in ((0, 1.0), (1, 0.0), (1, -2.0), (1, float("nan")), (1, float("inf"))):
-        with pytest.raises(ValueError):
-            DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=count,
-                          normalization_scalar=scale)
-    for count in (2.5, 2.0, True):
-        with pytest.raises(ValueError, match=rf"^sample_count must be an integer >= 1, got {count}$"):
-            DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=count)
+    for scale in (0.0, -2.0, float("nan"), float("inf"), "1.0", True):
+        with pytest.raises(ValueError, match="^normalization_scalar must be a finite number > 0"):
+            CheckpointMeta(normalization_scalar=scale)
     for k_rx, k_tx in ((0, 2), (2, -1), (3, 2), (2, 3), (2.0, 2), (True, 2)):
         with pytest.raises(ValueError, match="k_"):
-            DatasetHeader(n_rx=8, n_tx=16, k_rx=k_rx, k_tx=k_tx, sample_count=1)
+            CheckpointMeta(n_rx=8, n_tx=16, k_rx=k_rx, k_tx=k_tx)
     for n_rx, n_tx in ((0, 16), (8, 0), (-8, 16), (8, -16), (8.0, 16), (8, True)):
         with pytest.raises(ValueError, match="n_(rx|tx) must be an integer >= 1"):
-            DatasetHeader(n_rx=n_rx, n_tx=n_tx, k_rx=1, k_tx=1, sample_count=1)
+            CheckpointMeta(n_rx=n_rx, n_tx=n_tx, k_rx=1, k_tx=1)
     for seed in (-1, 2**64, 3.0, True):
         with pytest.raises(ValueError, match=r"master_seed must be an integer in \[0, 2\*\*64\)"):
-            DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=1, master_seed=seed)
-    DatasetHeader(n_rx=8, n_tx=16, k_rx=2, k_tx=2, sample_count=1, master_seed=2**64 - 1)
+            CheckpointMeta(master_seed=seed)
+    CheckpointMeta(master_seed=2**64 - 1)
+    # A dataset holds at least one sample, and arrays of the header's shape.
+    with pytest.raises(ValueError, match=r"^sample count must be an integer >= 1, got 0$"):
+        Dataset(CheckpointMeta(), np.zeros((0, 8)), np.zeros((0, 2, 8, 16)))
+    with pytest.raises(ValueError, match="tensors shape .* inconsistent with header"):
+        Dataset(CheckpointMeta(), np.zeros((2, 8)), np.zeros((2, 2, 16, 8)))
+
+
+@st.composite
+def run_records(draw):
+    """Any valid CheckpointMeta, geometry keys included, of a small array."""
+    side = {}
+    for name in ("tx", "rx"):
+        k = draw(st.integers(1, 3), label=f"k_{name}")
+        side[f"n_{name}"] = k * draw(st.integers(1, 3), label=f"n_{name} / k_{name}")
+        side[f"k_{name}"] = k
+    intra = draw(st.none() | st.floats(1e-6, 1e3), label="intra_spacing")
+    inter = draw(st.none() | st.floats(1e-6, 1e3), label="inter_spacing")
+    if intra is not None and inter is not None:
+        intra, inter = sorted((intra, inter))
+    point = st.tuples(*[st.floats(-COORDINATE_LIMIT, COORDINATE_LIMIT)] * 3)
+    try:
+        return CheckpointMeta(
+            carrier_frequency=draw(st.floats(*CARRIER_BAND), label="carrier_frequency"),
+            intra_spacing=intra, inter_spacing=inter,
+            tx_origin=draw(point, label="tx_origin"),
+            axis=draw(point.filter(any), label="axis"),
+            normalization_scalar=draw(st.floats(1e-300, 1e300), label="normalization_scalar"),
+            master_seed=draw(st.integers(0, 2**64 - 1), label="master_seed"),
+            **side)
+    except ValueError:  # a None spacing of a low carrier can exceed the other one
+        draw(st.nothing())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much])
+@given(header=run_records(), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_any_header_and_arrays_survive_a_round_trip(tmp_path, header, count, seed):
+    rng = np.random.default_rng(seed)
+    # float32 values, which the records store exactly.
+    conditions = rng.normal(size=(count, 8)).astype(np.float32).astype(float)
+    tensors = rng.normal(size=(count, 2, header.n_rx, header.n_tx)).astype(np.float32)
+    written = Dataset(header, conditions, tensors.astype(float))
+    path = tmp_path / "round_trip.bin"
+    write_dataset(path, written)
+    back = read_dataset(path)
+    assert back.header == header
+    assert back.conditions.tobytes() == written.conditions.tobytes()
+    assert back.tensors.tobytes() == written.tensors.tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

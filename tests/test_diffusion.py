@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from thzgen.diffusion import (
+    HORIZON_LIMIT,
     DiffusionSchedule,
     denoising_loss,
     ema_update,
@@ -57,6 +58,12 @@ def test_schedule_invariants():
             DiffusionSchedule(horizon=horizon, sigma_min=0.5)
     with pytest.raises(ValueError, match="sigma_min"):
         DiffusionSchedule(sigma_min=False)
+    # Finite, but the sampler would square it past float64 (at 1e300) or
+    # round the sample away in its last step.
+    for horizon, shown in ((1e300, r"1e\+300"), (2e6, "2000000.0")):
+        with pytest.raises(ValueError, match=rf"^horizon must be <= 1e\+06, got {shown}$"):
+            DiffusionSchedule(horizon=horizon)
+    assert DiffusionSchedule(horizon=HORIZON_LIMIT).horizon == 1e6
 
 
 @pytest.mark.parametrize("n_steps", [2.5, 3.0, "3", True, None])

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzgen import _lanes, dit
-from thzgen.dataset import Dataset, DatasetHeader
+from thzgen.checkpoint import CheckpointMeta
+from thzgen.dataset import Dataset
 from thzgen.diffusion import denoising_loss
 from thzgen.dit import (
     ROWS,
@@ -516,7 +517,7 @@ def test_evaluate_loss_matches_forward_reference():
     den = randomized_denoiser(cfg, seed=5)
     rng = np.random.default_rng(17)
     n = 70  # 16 samples per slice: four full slices and a short one
-    header = DatasetHeader(n_rx=cfg.n_rx, n_tx=cfg.n_tx, k_rx=1, k_tx=1, sample_count=n)
+    header = CheckpointMeta(n_rx=cfg.n_rx, n_tx=cfg.n_tx, k_rx=1, k_tx=1)
     ds = Dataset(header=header, conditions=rng.normal(size=(n, 8)),
                  tensors=rng.normal(size=(n, 2, cfg.n_rx, cfg.n_tx)))
     sigmas = np.exp(rng.uniform(-4.0, 2.0, size=n))

@@ -7,7 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from thzgen.cli import main
-from thzgen.dataset import Dataset, DatasetHeader, read_dataset, write_dataset
+from thzgen.checkpoint import CheckpointMeta
+from thzgen.dataset import Dataset, read_dataset, write_dataset
 from thzgen.evaluation import (
     K1,
     K2,
@@ -100,7 +101,7 @@ def test_ssim_cdf(tmp_path):
     gen = np.stack([ref + s * rng.normal(size=(8, 8)) for s in (1.0, 0.0, 0.3)])
     for name, mats in (("gen", gen), ("ref", ref[None])):
         write_dataset(tmp_path / name, Dataset(
-            header=DatasetHeader(n_rx=8, n_tx=8, k_rx=1, k_tx=1, sample_count=len(mats)),
+            header=CheckpointMeta(n_rx=8, n_tx=8, k_rx=1, k_tx=1),
             conditions=np.zeros((len(mats), 8)),
             tensors=np.stack([mats.real, mats.imag], axis=1),
         ))

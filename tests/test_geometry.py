@@ -5,6 +5,7 @@ from thzgen.errors import DegenerateGeometryError
 from thzgen.geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
+    GeometryConfig,
     condition_vector,
     rayleigh_distance,
 )
@@ -141,6 +142,12 @@ def test_uniform_linear_names_a_count_that_is_not_an_integer(counts, message):
                  (0.0, 1.0, 0.0), id="nan_intra"),
     pytest.param(0.3e12, None, float("inf"), "^inter_spacing must be a finite number, got inf",
                  (0.0, 1.0, 0.0), id="inf_inter"),
+    # Finite, but the channel's element distances overflowed.
+    pytest.param(0.3e12, None, 1e300, r"^the tx array's extent \(k_tx - 1\) \* inter_spacing "
+                 r"\+ \(n_tx / k_tx - 1\) \* intra_spacing must be <= 1e\+06 m, got 1e\+300 m$",
+                 (0.0, 1.0, 0.0), id="huge_inter"),
+    pytest.param(0.3e12, 1e200, 1e200, r"^the tx array's extent .* got 8e\+200 m$",
+                 (0.0, 1.0, 0.0), id="huge_spacings"),
 ])
 def test_uniform_linear_rejects_bad_spacings(carrier, intra, inter, match, axis):
     with pytest.raises(ValueError, match=match):
@@ -154,6 +161,38 @@ def test_uniform_linear_rejects_a_non_finite_origin(side):
     with pytest.raises(ValueError, match=rf"^{side}_origin must be 3 finite numbers"):
         ArrayGeometry.uniform_linear(0.3e12, n_tx=16, n_rx=8,
                                      **{f"{side}_origin": (0.0, float("nan"), 0.0)})
+
+
+def test_array_extent_bound_counts_each_side():
+    # At the bound: Tx, two one-element subarrays one inter_spacing apart;
+    # Rx, one subarray of two elements one intra_spacing apart.
+    config = dict(n_tx=2, n_rx=2, k_tx=2, k_rx=1, intra_spacing=1e3, inter_spacing=1e6)
+    g = GeometryConfig(**config).at((0.0, 0.0, 0.0))
+    assert (g.aperture("tx"), g.aperture("rx")) == (1e6, 1e3)
+    with pytest.raises(ValueError, match=r"^the tx array's extent .* got 1\.001e\+06 m$"):
+        GeometryConfig(**{**config, "n_tx": 4})
+    with pytest.raises(ValueError, match=r"^the rx array's extent .* got 1\.001e\+06 m$"):
+        GeometryConfig(**{**config, "n_rx": 1002, "k_rx": 1})
+
+
+@pytest.mark.parametrize("axis", [(0.0, 1.0, 0.0), (1, 1, 0.5), (3.0, -4.0, 12.0),
+                                  (1e-3, 7.0, -2.5), (2.0**-1070, 0.0, 0.0),
+                                  (1e300, 1e300, 0.0)])
+def test_layout_direction_is_the_normalized_axis(axis):
+    # The same bytes as axis / norm(axis) wherever that norm is finite, and
+    # a direction where it overflows or underflows.
+    g = GeometryConfig(n_tx=2, n_rx=2, k_tx=1, k_rx=1, intra_spacing=1.0, inter_spacing=1.0,
+                       axis=axis).at((5.0, 0.0, 0.0))
+    direction = g.element_positions_tx[1] - g.element_positions_tx[0]
+    a = np.asarray(axis, dtype=float)
+    with np.errstate(all="ignore"):
+        plain = a / np.linalg.norm(a)
+    if np.all(np.isfinite(plain)) and np.any(plain):
+        assert direction.tobytes() == plain.tobytes()
+    else:
+        np.testing.assert_allclose(direction, a / np.abs(a).max()
+                                   / np.linalg.norm(a / np.abs(a).max()), rtol=1e-15)
+    assert g.config.axis == tuple(axis)
 
 
 def test_with_rx_origin_translates_everything():

@@ -23,7 +23,7 @@ DIT = DitConfig(n_rx=8, n_tx=16, patch_size=4, embed_dim=16, depth=1, n_heads=2,
 def subset(ds, idx):
     idx = np.asarray(idx)
     return Dataset(
-        header=replace(ds.header, sample_count=len(idx)),
+        header=ds.header,
         conditions=ds.conditions[idx],
         tensors=ds.tensors[idx],
     )
