@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .geometry import ArrayGeometry
-from .paths import Path, PathSet
+from .paths import PathSet
 
 SPATIAL = "spatial"
 BEAMSPACE = "beamspace"

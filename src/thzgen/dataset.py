@@ -3,43 +3,31 @@
 A dataset's header is its run's ``CheckpointMeta``: the geometry that made
 it, the normalization scalar and the seed, the record a checkpoint carries.
 
-File layout (version 2), all little-endian: magic "THZC", u32 version,
-u32 JSON length, u64 sample count, then the header as a JSON object (built
-by ``errors.build``), then one f4 record per sample: its condition vector
-and its real/imag tensor.  ``read_dataset`` names the file in any fault of
-its header or length.  Version 1 packed a header of counts only and is
-refused.
+A dataset file is a ``_frame`` file, version 3, magic "THZC".  Its metadata
+has exactly the sections "meta" (the header) and "count" (the number of
+samples), and its payload is one f4 record per sample: its condition vector
+and its real/imag tensor.  Version 1 packed a header of counts only, and
+version 2 stored the count in a binary head; both are refused.
 """
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import _lanes
+from . import _frame, _lanes
 from .beamspace import dictionaries_for, to_beamspace
 from .channel import swm_channel
-from .checkpoint import CheckpointMeta
 from .errors import (
     DegenerateGeometryError,
     InsufficientDataError,
-    build,
     check_count,
     check_finite,
     check_seed,
-    check_size,
-    decode_json,
     is_finite_number,
 )
-from .geometry import CONDITION_DIM, ArrayGeometry, check_position, condition_vector
+from .geometry import CONDITION_DIM, ArrayGeometry, CheckpointMeta, check_position, condition_vector
 from .paths import GscmConfig, draw_paths
-
-MAGIC = b"THZC"
-VERSION = 2
-_HEAD = struct.Struct("<4sIIQ")  # magic, version, JSON length, sample count
 
 
 @dataclass(frozen=True)
@@ -255,59 +243,33 @@ def split(
     return subset(train_idx), subset(test_idx)
 
 
+FORMAT = _frame.FileFormat(
+    kind="dataset", magic=b"THZC", version=3, remedy="regenerate it", dtype="<f4",
+    sections={"meta": CheckpointMeta, "count": check_count},
+    # One record per sample: its condition vector and its real/imag tensor.
+    shapes=lambda s: [(s["count"], CONDITION_DIM + 2 * s["meta"].n_rx * s["meta"].n_tx)])
+
+
 def write_dataset(path, dataset: Dataset) -> None:
-    header = dataset.header
     n = len(dataset)
-    blob = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
-    record = np.empty(
-        (n, CONDITION_DIM + 2 * header.n_rx * header.n_tx), dtype="<f4"
-    )
+    record = np.empty((n, CONDITION_DIM + dataset.tensors[0].size), dtype="<f4")
     record[:, :CONDITION_DIM] = dataset.conditions
     record[:, CONDITION_DIM:] = dataset.tensors.reshape(n, -1)
-    with open(path, "wb") as f:
-        f.write(_HEAD.pack(MAGIC, VERSION, len(blob), n))
-        f.write(blob)
-        record.tofile(f)
+    _frame.write(path, FORMAT, {"meta": dataset.header, "count": n}, [record])
 
 
 def read_dataset(path) -> Dataset:
     """Read a dataset file.
 
-    A bad header, a length other than it declares, or a NaN or Inf in any
-    sample's condition or tensor is fatal, naming the file.
+    A fault of its layout or metadata, or a NaN or Inf in any sample's
+    condition or tensor, is fatal, naming the file.
     """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        check_size(f"dataset {path}", _HEAD.size, size)
-        magic, version, blob_len, count = _HEAD.unpack(f.read(_HEAD.size))
-        if magic != MAGIC:
-            raise ValueError(f"{path} is not a dataset file: bad magic {magic!r}")
-        if 0 < version < VERSION:
-            raise ValueError(
-                f"dataset {path} has version {version}, an older layout; this "
-                f"reader takes version {VERSION} only, so regenerate it"
-            )
-        if version != VERSION:
-            raise ValueError(f"dataset {path} has unsupported version {version}")
-        records_at = _HEAD.size + blob_len
-        check_size(f"dataset {path}", records_at, size)
-        where = f"dataset {path}: header"
-        header = build(CheckpointMeta, decode_json(f.read(blob_len), where), where)
-        if count < 1:
-            raise ValueError(f"{where} is invalid: sample_count must be an integer >= 1, got 0")
-        record_len = CONDITION_DIM + 2 * header.n_rx * header.n_tx
-        expected = records_at + 4 * count * record_len
-        if size != expected:
-            raise ValueError(
-                f"dataset {path} has {size} bytes, but its header declares "
-                f"{count} records of {4 * record_len} bytes, {expected} bytes in all"
-            )
-        record = np.fromfile(f, dtype="<f4", count=count * record_len).reshape(
-            count, record_len
-        )
+    sections, (record,) = _frame.read(path, FORMAT)
+    header = sections["meta"]
     finite = np.isfinite(record).all(axis=1)
     if not finite.all():
         raise ValueError(f"{path}: sample {int(np.argmin(finite))} holds a non-finite value")
     conditions = record[:, :CONDITION_DIM].astype(float)
-    tensors = record[:, CONDITION_DIM:].astype(float).reshape(count, 2, header.n_rx, header.n_tx)
+    tensors = record[:, CONDITION_DIM:].astype(float).reshape(
+        len(record), 2, header.n_rx, header.n_tx)
     return Dataset(header=header, conditions=conditions, tensors=tensors)

@@ -36,10 +36,11 @@ def check_point(name: str, value) -> tuple:
     return point
 
 
-def check_count(name: str, value) -> None:
-    """Refuse a count that is not an integer >= 1, naming it."""
+def check_count(name: str, value) -> int:
+    """Refuse a count that is not an integer >= 1, naming it; return the count."""
     if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def check_subarrays(side: str, n, k) -> None:
@@ -69,13 +70,6 @@ def check_keys(where: str, data, allowed) -> None:
         raise ValueError(f"{where} has unknown keys {unknown}")
 
 
-def check_size(where: str, needed: int, size: int) -> None:
-    """Refuse a file of ``size`` bytes whose layout needs ``needed``, naming ``where``."""
-    if size < needed:
-        raise ValueError(f"{where} is truncated: its layout needs at least {needed} "
-                         f"bytes, the file has {size}")
-
-
 def decode_json(blob: bytes, where: str):
     """The JSON value ``blob`` holds as UTF-8, or one ValueError naming ``where``."""
     try:
@@ -84,14 +78,20 @@ def decode_json(blob: bytes, where: str):
         raise ValueError(f"{where} is not valid JSON: {exc}") from exc
 
 
-def build(cls, data, where: str, **fixed):
+def build(cls, data, where: str, complete: bool = False, **fixed):
     """``cls(**data, **fixed)`` for a config dataclass that checks itself.
 
     ``data`` is one JSON section: an object whose keys are fields of ``cls``
-    other than those in ``fixed``.  Whatever is refused, the section or the
-    dataclass's own check, is one ValueError naming ``where``.
+    other than those in ``fixed``; a ``complete`` section, as a file holds,
+    names every one of them, where a config takes the missing ones' defaults.
+    Whatever is refused, the section or the dataclass's own check, is one
+    ValueError naming ``where``.
     """
-    check_keys(where, data, {f.name for f in fields(cls)} - set(fixed))
+    names = {f.name for f in fields(cls)} - set(fixed)
+    check_keys(where, data, names)
+    missing = sorted(names - set(data))
+    if complete and missing:
+        raise ValueError(f"{where} is missing keys {missing}")
     try:
         return cls(**data, **fixed)
     except (TypeError, ValueError) as exc:  # TypeError: a required field is missing

@@ -1,4 +1,5 @@
-"""Array geometry and its config, Rayleigh distance, and the conditioning vector."""
+"""Array geometry and its config, a run's record, Rayleigh distance, and the
+conditioning vector."""
 from __future__ import annotations
 
 import math
@@ -6,7 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, check_finite, check_point, check_subarrays
+from .errors import (DegenerateGeometryError, check_finite, check_point, check_seed,
+                     check_subarrays, is_finite_number)
 
 CONDITION_DIM = 8
 
@@ -228,6 +230,23 @@ class GeometryConfig:
             subarray_centers_rx=c_rx,
             config=self,
         )
+
+
+@dataclass(frozen=True)
+class CheckpointMeta(GeometryConfig):
+    """A run's geometry, its data's normalization scalar and its seed: the header
+    of a dataset file and the ``meta`` of a checkpoint."""
+
+    normalization_scalar: float = 1.0
+    master_seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        scale = self.normalization_scalar
+        if not (is_finite_number(scale) and scale > 0):
+            raise ValueError(
+                f"normalization_scalar must be a finite number > 0, got {scale!r}")
+        check_seed("master_seed", self.master_seed)
 
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:

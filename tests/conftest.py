@@ -1,6 +1,10 @@
 import sys
 
+import pytest
 from hypothesis import settings
+
+# The file frame's shared tests live in a helper module that two test modules import.
+pytest.register_assert_rewrite("frame_cases")
 
 # No per-example deadline: CPU steal on a shared host must not fail a property
 # test on timing.  print_blob lets a failure be replayed with @reproduce_failure.

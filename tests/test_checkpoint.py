@@ -1,6 +1,5 @@
 import hashlib
 import json
-import struct
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -8,9 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frame_cases import (  # noqa: F401  (the shared frame tests, run here on checkpoints)
+    HEAD,
+    FileKind,
+    pack,
+    parts,
+    test_cli_reports_wrong_length,
+    test_rejects_bad_magic,
+    test_rejects_unknown_version,
+    test_rejects_wrong_length,
+    test_truncation_or_extension_is_a_value_error,
+)
 from thzgen.checkpoint import (
+    FORMAT,
     INFERENCE_DTYPE,
-    VERSION,
     Checkpoint,
     CheckpointMeta,
     ema_denoiser,
@@ -90,89 +100,35 @@ def test_save_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.ckpt"
-    path.write_bytes(b"XXXX" + b"\0" * 32)
-    with pytest.raises(ValueError, match="magic") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
+def sample_argv(path):
+    return ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0", "--out", f"{path}.gen"]
 
 
-def test_rejects_unknown_version(tmp_path):
-    path = tmp_path / "future.ckpt"
-    path.write_bytes(b"THZW" + struct.pack("<I", 99) + b"\0" * 8)
-    with pytest.raises(ValueError, match="version 99") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
+@pytest.fixture(scope="module")
+def kind(tmp_path_factory):
+    path = tmp_path_factory.mktemp("kind") / "model.ckpt"
+    save_checkpoint(path, random_checkpoint())
+    return FileKind(FORMAT, path.read_bytes(), load_checkpoint, sample_argv)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
-def test_rejects_float32_layouts(tmp_path, version, capsys):
-    # Versions 1-5 share version 6's first 12 bytes: magic, version and
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+def test_rejects_float32_layouts(tmp_path, kind, version, capsys):
+    # Versions 1-6 share version 7's first 12 bytes: magic, version and
     # metadata length.  Versions 1 and 2 followed them with per-tensor f4
     # records; version 3 had version 4's layout without the curves; version
     # 4's config also held sigma_data and condition_dim; version 5's meta
-    # held k_rx, k_tx and tx_origin beside a geometry object.
+    # held k_rx, k_tx and tx_origin beside a geometry object; version 6
+    # stored the step and the parameter count in a binary head.
+    assert FORMAT.version == 7
     path = tmp_path / f"v{version}.ckpt"
-    save_checkpoint(path, random_checkpoint())
-    raw = path.read_bytes()
-    assert struct.unpack("<I", raw[4:8]) == (VERSION,) == (6,)
-    path.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
-    with pytest.raises(ValueError, match=f"version {version}, an older layout") as info:
-        load_checkpoint(path)
-    assert str(path) in str(info.value)
-    argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
-            "--out", str(tmp_path / "gen.bin")]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"version {version}" in err and str(path) in err
-
-
-def corrupt(raw: bytes, case: str) -> bytes:
-    """A checkpoint file's bytes with one kind of length damage."""
-    (blob_len,) = struct.unpack("<I", raw[8:12])
-    vectors_at = 12 + blob_len + 16
-    return {
-        "short_header": raw[:6],
-        "truncated_metadata": raw[: 12 + blob_len // 2],
-        "truncated_counts": raw[: vectors_at - 5],  # inside u64 step, u64 n
-        "truncated_params": raw[: vectors_at + 13],  # inside the first vector
-        "truncated_record": raw[:-2],  # inside the last vector, adam_v
-        "trailing_bytes": raw + b"\0" * 7,
-    }[case]
-
-
-CASES = ["short_header", "truncated_metadata", "truncated_counts", "truncated_params",
-         "truncated_record", "trailing_bytes"]
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_rejects_wrong_length(tmp_path, case):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, random_checkpoint())
-    raw = path.read_bytes()
-    data = corrupt(raw, case)
-    path.write_bytes(data)
+    path.write_bytes(pack(kind.raw, parts(kind.raw)[0], version=version))
+    fault = (f"checkpoint {path} has version {version}, an older layout; this reader "
+             "takes version 7 only, so retrain the model")
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
-    msg = str(info.value)
-    assert str(path) in msg and f"{len(data)}" in msg
-    if case == "trailing_bytes":
-        assert f"ends at {len(raw)}" in msg
-    if case in ("truncated_params", "truncated_record"):
-        assert f"at least {len(raw)} bytes" in msg
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_cli_reports_wrong_length(tmp_path, case, capsys):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, random_checkpoint())
-    path.write_bytes(corrupt(path.read_bytes(), case))
-    argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
-            "--out", str(tmp_path / "gen.bin")]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(path) in err
+    assert str(info.value) == fault
+    assert main(sample_argv(path)) == 1
+    assert capsys.readouterr().err == f"error: {fault}\n"
 
 
 # A group whose names or shapes miss the config is refused when it is saved,
@@ -274,8 +230,9 @@ def test_checkpoint_refuses_a_meta_whose_arrays_are_not_the_config(tmp_path, arr
     assert not path.exists()
     # The same file written by hand is refused on load.
     blob = json.dumps({"config": asdict(CONFIG), "meta": asdict(meta),
-                       "schedule": asdict(DiffusionSchedule()), "curves": CURVES}).encode()
-    write_with_metadata(path, blob, n=N_PARAMS)
+                       "schedule": asdict(DiffusionSchedule()), "curves": CURVES,
+                       "step": 0}).encode()
+    write_with_metadata(path, blob)
     with pytest.raises(ValueError, match=f"^checkpoint {path}: {fault}$"):
         load_checkpoint(path)
 
@@ -301,7 +258,7 @@ def test_file_bytes_are_pinned(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, random_checkpoint(seed=5))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "a6c56ad51afae6afb1025f28370d5e6472c2cbd2b330c08a30bb532294a14e2e"
+        "dd7d0d5cfdb93b30864987c03f4160044f3d1ebc8ad477c6a867b8b265fcfe87"
     )
 
 
@@ -385,15 +342,17 @@ def test_truncation_or_extension_is_a_value_error(tmp_path_factory, data):
     assert str(path) in str(info.value)
 
 
-def write_with_metadata(path, blob: bytes, n: int = 0) -> None:
-    """A checkpoint with a valid layout (n-element zero vectors) around raw metadata."""
-    path.write_bytes(
-        b"THZW" + struct.pack("<II", VERSION, len(blob)) + blob
-        + struct.pack("<QQ", 0, n) + bytes(32 * n)
-    )
+def write_with_metadata(path, blob: bytes) -> None:
+    """A checkpoint of raw metadata and CONFIG's payload, four zero vectors."""
+    path.write_bytes(HEAD.pack(FORMAT.magic, FORMAT.version, len(blob)) + blob
+                     + bytes(32 * N_PARAMS))
 
 
 CURVES = [[1, 0.5, 0.25], [2, 0.375, 0.125]]
+
+
+def without_key(section: dict, key: str) -> dict:
+    return {k: v for k, v in section.items() if k != key}
 
 
 def metadata_case(case: str) -> bytes:
@@ -401,20 +360,25 @@ def metadata_case(case: str) -> bytes:
     config = asdict(CONFIG)
     meta = asdict(random_checkpoint().meta)
     schedule = asdict(DiffusionSchedule())
-    good = {"config": config, "meta": meta, "schedule": schedule, "curves": CURVES}
+    good = {"config": config, "meta": meta, "schedule": schedule, "curves": CURVES, "step": 3}
 
     def without(key):
-        return {k: v for k, v in good.items() if k != key}
+        return without_key(good, key)
 
     doc = {
         "missing_config": without("config"),
         "missing_meta": without("meta"),
         "missing_schedule": without("schedule"),
         "missing_curves": without("curves"),
+        "missing_step": without("step"),
         "unknown_top_level_key": {**good, "extra": 1},
         "unknown_config_key": {**good, "config": {**config, "width": 3}},
         "unknown_meta_key": {**good, "meta": {**meta, "owner": "x"}},
         "missing_config_field": {**good, "config": {"n_rx": 8}},
+        "missing_meta_field": {**good, "meta": without_key(meta, "carrier_frequency")},
+        "missing_schedule_field": {**good, "schedule": without_key(schedule, "n_steps")},
+        "negative_step": {**good, "step": -1},
+        "float_step": {**good, "step": 3.0},
         "config_not_object": {**good, "config": [8, 16]},
         "float_patch_size": {**good, "config": {**config, "patch_size": 4.0}},
         "float_depth": {**good, "config": {**config, "depth": 1.0}},
@@ -451,14 +415,21 @@ def metadata_case(case: str) -> bytes:
 
 # Each case and a fragment of the message that names its own fault.
 METADATA_CASES = {
-    "missing_config": "it has ['curves', 'meta', 'schedule']",
-    "missing_meta": "it has ['config', 'curves', 'schedule']",
-    "missing_schedule": "it has ['config', 'curves', 'meta']",
-    "missing_curves": "it has ['config', 'meta', 'schedule']",
-    "unknown_top_level_key": "it has ['config', 'curves', 'extra', 'meta', 'schedule']",
+    "missing_config": "it has ['curves', 'meta', 'schedule', 'step']",
+    "missing_meta": "it has ['config', 'curves', 'schedule', 'step']",
+    "missing_schedule": "it has ['config', 'curves', 'meta', 'step']",
+    "missing_curves": "it has ['config', 'meta', 'schedule', 'step']",
+    "missing_step": "exactly the keys ['config', 'curves', 'meta', 'schedule', 'step'], "
+                    "it has ['config', 'curves', 'meta', 'schedule']",
+    "unknown_top_level_key": "it has ['config', 'curves', 'extra', 'meta', 'schedule', 'step']",
     "unknown_config_key": "'config' has unknown keys ['width']",
     "unknown_meta_key": "'meta' has unknown keys ['owner']",
-    "missing_config_field": "'config' is invalid",
+    "missing_config_field": "'config' is missing keys ['depth', 'embed_dim', 'mlp_ratio', "
+                            "'n_heads', 'n_tx', 'patch_size']",
+    "missing_meta_field": "'meta' is missing keys ['carrier_frequency']",
+    "missing_schedule_field": "'schedule' is missing keys ['n_steps']",
+    "negative_step": "'step' must be an integer >= 0, got -1",
+    "float_step": "'step' must be an integer >= 0, got 3.0",
     "config_not_object": "'config' must be a JSON object",
     "float_patch_size": "'config' is invalid: patch_size must be an integer, got 4.0",
     "float_depth": "'config' is invalid: depth must be an integer, got 1.0",
@@ -500,7 +471,7 @@ N_PARAMS = FlatParams(param_shapes(CONFIG)).vector.size
 @pytest.mark.parametrize("case", METADATA_CASES)
 def test_rejects_bad_metadata(tmp_path, case):
     path = tmp_path / "model.ckpt"
-    write_with_metadata(path, metadata_case(case), n=N_PARAMS)
+    write_with_metadata(path, metadata_case(case))
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value).startswith(f"checkpoint {path}: metadata ")
@@ -515,7 +486,7 @@ def test_rejects_bad_metadata(tmp_path, case):
                                   "meta_arrays_not_config", "list_geometry"])
 def test_cli_reports_bad_metadata(tmp_path, case, capsys):
     path = tmp_path / "model.ckpt"
-    write_with_metadata(path, metadata_case(case), n=N_PARAMS)
+    write_with_metadata(path, metadata_case(case))
     argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
             "--out", str(tmp_path / "gen.bin")]
     assert main(argv) == 1
@@ -530,7 +501,7 @@ def test_sample_refuses_mismatched_subarrays_before_sampling(tmp_path, capsys, m
 
     monkeypatch.setattr(DitDenoiser, "evaluate", no_denoising)
     path = tmp_path / "model.ckpt"
-    write_with_metadata(path, metadata_case("k_rx_not_dividing_n_rx"), n=N_PARAMS)
+    write_with_metadata(path, metadata_case("k_rx_not_dividing_n_rx"))
     out = tmp_path / "gen.bin"
     argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0", "--out", str(out)]
     assert main(argv) == 1
@@ -549,31 +520,12 @@ def test_cli_refuses_a_config_key_the_model_fixes(tmp_path, capsys, key, value):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, random_checkpoint())
     raw = path.read_bytes()
-    (blob_len,) = struct.unpack("<I", raw[8:12])
-    meta = json.loads(raw[12:12 + blob_len])
-    meta["config"][key] = value
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + blob_len:])
+    doc, _ = parts(raw)
+    doc["config"][key] = value
+    path.write_bytes(pack(raw, doc))
     argv = ["sample", "--ckpt", str(path), "--pos", "6.0,1.0,0.0",
             "--out", str(tmp_path / "gen.bin")]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         f"error: checkpoint {path}: metadata 'config' has unknown keys ['{key}']\n")
     assert not (tmp_path / "gen.bin").exists()
-
-
-def test_header_n_must_match_the_config(tmp_path):
-    # The same hand-written layout with good metadata gets past the length
-    # and metadata checks and fails only on the parameter count.
-    path = tmp_path / "model.ckpt"
-    want = FlatParams(param_shapes(CONFIG)).vector.size
-    blob = json.dumps({"config": asdict(CONFIG), "meta": asdict(CheckpointMeta()),
-                       "schedule": asdict(DiffusionSchedule()), "curves": CURVES}).encode()
-    for n in (0, want - 1, want + 1):
-        write_with_metadata(path, blob, n=n)
-        with pytest.raises(ValueError, match=f"declares {n} parameters per group, "
-                                             f"but its config's layout has {want}") as info:
-            load_checkpoint(path)
-        assert str(path) in str(info.value)
-    write_with_metadata(path, blob, n=want)
-    assert load_checkpoint(path).params.vector.size == want

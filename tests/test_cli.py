@@ -3,7 +3,6 @@ import hashlib
 import json
 import os
 import re
-import struct
 import subprocess
 import sys
 import warnings
@@ -29,7 +28,7 @@ from thzgen.geometry import CONDITION_DIM, GeometryConfig, condition_vector
 from thzgen.paths import GscmConfig
 from thzgen.training import TrainConfig
 
-from test_dataset import rewrite_header
+from frame_cases import parts, rewrite_section
 
 CONFIG = {
     "seed": 3,
@@ -95,6 +94,18 @@ def test_gen_data_seed_override_changes_bytes(workdir, tmp_path):
     assert (tmp_path / "other.train").read_bytes() != (workdir / "data.train").read_bytes()
 
 
+def test_gen_data_record_bytes_are_pinned(tmp_path, capsys):
+    # The records after the metadata, at the default config: a change to the
+    # channel numerics, the normalization, the split or the f4 layout moves them.
+    assert main(["gen-data", "--count", "40", "--out", str(tmp_path / "d")]) == 0
+    digests = {ext: hashlib.sha256(parts((tmp_path / f"d.{ext}").read_bytes())[1]).hexdigest()
+               for ext in ("train", "test")}
+    assert digests == {
+        "train": "2d35bdf0b263a4521301b072ac45543587a48579e9567487ade68a6a1fd27832",
+        "test": "ae73cbad7acdc96e1769c08a98c964dbfb701f39ee2912868b1413bd43a4ecba",
+    }
+
+
 def test_gen_data_reports_throughput(workdir, tmp_path, capsys):
     assert main(["gen-data", "--config", config_path(workdir), "--out",
                  str(tmp_path / "again")]) == 0
@@ -113,13 +124,13 @@ def test_gen_data_reports_throughput(workdir, tmp_path, capsys):
 ])
 def test_bad_subarray_count_in_header_stops_train(workdir, tmp_path, capsys, k_rx, match):
     bad = tmp_path / "data.train"
-    bad.write_bytes(rewrite_header((workdir / "data.train").read_bytes(), k_rx=k_rx))
+    bad.write_bytes(rewrite_section((workdir / "data.train").read_bytes(), "meta", k_rx=k_rx))
     (tmp_path / "data.test").write_bytes((workdir / "data.test").read_bytes())
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--config", config_path(workdir), "--data", str(tmp_path / "data"),
                  "--out-ckpt", str(ckpt)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: dataset {bad}: header is invalid: {match}\n"
+    assert captured.err == f"error: dataset {bad}: metadata 'meta' is invalid: {match}\n"
     assert "epoch" not in captured.out
     assert not ckpt.exists()
 
@@ -567,13 +578,7 @@ def test_train_and_sample_at_the_horizon_bound(workdir, tmp_path, capsys):
     tensors = read_dataset(out).tensors
     assert np.all(np.isfinite(tensors)) and np.any(tensors != 0)
     # A checkpoint whose schedule is past the bound is refused before sampling.
-    raw = ckpt.read_bytes()
-    head = struct.Struct("<4sII")
-    magic, version, blob_len = head.unpack_from(raw)
-    meta = json.loads(raw[head.size:head.size + blob_len])
-    meta["schedule"]["horizon"] = horizon
-    blob = json.dumps(meta).encode()
-    ckpt.write_bytes(head.pack(magic, version, len(blob)) + blob + raw[head.size + blob_len:])
+    ckpt.write_bytes(rewrite_section(ckpt.read_bytes(), "schedule", horizon=horizon))
     assert main(["sample", "--ckpt", str(ckpt), "--pos", "6,1,0", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: checkpoint {ckpt}: metadata 'schedule' is invalid: horizon must be <= 1e+06, "
@@ -600,7 +605,8 @@ def train_with_test_file(workdir, tmp_path, test_bytes):
 def test_train_refuses_a_test_file_from_another_run(workdir, tmp_path, capsys, name, value):
     raw = (workdir / "data.test").read_bytes()
     want = getattr(read_dataset(workdir / "data.test").header, name)
-    assert train_with_test_file(workdir, tmp_path, rewrite_header(raw, **{name: value})) == 1
+    bad = rewrite_section(raw, "meta", **{name: value})
+    assert train_with_test_file(workdir, tmp_path, bad) == 1
     captured = capsys.readouterr()
     got = tuple(value) if isinstance(value, list) else value
     assert captured.err == (f"error: dataset {tmp_path / 'data.test'} has {name}={got}, "
@@ -923,11 +929,12 @@ def test_eval_rejects_unknown_metric(workdir, tmp_path, capsys):
                                   pytest.param("n_tx", id="3-n_tx")])
 def test_eval_rejects_a_header_without_antennas(workdir, tmp_path, capsys, name):
     bad = tmp_path / "data.test"
-    bad.write_bytes(rewrite_header((workdir / "data.test").read_bytes(), **{name: 0}))
+    bad.write_bytes(rewrite_section((workdir / "data.test").read_bytes(), "meta", **{name: 0}))
     assert main(["eval", "--gen", str(bad), "--ref", str(workdir / "data.test"),
                  "--out-csv", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == (
-        f"error: dataset {bad}: header is invalid: {name} must be an integer >= 1, got 0\n")
+        f"error: dataset {bad}: metadata 'meta' is invalid: {name} must be an integer >= 1, "
+        "got 0\n")
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -975,6 +982,31 @@ def run_python(args, **env):
                           text=True, timeout=60, check=True)
 
 
+# -- files ------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, section, key", [
+    ("data.test", "meta", "carrier_frequency"),
+    ("model.ckpt", "meta", "carrier_frequency"),
+    ("model.ckpt", "schedule", "n_steps"),
+])
+def test_a_file_section_missing_a_key_is_one_error_line(workdir, tmp_path, capsys, name,
+                                                        section, key):
+    # A file's section names every field; a missing one is not read as its default.
+    bad = tmp_path / name
+    bad.write_bytes(rewrite_section((workdir / name).read_bytes(), section, drop=[key]))
+    out = tmp_path / "out"
+    if name.endswith(".ckpt"):
+        kind, argv = "checkpoint", ["sample", "--ckpt", str(bad), "--pos", "6,1,0",
+                                    "--out", str(out)]
+    else:
+        kind, argv = "dataset", ["eval", "--gen", str(bad), "--ref", str(workdir / name),
+                                 "--out-csv", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {kind} {bad}: metadata {section!r} is missing keys [{key!r}]\n")
+    assert not out.exists()
+
+
 def test_import_loads_no_scipy():
     # numpy is the package's only dependency.
     proc = run_python(["-c", "import sys, thzgen, thzgen.cli; "
@@ -998,6 +1030,13 @@ def test_import_sets_openblas_to_one_thread():
     before, after = map(int, counts.split())
     assert (before, after) == (min(2, _lanes.usable_cpus()), 1)
     assert modules.split() == ["thzgen", "thzgen._lanes"]
+
+
+def test_dataset_imports_no_model():
+    # The run record lives in geometry, so reading data loads no DiT.
+    proc = run_python(["-c", "import sys, thzgen.dataset; "
+                             "print(*sorted(m for m in sys.modules if m.startswith('thzgen')))"])
+    assert not {"thzgen.dit", "thzgen.diffusion", "thzgen.checkpoint"} & set(proc.stdout.split())
 
 
 def test_python_m_thzgen_runs_the_cli():

@@ -9,13 +9,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from frame_cases import (  # noqa: F401  (the shared frame tests, run here on datasets)
+    HEAD,
+    FileKind,
+    pack,
+    parts,
+    payload_at,
+    rewrite_section,
+    test_cli_reports_wrong_length,
+    test_rejects_bad_magic as test_read_rejects_bad_magic,
+    test_rejects_unknown_version as test_read_rejects_unknown_version,
+    test_rejects_wrong_length as test_read_rejects_wrong_length,
+    test_truncation_or_extension_is_a_value_error as test_cut_or_extended_file_is_a_value_error,
+)
 from thzgen import _lanes, dataset
-from thzgen.checkpoint import CheckpointMeta
-from thzgen.cli import main
 from thzgen.dataset import (
-    _HEAD,
-    MAGIC,
-    VERSION,
+    FORMAT,
     Dataset,
     DatasetConfig,
     SamplingRegion,
@@ -26,7 +35,7 @@ from thzgen.dataset import (
     write_dataset,
 )
 from thzgen.errors import DegenerateGeometryError, InsufficientDataError
-from thzgen.geometry import CARRIER_BAND, COORDINATE_LIMIT, ArrayGeometry
+from thzgen.geometry import CARRIER_BAND, COORDINATE_LIMIT, ArrayGeometry, CheckpointMeta
 from thzgen.paths import GscmConfig
 
 GEOM = ArrayGeometry.uniform_linear(0.3e12, n_tx=16, n_rx=8, k_tx=2, k_rx=2)
@@ -276,57 +285,7 @@ def test_write_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_read_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\0" * 60)
-    with pytest.raises(ValueError, match="magic") as info:
-        read_dataset(path)
-    assert str(path) in str(info.value)
-
-
-def test_read_rejects_unknown_version(tmp_path):
-    path = tmp_path / "future.bin"
-    write_dataset(path, small_dataset(2))
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 99)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version 99") as info:
-        read_dataset(path)
-    assert str(path) in str(info.value)
-
-
 RECORD_BYTES = 4 * (8 + 2 * 8 * 16)  # condition + real/imag 8x16 tensor, f32
-
-
-def header_bytes(raw: bytes) -> int:
-    """Bytes before a file's first record: the fixed head and the JSON header."""
-    return _HEAD.size + _HEAD.unpack_from(raw)[2]
-
-
-def pack(blob: bytes, count: int, body: bytes, version: int = VERSION) -> bytes:
-    """A dataset file of the given JSON header bytes, sample count and records."""
-    return _HEAD.pack(MAGIC, version, len(blob), count) + blob + body
-
-
-def rewrite_header(raw: bytes, **changes) -> bytes:
-    """A dataset file's bytes with keys of its JSON header set, the rest unchanged."""
-    at = header_bytes(raw)
-    header = json.loads(raw[_HEAD.size:at])
-    count = _HEAD.unpack_from(raw)[3]
-    return pack(json.dumps({**header, **changes}).encode(), count, raw[at:])
-
-
-def corrupt(raw: bytes, case: str) -> bytes:
-    """A dataset file's bytes with one kind of length damage."""
-    return {
-        "short_header": raw[: header_bytes(raw) - 3],
-        "truncated_body": raw[: header_bytes(raw) + RECORD_BYTES],
-        "truncated_record": raw[:-5],
-        "trailing_bytes": raw + b"\0" * 7,
-    }[case]
-
-
-CASES = ["short_header", "truncated_body", "truncated_record", "trailing_bytes"]
 
 
 @pytest.fixture(scope="module")
@@ -334,83 +293,66 @@ def dataset_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ds") / "ok.bin"
     write_dataset(path, normalize(small_dataset(3, seed=2))[0])
     raw = path.read_bytes()
-    assert len(raw) == header_bytes(raw) + 3 * RECORD_BYTES
+    assert len(raw) == payload_at(raw) + 3 * RECORD_BYTES
     return raw
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_read_rejects_wrong_length(tmp_path, dataset_bytes, case):
-    path = tmp_path / f"{case}.bin"
-    data = corrupt(dataset_bytes, case)
-    path.write_bytes(data)
-    with pytest.raises(ValueError) as info:
-        read_dataset(path)
-    msg = str(info.value)
-    assert str(path) in msg
-    assert str(len(data)) in msg
-    expected = header_bytes(dataset_bytes) if case == "short_header" else len(dataset_bytes)
-    assert str(expected) in msg
+@pytest.fixture(scope="module")
+def kind(dataset_bytes):
+    def eval_argv(path):
+        return ["eval", "--gen", str(path), "--ref", str(path), "--out-csv", f"{path}.csv"]
 
-
-@pytest.mark.parametrize("case", CASES)
-def test_cli_reports_wrong_length(tmp_path, dataset_bytes, case, capsys):
-    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
-    good.write_bytes(dataset_bytes)
-    bad.write_bytes(corrupt(dataset_bytes, case))
-    argv = ["eval", "--gen", str(bad), "--ref", str(good), "--out-csv", str(tmp_path / "m.csv")]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(bad) in err
-
-
-@settings(max_examples=100)
-@given(data=st.data())
-def test_cut_or_extended_file_is_a_value_error(tmp_path_factory, dataset_bytes, data):
-    if data.draw(st.booleans(), label="cut"):
-        damaged = dataset_bytes[: data.draw(st.integers(0, len(dataset_bytes) - 1),
-                                            label="length")]
-    else:
-        damaged = dataset_bytes + data.draw(st.binary(min_size=1, max_size=64), label="tail")
-    path = tmp_path_factory.mktemp("damaged") / "data.bin"
-    path.write_bytes(damaged)
-    with pytest.raises(ValueError) as info:
-        read_dataset(path)
-    assert str(path) in str(info.value)
+    return FileKind(FORMAT, dataset_bytes, read_dataset, eval_argv)
 
 
 def version_1(raw: bytes) -> bytes:
     """The file in the version-1 layout: a packed header of counts, then the records."""
-    fields = (MAGIC, 1, 8, 16, 2, 2, 8, 3, 1.0, 0)  # ..., cond_dim, count, scalar, seed
-    return struct.pack("<4sI5IQdQ", *fields) + raw[header_bytes(raw):]
+    fields = (b"THZC", 1, 8, 16, 2, 2, 8, 3, 1.0, 0)  # ..., cond_dim, count, scalar, seed
+    return struct.pack("<4sI5IQdQ", *fields) + parts(raw)[1]
+
+
+def version_2(raw: bytes) -> bytes:
+    """The file in the version-2 layout: a u64 count after the JSON length, and
+    the header's keys at the top level of the JSON."""
+    doc, records = parts(raw)
+    blob = json.dumps(doc["meta"], sort_keys=True).encode()
+    return HEAD.pack(b"THZC", 2, len(blob)) + doc["count"].to_bytes(8, "little") + blob + records
 
 
 @pytest.mark.parametrize("damage, match", [
-    pytest.param(lambda raw: pack(json.dumps(asdict(CheckpointMeta())).encode(), 0, b""),
-                 "header is invalid: sample_count must be an integer >= 1, got 0",
-                 id="0-1.0-sample_count must be an integer >= 1"),
-    pytest.param(lambda raw: rewrite_header(raw, normalization_scalar=float("nan")),
-                 "header is invalid: normalization_scalar must be a finite number > 0, got nan",
+    pytest.param(lambda raw: pack(raw, {**parts(raw)[0], "count": 0}, payload=b""),
+                 "metadata 'count' must be an integer >= 1, got 0", id="count_0"),
+    pytest.param(lambda raw: rewrite_section(raw, "meta", normalization_scalar=float("nan")),
+                 "metadata 'meta' is invalid: normalization_scalar must be a finite number > 0, "
+                 "got nan",
                  id="3-nan-normalization_scalar must be a finite number > 0, got nan"),
     # The condition vector has one length, so the header holds none.
-    pytest.param(lambda raw: rewrite_header(raw, condition_dim=8),
-                 r"header has unknown keys \['condition_dim'\]", id="condition_dim"),
-    pytest.param(lambda raw: rewrite_header(raw, owner="x"),
-                 r"header has unknown keys \['owner'\]", id="unknown_key"),
-    pytest.param(lambda raw: rewrite_header(raw, normalization_scalar="2.0"),
-                 "header is invalid: normalization_scalar must be a finite number > 0, "
+    pytest.param(lambda raw: rewrite_section(raw, "meta", condition_dim=8),
+                 r"metadata 'meta' has unknown keys \['condition_dim'\]", id="condition_dim"),
+    pytest.param(lambda raw: rewrite_section(raw, "meta", owner="x"),
+                 r"metadata 'meta' has unknown keys \['owner'\]", id="unknown_key"),
+    pytest.param(lambda raw: rewrite_section(raw, "meta", drop=["carrier_frequency"]),
+                 r"metadata 'meta' is missing keys \['carrier_frequency'\]", id="missing_key"),
+    pytest.param(lambda raw: rewrite_section(raw, "meta", normalization_scalar="2.0"),
+                 "metadata 'meta' is invalid: normalization_scalar must be a finite number > 0, "
                  "got '2.0'", id="string_scale"),
-    pytest.param(lambda raw: rewrite_header(raw, k_rx=3),
-                 "header is invalid: k_rx=3 does not divide n_rx=8", id="indivisible_k"),
-    pytest.param(lambda raw: pack(raw[_HEAD.size:header_bytes(raw) - 5], 3,
-                                  raw[header_bytes(raw):]),
-                 "header is not valid JSON", id="cut_json"),
-    pytest.param(lambda raw: pack(b"\xff", 3, raw[header_bytes(raw):]),
-                 "header is not valid JSON", id="not_utf8"),
-    pytest.param(lambda raw: pack(b"[8, 16]", 3, raw[header_bytes(raw):]),
-                 "header must be a JSON object", id="json_array"),
-    pytest.param(lambda raw: raw + b"\0" * 4, "trailing|declares", id="trailing_bytes"),
-    pytest.param(version_1, "has version 1, an older layout; this reader takes version 2 "
+    pytest.param(lambda raw: rewrite_section(raw, "meta", k_rx=3),
+                 "metadata 'meta' is invalid: k_rx=3 does not divide n_rx=8", id="indivisible_k"),
+    pytest.param(lambda raw: pack(raw, {"meta": parts(raw)[0]["meta"]}),
+                 r"metadata must hold exactly the keys \['count', 'meta'\], it has \['meta'\]",
+                 id="no_count"),
+    pytest.param(lambda raw: pack(raw, raw[HEAD.size:payload_at(raw) - 5]),
+                 "metadata is not valid JSON", id="cut_json"),
+    pytest.param(lambda raw: pack(raw, b"\xff"), "metadata is not valid JSON", id="not_utf8"),
+    pytest.param(lambda raw: pack(raw, b"[8, 16]"), "metadata must be a JSON object",
+                 id="json_array"),
+    pytest.param(lambda raw: pack(raw, {**parts(raw)[0], "count": 4}),
+                 r"is truncated: its layout needs at least \d+ bytes", id="count_beyond_records"),
+    pytest.param(lambda raw: raw + b"\0" * 4, "4 trailing bytes", id="trailing_bytes"),
+    pytest.param(version_1, "has version 1, an older layout; this reader takes version 3 "
                  "only, so regenerate it", id="version_1"),
+    pytest.param(version_2, "has version 2, an older layout; this reader takes version 3 "
+                 "only, so regenerate it", id="version_2"),
 ])
 def test_read_rejects_invalid_header(tmp_path, dataset_bytes, damage, match):
     path = tmp_path / "bad_header.bin"
