@@ -23,7 +23,7 @@ import numpy as np
 from . import _frame
 from .diffusion import DiffusionSchedule
 from .dit import DitConfig, DitDenoiser, FlatParams, param_shapes
-from .errors import is_finite_number, is_integer
+from .errors import check_count, is_finite_number, is_integer
 from .geometry import CheckpointMeta
 
 _GROUPS = ("params", "ema_params", "adam_m", "adam_v")
@@ -64,12 +64,6 @@ def _checked_curves(where: str, curves) -> list:
     return [(int(epoch), float(train), float(test)) for epoch, train, test in curves]
 
 
-def _checked_step(where: str, step) -> int:
-    if not (is_integer(step) and step >= 0):
-        raise ValueError(f"{where} must be an integer >= 0, got {step!r}")
-    return step
-
-
 def _check_arrays(path, config: DitConfig, meta: CheckpointMeta) -> None:
     """Refuse a meta whose antenna counts are not the config's."""
     if (meta.n_rx, meta.n_tx) != (config.n_rx, config.n_tx):
@@ -81,7 +75,8 @@ def _check_arrays(path, config: DitConfig, meta: CheckpointMeta) -> None:
 FORMAT = _frame.FileFormat(
     kind="checkpoint", magic=b"THZW", version=7, remedy="retrain the model", dtype="<f8",
     sections={"config": DitConfig, "meta": CheckpointMeta, "schedule": DiffusionSchedule,
-              "curves": _checked_curves, "step": _checked_step},
+              "curves": _checked_curves,
+              "step": lambda where, step: check_count(where, step, minimum=0)},
     shapes=lambda s: [(sum(map(math.prod, param_shapes(s["config"]).values())),)] * len(_GROUPS))
 
 

@@ -40,7 +40,7 @@ from .dit import DitConfig
 from .dit import lane_count as dit_lanes
 from .errors import NumericError, build, check_keys, check_seed, decode_json
 from .evaluation import angular_power, compare_power, nmse, ssim_complex
-from .geometry import GeometryConfig, condition_vector
+from .geometry import GeometryConfig, check_position, condition_vector
 from .paths import GscmConfig
 from .training import TrainConfig, train
 
@@ -117,7 +117,7 @@ def _threads(lanes: int, kind: str = "") -> str:
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        check_seed("--seed", args.seed, typed=True)
+        check_seed("--seed", args.seed)
     seed = cfg.seed if args.seed is None else args.seed
     count = cfg.dataset.count if args.count is None else args.count
     # The base layout has the Rx at the region's center; each sample moves it.
@@ -161,7 +161,6 @@ def cmd_train(args) -> int:
         f"trained {state.step} steps in {elapsed_ms:.1f} ms "
         f"({elapsed_ms / state.step:.2f} ms/step, float32 step on float64 weights)"
     )
-    state.meta = train_set.header
     save_checkpoint(args.out_ckpt, state)
     csv_path = args.out_csv or args.out_ckpt + ".csv"
     with open(csv_path, "w", newline="") as f:
@@ -200,14 +199,13 @@ def sample_channels(
 
 
 def cmd_sample(args) -> int:
-    check_seed("--seed", args.seed, typed=True)
-    ckpt = load_checkpoint(args.ckpt)
+    check_seed("--seed", args.seed)
     try:
-        position = tuple(float(v) for v in args.pos.split(","))
+        position = [float(v) for v in args.pos.split(",")]
     except ValueError:
-        position = ()
-    if len(position) != 3 or not np.isfinite(position).all():
-        raise ValueError(f"--pos expects finite x,y,z, got {args.pos!r}")
+        position = args.pos
+    position = check_position("--pos", position)
+    ckpt = load_checkpoint(args.ckpt)
     start = time.perf_counter()
     dataset = sample_channels(ckpt, position, args.num, args.seed)
     elapsed_ms = 1e3 * (time.perf_counter() - start)

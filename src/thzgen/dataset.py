@@ -22,9 +22,8 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientDataError,
     check_count,
-    check_finite,
+    check_range,
     check_seed,
-    is_finite_number,
 )
 from .geometry import CONDITION_DIM, ArrayGeometry, CheckpointMeta, check_position, condition_vector
 from .paths import GscmConfig, draw_paths
@@ -48,12 +47,16 @@ class SamplingRegion:
         return rng.uniform(np.asarray(self.low), np.asarray(self.high))
 
 
+# Metres.  ``split`` floors each Rx offset from the Tx over ``cell_size``
+# to an int64 cell index; an offset inside the coordinate box is at most
+# 2 * COORDINATE_LIMIT per axis, so at this size an index stays within
+# 2e15, far inside int64.  At 1e-300 m the cast overflowed.
+CELL_SIZE_MIN = 1e-9
+
+
 def _check_split(test_fraction: float, cell_size: float) -> None:
-    check_finite("test_fraction", test_fraction)
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if not (is_finite_number(cell_size) and cell_size > 0):
-        raise ValueError(f"cell_size must be a finite number > 0, got {cell_size}")
+    check_range("test_fraction", test_fraction, 0.0, 1.0, "()")
+    check_range("cell_size", cell_size, CELL_SIZE_MIN, np.inf, "[)")
 
 
 @dataclass(frozen=True)

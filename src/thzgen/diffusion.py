@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, check_count, is_finite_number
+from .errors import NumericError, check_count, check_range
 
 # The sampler's Euler step takes dt * t and t**2 (score_from_denoiser) and
 # the preconditioning sigma**2 in float64, finite only up to about 1e154.
@@ -30,15 +30,8 @@ class DiffusionSchedule:
     n_steps: int = 100
 
     def __post_init__(self):
-        # A bool passes an order check as 0 or 1, and a string fails it with
-        # a TypeError: both must be refused as numbers first.
-        if not (is_finite_number(self.sigma_min) and is_finite_number(self.horizon)
-                and 0.0 < self.sigma_min < self.horizon):
-            raise ValueError(
-                f"need 0 < sigma_min < horizon < inf, got {self.sigma_min}, {self.horizon}"
-            )
-        if self.horizon > HORIZON_LIMIT:
-            raise ValueError(f"horizon must be <= {HORIZON_LIMIT:g}, got {self.horizon}")
+        check_range("sigma_min", self.sigma_min, 0.0, HORIZON_LIMIT, "()")
+        check_range("horizon", self.horizon, self.sigma_min, HORIZON_LIMIT, "(]")
         check_count("n_steps", self.n_steps)
 
     def draw_sigma(self, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -57,8 +50,7 @@ class DiffusionSchedule:
 
 def score_from_denoiser(d: np.ndarray, h_t: np.ndarray, sigma: float) -> np.ndarray:
     """Score estimate (D - H_t) / sigma^2."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    check_range("sigma", sigma, 0.0, np.inf, "()")
     return (d - h_t) / sigma**2
 
 
@@ -118,8 +110,7 @@ def _diverged(h: np.ndarray, step: int, t: float) -> NumericError:
 
 def ema_update(shadow: np.ndarray, current: np.ndarray, decay: float) -> np.ndarray:
     """shadow <- decay * shadow + (1 - decay) * current, in place; returns shadow."""
-    if not 0.0 <= decay <= 1.0:
-        raise ValueError(f"decay must be in [0, 1], got {decay}")
+    check_range("decay", decay, 0.0, 1.0)
     if shadow.shape != current.shape:
         raise ValueError(
             f"shape mismatch: shadow {shadow.shape} vs current {current.shape}"

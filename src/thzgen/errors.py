@@ -19,10 +19,22 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def check_finite(name: str, value) -> None:
-    """Refuse a value that is not a finite number, naming it."""
-    if not is_finite_number(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+def _shown(x) -> str:
+    """``x`` in ``%g`` form where that reads back as ``x``, else in full."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
+def check_range(name: str, value, low, high, ends: str = "[]") -> None:
+    """Refuse a value that is not a finite number in an interval, naming it.
+
+    ``ends`` is two characters, ``[`` or ``(`` then ``]`` or ``)``: each end
+    of ``low`` to ``high`` is closed or open.  A bool is no number.
+    """
+    if not (is_finite_number(value)
+            and (low <= value if ends[0] == "[" else low < value)
+            and (value <= high if ends[1] == "]" else value < high)):
+        raise ValueError(f"{name} must be a finite number in {ends[0]}{_shown(low)}, "
+                         f"{_shown(high)}{ends[1]}, got {value!r}")
 
 
 def check_point(name: str, value) -> tuple:
@@ -36,10 +48,10 @@ def check_point(name: str, value) -> tuple:
     return point
 
 
-def check_count(name: str, value) -> int:
-    """Refuse a count that is not an integer >= 1, naming it; return the count."""
-    if not is_integer(value) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """Refuse a count that is not an integer >= ``minimum``, naming it; return the count."""
+    if not is_integer(value) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -51,14 +63,10 @@ def check_subarrays(side: str, n, k) -> None:
         raise ValueError(f"k_{side}={k} does not divide n_{side}={n}")
 
 
-def check_seed(name: str, seed, typed: bool = False) -> None:
-    """Refuse a seed outside [0, 2**64), naming it: seeds are stored as u64.
-
-    ``typed``: the caller knows ``seed`` is an integer, so the message omits it.
-    """
+def check_seed(name: str, seed) -> None:
+    """Refuse a seed outside [0, 2**64), naming it: seeds are stored as u64."""
     if not (is_integer(seed) and 0 <= seed < 2**64):
-        raise ValueError(
-            f"{name} must be {'' if typed else 'an integer '}in [0, 2**64), got {seed!r}")
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def check_keys(where: str, data, allowed) -> None:

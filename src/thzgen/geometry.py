@@ -7,8 +7,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (DegenerateGeometryError, check_finite, check_point, check_seed,
-                     check_subarrays, is_finite_number)
+from .errors import (DegenerateGeometryError, check_point, check_range, check_seed,
+                     check_subarrays)
 
 CONDITION_DIM = 8
 
@@ -147,23 +147,10 @@ class GeometryConfig:
     def __post_init__(self):
         check_subarrays("tx", self.n_tx, self.k_tx)
         check_subarrays("rx", self.n_rx, self.k_rx)
-        check_finite("carrier_frequency", self.carrier_frequency)
-        if self.carrier_frequency <= 0:
-            raise ValueError(f"carrier_frequency must be > 0, got {self.carrier_frequency}")
-        low, high = CARRIER_BAND
-        if not low <= self.carrier_frequency <= high:
-            raise ValueError(f"carrier_frequency must be in [{low:g}, {high:g}] Hz, "
-                             f"got {self.carrier_frequency}")
+        check_range("carrier_frequency", self.carrier_frequency, *CARRIER_BAND)
         intra_spacing, inter_spacing = self.spacings
-        check_finite("intra_spacing", intra_spacing)
-        check_finite("inter_spacing", inter_spacing)
-        if intra_spacing <= 0:
-            raise ValueError(f"intra_spacing must be > 0, got {intra_spacing}")
-        if inter_spacing < intra_spacing:
-            raise ValueError(
-                f"inter_spacing ({inter_spacing}) must be >= "
-                f"intra_spacing ({intra_spacing})"
-            )
+        check_range("intra_spacing", intra_spacing, 0.0, math.inf, "()")
+        check_range("inter_spacing", inter_spacing, intra_spacing, math.inf, "[)")
         for side in ("tx", "rx"):
             n, k = getattr(self, f"n_{side}"), getattr(self, f"k_{side}")
             extent = (k - 1) * inter_spacing + (n // k - 1) * intra_spacing
@@ -242,19 +229,14 @@ class CheckpointMeta(GeometryConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        scale = self.normalization_scalar
-        if not (is_finite_number(scale) and scale > 0):
-            raise ValueError(
-                f"normalization_scalar must be a finite number > 0, got {scale!r}")
+        check_range("normalization_scalar", self.normalization_scalar, 0.0, math.inf, "()")
         check_seed("master_seed", self.master_seed)
 
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:
     """Near/far-field boundary 2*D^2/lambda for an aperture of size D."""
-    if aperture <= 0 or wavelength <= 0:
-        raise ValueError(
-            f"aperture and wavelength must be > 0, got {aperture}, {wavelength}"
-        )
+    check_range("aperture", aperture, 0.0, math.inf, "()")
+    check_range("wavelength", wavelength, 0.0, math.inf, "()")
     return 2.0 * aperture**2 / wavelength
 
 

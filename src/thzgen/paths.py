@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count, check_finite
+from .errors import check_count, check_range
 from .geometry import ArrayGeometry
 
 
@@ -87,33 +87,16 @@ class GscmConfig:
     def __post_init__(self):
         for name in ("n_clusters", "rays_per_cluster"):
             check_count(name, getattr(self, name))
-        for name in ("k_factor_mean_db", "k_factor_std_db", "azimuth_spread",
-                     "elevation_spread", "path_loss_exponent", "scatterer_radius_min",
-                     "scatterer_radius_max"):
-            check_finite(name, getattr(self, name))
-        if abs(self.k_factor_mean_db) > K_FACTOR_MEAN_DB_LIMIT:
-            raise ValueError(
-                f"k_factor_mean_db must be in [-{K_FACTOR_MEAN_DB_LIMIT:g}, "
-                f"{K_FACTOR_MEAN_DB_LIMIT:g}], got {self.k_factor_mean_db}")
-        if self.k_factor_std_db < 0:
-            raise ValueError(f"k_factor_std_db must be >= 0, got {self.k_factor_std_db}")
-        if self.k_factor_std_db > K_FACTOR_STD_DB_LIMIT:
-            raise ValueError(f"k_factor_std_db must be <= {K_FACTOR_STD_DB_LIMIT:g}, "
-                             f"got {self.k_factor_std_db}")
-        low, high = PATH_LOSS_EXPONENT_RANGE
-        if not low <= self.path_loss_exponent <= high:
-            raise ValueError(f"path_loss_exponent must be in [{low:g}, {high:g}], "
-                             f"got {self.path_loss_exponent}")
-        if self.azimuth_spread <= 0 or self.elevation_spread <= 0:
-            raise ValueError("angular spreads must be > 0")
-        if not 0 < self.scatterer_radius_min < self.scatterer_radius_max:
-            raise ValueError(
-                f"need 0 < radius min < max, got "
-                f"[{self.scatterer_radius_min}, {self.scatterer_radius_max}]"
-            )
-        if self.scatterer_radius_max > SCATTERER_RADIUS_LIMIT:
-            raise ValueError(f"scatterer_radius_max must be <= {SCATTERER_RADIUS_LIMIT:g}, "
-                             f"got {self.scatterer_radius_max}")
+        check_range("k_factor_mean_db", self.k_factor_mean_db,
+                    -K_FACTOR_MEAN_DB_LIMIT, K_FACTOR_MEAN_DB_LIMIT)
+        check_range("k_factor_std_db", self.k_factor_std_db, 0.0, K_FACTOR_STD_DB_LIMIT)
+        check_range("path_loss_exponent", self.path_loss_exponent, *PATH_LOSS_EXPONENT_RANGE)
+        for name in ("azimuth_spread", "elevation_spread"):
+            check_range(name, getattr(self, name), 0.0, np.inf, "()")
+        check_range("scatterer_radius_min", self.scatterer_radius_min,
+                    0.0, SCATTERER_RADIUS_LIMIT, "()")
+        check_range("scatterer_radius_max", self.scatterer_radius_max,
+                    self.scatterer_radius_min, SCATTERER_RADIUS_LIMIT, "(]")
 
 
 def _free_space_amplitude(wavelength: float, distance: float) -> float:

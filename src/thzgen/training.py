@@ -18,7 +18,7 @@ from .checkpoint import Checkpoint, ema_denoiser
 from .dataset import Dataset
 from .diffusion import DiffusionSchedule, denoising_loss, ema_update
 from .dit import DitConfig, DitDenoiser, FlatParams, init_params
-from .errors import NumericError, check_count, check_finite, check_seed, is_finite_number
+from .errors import NumericError, check_count, check_range, check_seed
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,13 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             check_count(name, getattr(self, name))
         check_seed("seed", self.seed)
-        # Adam divides by 1 - beta**step and adds eps to a square root.
-        for name in ("learning_rate", "eps"):
-            v = getattr(self, name)
-            if not (is_finite_number(v) and v >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {v}")
-        for name in ("beta1", "beta2", "ema_decay"):
-            check_finite(name, getattr(self, name))
+        # Adam divides by 1 - beta**step, and by eps plus a square root that
+        # stays 0 for a weight whose gradient has been 0 (at eps 0 that was 0/0).
+        check_range("learning_rate", self.learning_rate, 0.0, np.inf, "[)")
+        check_range("eps", self.eps, 0.0, np.inf, "()")
         for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if not 0.0 <= self.ema_decay <= 1.0:
-            raise ValueError(f"ema_decay must be in [0, 1], got {self.ema_decay}")
+            check_range(name, getattr(self, name), 0.0, 1.0, "[)")
+        check_range("ema_decay", self.ema_decay, 0.0, 1.0)
 
 
 # Adam walks the vectors in slices of this many elements, so each slice and
@@ -104,7 +98,7 @@ def train(
 ) -> Checkpoint:
     """Epoch loop: seeded shuffle, Adam updates, EMA tracking, loss curves.
 
-    Returns the run's state, which the caller saves once it sets ``meta``.
+    Returns the run's state, whose ``meta`` is the training data's header.
     Each step copies the float64 master weights into one float32 working
     denoiser, takes its loss and gradients there, and casts the gradients
     into one float64 buffer that Adam applies to the master weights.  The
@@ -118,7 +112,7 @@ def train(
         config=dit_config, params=params,
         ema_params=FlatParams(work.shapes, params.vector.copy()),
         adam_m=FlatParams(work.shapes), adam_v=FlatParams(work.shapes),
-        step=0, schedule=schedule,
+        step=0, meta=train_set.header, schedule=schedule,
     )
     grads = np.empty_like(params.vector)
 
@@ -137,11 +131,19 @@ def train(
             cond = train_set.conditions[idx]
             sigmas = schedule.draw_sigma(rng, len(idx))
             noise = rng.standard_normal(h0.shape)
+            state.step += 1
             try:
-                # A master weight too large for float32 fails the cast.
-                with np.errstate(over="raise"):
+                # The run has diverged if a master weight is too large for the
+                # float32 cast, or a value of the step leaves its float type.
+                with np.errstate(over="raise", invalid="raise"):
                     np.copyto(work.params.vector, state.params.vector, casting="same_kind")
-                loss, work_grads = work.loss_and_grads(h0, cond, sigmas, noise)
+                    loss, work_grads = work.loss_and_grads(h0, cond, sigmas, noise)
+                    np.copyto(grads, work_grads.vector)
+                    adam_step(
+                        state.params.vector, grads, state.adam_m.vector,
+                        state.adam_v.vector, state.step,
+                        cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
+                    )
             except (FloatingPointError, NumericError):
                 loss = np.nan
             if not np.isfinite(loss):
@@ -149,13 +151,6 @@ def train(
                     f"training diverged at epoch {epoch}, batch {n_batches} "
                     f"(sigma {float(sigmas.min()):g} to {float(sigmas.max()):g})"
                 )
-            np.copyto(grads, work_grads.vector)
-            state.step += 1
-            adam_step(
-                state.params.vector, grads, state.adam_m.vector,
-                state.adam_v.vector, state.step,
-                cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
-            )
             ema_update(state.ema_params.vector, state.params.vector, cfg.ema_decay)
             epoch_loss += loss
             n_batches += 1

@@ -9,6 +9,9 @@ pytest.register_assert_rewrite("frame_cases")
 # No per-example deadline: CPU steal on a shared host must not fail a property
 # test on timing.  print_blob lets a failure be replayed with @reproduce_failure.
 settings.register_profile("thzgen", deadline=None, print_blob=True)
+# ``pytest --hypothesis-profile long``: each property test without its own
+# count runs 2,000 examples, as the CLI's no-traceback test's long run does.
+settings.register_profile("long", settings.get_profile("thzgen"), max_examples=2000)
 settings.load_profile("thzgen")
 
 

@@ -741,19 +741,19 @@ def test_gscm_config_checks_itself():
         ("scatterer_radius_max", float("inf")), ("path_loss_exponent", float("inf")),
         ("k_factor_mean_db", float("nan")), ("elevation_spread", "0.05"),
     ):
-        with pytest.raises(ValueError, match=rf"^{name} must be a finite number, got "):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number in "):
             GscmConfig(**{name: value})
     # Finite, but 10 ** (k_db / 10) or a scatterer distance would leave float64
     # in draw_paths; each is refused by name with its bound.
     for name, value, message in (
-        ("k_factor_mean_db", 1e6, r"must be in \[-300, 300\], got 1000000.0"),
-        ("k_factor_mean_db", -300.5, r"must be in \[-300, 300\], got -300.5"),
-        ("k_factor_std_db", 100.5, "must be <= 100, got 100.5"),
-        ("scatterer_radius_max", 1e300, r"must be <= 1e\+06, got 1e\+300"),
-        ("path_loss_exponent", -1000, r"must be in \[0, 10\], got -1000"),
-        ("path_loss_exponent", 10.5, r"must be in \[0, 10\], got 10.5"),
+        ("k_factor_mean_db", 1e6, r"\[-300, 300\], got 1000000.0"),
+        ("k_factor_mean_db", -300.5, r"\[-300, 300\], got -300.5"),
+        ("k_factor_std_db", 100.5, r"\[0, 100\], got 100.5"),
+        ("scatterer_radius_max", 1e300, r"\(1, 1e\+06\], got 1e\+300"),
+        ("path_loss_exponent", -1000, r"\[0, 10\], got -1000"),
+        ("path_loss_exponent", 10.5, r"\[0, 10\], got 10.5"),
     ):
-        with pytest.raises(ValueError, match=rf"^{name} {message}$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number in {message}$"):
             GscmConfig(**{name: value})
     # At the bounds every draw stays finite and non-zero.
     geometry = ArrayGeometry.uniform_linear(0.3e12, n_tx=16, n_rx=8, k_tx=2, k_rx=2,

@@ -431,18 +431,18 @@ METADATA_CASES = {
     "negative_step": "'step' must be an integer >= 0, got -1",
     "float_step": "'step' must be an integer >= 0, got 3.0",
     "config_not_object": "'config' must be a JSON object",
-    "float_patch_size": "'config' is invalid: patch_size must be an integer, got 4.0",
-    "float_depth": "'config' is invalid: depth must be an integer, got 1.0",
-    "negative_depth": "'config' is invalid: depth must be >= 0, got -1",
+    "float_patch_size": "'config' is invalid: patch_size must be an integer >= 1, got 4.0",
+    "float_depth": "'config' is invalid: depth must be an integer >= 0, got 1.0",
+    "negative_depth": "'config' is invalid: depth must be an integer >= 0, got -1",
     "bad_tx_origin": "tx_origin must be 3 finite numbers",
     "fractional_n_steps": "'schedule' is invalid",
     "bad_horizon": "'schedule' is invalid",
-    "infinite_horizon": "'schedule' is invalid: need 0 < sigma_min < horizon < inf",
+    "infinite_horizon": "'schedule' is invalid: horizon must be a finite number in (0.01, 1e+06]",
     "not_an_object": "metadata must be a JSON object",
     "not_json": "not valid JSON",
-    "string_scale": "normalization_scalar must be a finite number > 0, got '2.5'",
-    "zero_scale": "normalization_scalar must be a finite number > 0, got 0.0",
-    "nan_scale": "normalization_scalar must be a finite number > 0, got nan",
+    "string_scale": "normalization_scalar must be a finite number in (0, inf), got '2.5'",
+    "zero_scale": "normalization_scalar must be a finite number in (0, inf), got 0.0",
+    "nan_scale": "normalization_scalar must be a finite number in (0, inf), got nan",
     "zero_k_rx": "k_rx must be an integer >= 1, got 0",
     "fractional_k_tx": "k_tx must be an integer >= 1, got 1.5",
     "short_tx_origin": "tx_origin must be 3 finite numbers, got [0.0, 0.0]",
@@ -453,13 +453,14 @@ METADATA_CASES = {
     "nan_loss": "'curves' row 0 has a non-finite loss",
     "inf_loss": "'curves' row 1 has a non-finite loss",
     "huge_integer_loss": "'curves' row 0 has a non-finite loss",
-    "huge_integer_scale": "normalization_scalar must be a finite number > 0, got 1000",
+    "huge_integer_scale": "normalization_scalar must be a finite number in (0, inf), got 1000",
     "string_master_seed": "master_seed must be an integer in [0, 2**64), got 'abc'",
     "negative_master_seed": "master_seed must be an integer in [0, 2**64), got -5",
     "list_geometry": "'meta' has unknown keys ['geometry']",
     "meta_arrays_not_config": "'meta' does not fit 'config': arrays 4x16 in 'meta', 8x16",
     "two_element_axis": "'meta' is invalid: axis must be 3 finite numbers, got [0.0, 1.0]",
-    "bool_horizon": "'schedule' is invalid: need 0 < sigma_min < horizon < inf, got 0.5, True",
+    "bool_horizon": "'schedule' is invalid: horizon must be a finite number in (0.5, 1e+06], "
+                    "got True",
     "k_rx_not_dividing_n_rx": "'meta' is invalid: k_rx=3 does not divide n_rx=8",
 }
 

@@ -303,19 +303,34 @@ def test_bad_dit_section_is_fatal_for_gen_data(tmp_path, capsys, value):
     assert not (tmp_path / "x.train").exists()
 
 
+# Each id is the name the case has run under since before the messages
+# named their intervals, so that a case keeps its name.
 @pytest.mark.parametrize("section, value, message", [
-    ("dataset", {"test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"),
+    pytest.param("dataset", {"test_fraction": 1.5},
+                 "test_fraction must be a finite number in (0, 1), got 1.5",
+                 id="dataset-value0-test_fraction must be in (0, 1), got 1.5"),
     ("dataset", {"count": 0}, "count must be an integer >= 1, got 0"),
-    ("dataset", {"cell_size": -1.0}, "cell_size must be a finite number > 0, got -1.0"),
-    ("training", {"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
-    ("training", {"eps": -1.0}, "eps must be a finite number >= 0, got -1.0"),
-    ("gscm", {"k_factor_std_db": -3}, "k_factor_std_db must be >= 0, got -3"),
+    pytest.param("dataset", {"cell_size": -1.0},
+                 "cell_size must be a finite number in [1e-09, inf), got -1.0",
+                 id="dataset-value2-cell_size must be a finite number > 0, got -1.0"),
+    pytest.param("training", {"beta1": 1.0}, "beta1 must be a finite number in [0, 1), got 1.0",
+                 id="training-value3-beta1 must be in [0, 1), got 1.0"),
+    pytest.param("training", {"eps": -1.0}, "eps must be a finite number in (0, inf), got -1.0",
+                 id="training-value4-eps must be a finite number >= 0, got -1.0"),
+    pytest.param("gscm", {"k_factor_std_db": -3},
+                 "k_factor_std_db must be a finite number in [0, 100], got -3",
+                 id="gscm-value5-k_factor_std_db must be >= 0, got -3"),
     # Finite, but draw_paths would leave float64: an OverflowError at
     # 10 ** (k_db / 10), or a ZeroDivisionError, instead of a named key.
-    ("gscm", {"k_factor_mean_db": 1e6}, "k_factor_mean_db must be in [-300, 300], got 1000000.0"),
-    ("gscm", {"k_factor_std_db": 1e3}, "k_factor_std_db must be <= 100, got 1000.0"),
-    ("gscm", {"scatterer_radius_max": 1e300},
-     "scatterer_radius_max must be <= 1e+06, got 1e+300"),
+    pytest.param("gscm", {"k_factor_mean_db": 1e6},
+                 "k_factor_mean_db must be a finite number in [-300, 300], got 1000000.0",
+                 id="gscm-value6-k_factor_mean_db must be in [-300, 300], got 1000000.0"),
+    pytest.param("gscm", {"k_factor_std_db": 1e3},
+                 "k_factor_std_db must be a finite number in [0, 100], got 1000.0",
+                 id="gscm-value7-k_factor_std_db must be <= 100, got 1000.0"),
+    pytest.param("gscm", {"scatterer_radius_max": 1e300},
+                 "scatterer_radius_max must be a finite number in (1, 1e+06], got 1e+300",
+                 id="gscm-value8-scatterer_radius_max must be <= 1e+06, got 1e+300"),
 ])
 def test_bad_value_is_fatal_before_synthesis(tmp_path, capsys, monkeypatch, section, value,
                                              message):
@@ -351,8 +366,13 @@ def test_finite_value_whose_amplitudes_underflow_is_fatal(tmp_path, capsys, sect
 @pytest.mark.parametrize("section, value, name", [
     # An OverflowError at d ** (-(ple - 2) / 2), and an all-zero dataset that
     # failed normalization, naming no key.
-    ("gscm", {"path_loss_exponent": -1000}, "path_loss_exponent must be in [0, 10]"),
-    ("gscm", {"path_loss_exponent": 1000}, "path_loss_exponent must be in [0, 10]"),
+    # The ids are these cases' names from before the message named the interval.
+    pytest.param("gscm", {"path_loss_exponent": -1000},
+                 "path_loss_exponent must be a finite number in [0, 10]",
+                 id="gscm-value0-path_loss_exponent must be in [0, 10]"),
+    pytest.param("gscm", {"path_loss_exponent": 1000},
+                 "path_loss_exponent must be a finite number in [0, 10]",
+                 id="gscm-value1-path_loss_exponent must be in [0, 10]"),
     # Overflow warnings in the channel, then a non-finite channel naming no key.
     ("geometry", {"inter_spacing": 1e300}, "the tx array's extent"),
     ("geometry", {"intra_spacing": 1e200, "inter_spacing": 1e200}, "the tx array's extent"),
@@ -418,6 +438,18 @@ def test_degenerate_axis_or_cell_size_is_fatal(tmp_path, capsys, section, key, v
     assert err.startswith("error: ") and key in err
 
 
+def test_cell_size_below_its_bound_is_refused_by_name(tmp_path, capsys):
+    # Finite, but the cell index overflowed int64: numpy warned of an invalid
+    # cast, then split told the user to shrink cell_size.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"dataset": {"cell_size": 1e-300}}))
+    argv = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x"), "--count", "20"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: config section 'dataset' is invalid: cell_size must be a finite number in "
+        "[1e-09, inf), got 1e-300\n")
+
+
 @pytest.mark.parametrize("seed", [2**64, -1])
 def test_gen_data_refuses_a_seed_outside_64_bits(tmp_path, capsys, monkeypatch, seed):
     def synthesize(*args):
@@ -426,7 +458,8 @@ def test_gen_data_refuses_a_seed_outside_64_bits(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(cli, "build_dataset", synthesize)
     out = str(tmp_path / "x")
     assert main(["gen-data", "--out", out, "--seed", str(seed)]) == 1
-    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+    assert capsys.readouterr().err == (
+        f"error: --seed must be an integer in [0, 2**64), got {seed}\n")
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"seed": seed}))
     assert main(["gen-data", "--config", str(cfg), "--out", out]) == 1
@@ -573,16 +606,16 @@ def test_train_and_sample_at_the_horizon_bound(workdir, tmp_path, capsys):
                              "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert status == 1 and captured.err == (
-        "error: config section 'schedule' is invalid: horizon must be <= 1e+06, "
-        f"got {horizon}\n")
+        "error: config section 'schedule' is invalid: horizon must be a finite number in "
+        f"(0.01, 1e+06], got {horizon}\n")
     tensors = read_dataset(out).tensors
     assert np.all(np.isfinite(tensors)) and np.any(tensors != 0)
     # A checkpoint whose schedule is past the bound is refused before sampling.
     ckpt.write_bytes(rewrite_section(ckpt.read_bytes(), "schedule", horizon=horizon))
     assert main(["sample", "--ckpt", str(ckpt), "--pos", "6,1,0", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: checkpoint {ckpt}: metadata 'schedule' is invalid: horizon must be <= 1e+06, "
-        f"got {horizon}\n")
+        f"error: checkpoint {ckpt}: metadata 'schedule' is invalid: horizon must be a finite "
+        f"number in (0.01, 1e+06], got {horizon}\n")
 
 
 def train_with_test_file(workdir, tmp_path, test_bytes):
@@ -758,7 +791,8 @@ def test_sample_refuses_a_seed_outside_64_bits(workdir, tmp_path, capsys, monkey
     out = tmp_path / "gen.bin"
     assert main(["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", "6.0,1.0,0.0",
                  "--seed", str(seed), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+    assert capsys.readouterr().err == (
+        f"error: --seed must be an integer in [0, 2**64), got {seed}\n")
     assert not out.exists()
     # A Python caller's seed is checked before sampling too.
     ckpt = load_checkpoint(workdir / "model.ckpt")
@@ -774,11 +808,14 @@ def test_sample_rejects_malformed_position(workdir, tmp_path, capsys):
         )
         == 1
     )
-    assert "x,y,z" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --pos must be 3 finite numbers, got [6.0, 1.0]\n"
 
 
-@pytest.mark.parametrize("pos", ["nan,0,0", "6.0,inf,0", "6.0,1.0,-inf", "6.0,one,0"])
+@pytest.mark.parametrize("pos", ["nan,0,0", "6.0,inf,0", "6.0,1.0,-inf", "6.0,one,0",
+                                 "1e300,0,0"])
 def test_sample_rejects_non_finite_position(workdir, tmp_path, capsys, monkeypatch, pos):
+    # geometry.check_position's refusal: a far but finite position overflowed
+    # the condition vector's norm and failed unnamed inside the denoiser.
     def no_denoising(*args, **kwargs):
         raise AssertionError("called the denoiser before checking --pos")
 
@@ -786,8 +823,26 @@ def test_sample_rejects_non_finite_position(workdir, tmp_path, capsys, monkeypat
     out = tmp_path / "x.bin"
     assert main(["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", pos,
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: --pos expects finite x,y,z, got {pos!r}\n"
+    assert capsys.readouterr().err == {
+        "nan,0,0": "error: --pos must be 3 finite numbers, got [nan, 0.0, 0.0]\n",
+        "6.0,inf,0": "error: --pos must be 3 finite numbers, got [6.0, inf, 0.0]\n",
+        "6.0,1.0,-inf": "error: --pos must be 3 finite numbers, got [6.0, 1.0, -inf]\n",
+        "6.0,one,0": "error: --pos must be 3 finite numbers, got '6.0,one,0'\n",
+        "1e300,0,0": "error: --pos must be 3 numbers in [-1e+06, 1e+06] m, "
+                     "got [1e+300, 0.0, 0.0]\n",
+    }[pos]
     assert not out.exists()
+
+
+def test_sample_at_a_far_position_writes_no_warning(workdir, tmp_path, capsys):
+    # A far Rx drives silu's float32 pre-activations below -88, where exp
+    # overflows to inf and numpy printed an overflow RuntimeWarning (an
+    # error under this suite's filterwarnings) although the sample is exact.
+    out = tmp_path / "far.bin"
+    assert main(["sample", "--ckpt", str(workdir / "model.ckpt"), "--pos", "1000,0,0",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.all(np.isfinite(read_dataset(out).tensors))
 
 
 # -- eval -------------------------------------------------------------------

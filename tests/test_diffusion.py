@@ -61,7 +61,8 @@ def test_schedule_invariants():
     # Finite, but the sampler would square it past float64 (at 1e300) or
     # round the sample away in its last step.
     for horizon, shown in ((1e300, r"1e\+300"), (2e6, "2000000.0")):
-        with pytest.raises(ValueError, match=rf"^horizon must be <= 1e\+06, got {shown}$"):
+        with pytest.raises(ValueError, match=rf"^horizon must be a finite number in "
+                                             rf"\(0.01, 1e\+06\], got {shown}$"):
             DiffusionSchedule(horizon=horizon)
     assert DiffusionSchedule(horizon=HORIZON_LIMIT).horizon == 1e6
 

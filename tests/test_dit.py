@@ -64,7 +64,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="divisible by 4"):
         DitConfig(n_rx=8, n_tx=16, embed_dim=6, n_heads=2)
     for name in ("patch_size", "embed_dim", "n_heads", "mlp_ratio"):
-        with pytest.raises(ValueError, match="must be >= 1"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got 0$"):
             DitConfig(n_rx=8, n_tx=16, **{name: 0})
     # Negative antenna counts would pass the divisibility checks (8 tokens).
     with pytest.raises(ValueError, match=r"^n_rx must be an integer >= 1, got -8$"):
@@ -681,6 +681,20 @@ def test_non_finite_output_names_samples_and_sigma():
     msg = str(info.value)
     assert f"samples {s}-{2 * s - 1}" in msg
     assert f"sigma {sigma[s]:g} to {sigma[2 * s - 1]:g}" in msg
+
+
+def test_evaluate_names_an_overflow_without_a_warning():
+    # Weights float32 holds, whose activations overflow it: the output check
+    # names the samples, and numpy does not warn first (an error here).
+    cfg = small_config(patch_size=2)
+    den = randomized_denoiser(cfg, seed=8)
+    big = DitDenoiser(cfg, params={name: 1e30 * w for name, w in den.params.items()},
+                      dtype=np.float32)
+    rng = np.random.default_rng(20)
+    h = rng.normal(size=(4, 2, cfg.n_rx, cfg.n_tx))
+    with pytest.raises(NumericError, match=r"^non-finite activations in the output head for "
+                                           r"samples 0-3 "):
+        big.evaluate(h, 1.0, rng.normal(size=cfg.condition_dim))
 
 
 def test_evaluate_peak_memory_is_bounded_by_slices():

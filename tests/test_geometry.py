@@ -117,8 +117,13 @@ def test_uniform_linear_names_a_count_that_is_not_an_integer(counts, message):
 
 
 @pytest.mark.parametrize("carrier, intra, inter, match, axis", [
-    (0.0, None, None, "carrier_frequency must be > 0", (0.0, 1.0, 0.0)),
-    (0.3e12, 0.0, None, "intra_spacing must be > 0", (0.0, 1.0, 0.0)),
+    # These two ids are the cases' names from before the messages named their intervals.
+    pytest.param(0.0, None, None, r"^carrier_frequency must be a finite number in "
+                 r"\[1e\+06, 1e\+14\], got 0.0$", (0.0, 1.0, 0.0),
+                 id="0.0-None-None-carrier_frequency must be > 0-axis0"),
+    pytest.param(0.3e12, 0.0, None, r"^intra_spacing must be a finite number in \(0, inf\), "
+                 r"got 0.0$", (0.0, 1.0, 0.0),
+                 id="300000000000.0-0.0-None-intra_spacing must be > 0-axis1"),
     (0.3e12, 1e-3, 1e-4, "inter_spacing", (0.0, 1.0, 0.0)),
     pytest.param(0.3e12, None, None, "axis must have a finite length > 0",
                  (0.0, 0.0, 0.0), id="zero_axis"),
@@ -131,16 +136,19 @@ def test_uniform_linear_names_a_count_that_is_not_an_integer(counts, message):
     pytest.param(0.3e12, None, None, r"^axis must be 3 finite numbers, got \(True, 0, 0\)",
                  (True, 0, 0), id="bool_axis"),
     # Refused before the layout, whose arithmetic would warn on an infinity.
-    pytest.param(float("nan"), None, None, "^carrier_frequency must be a finite number, got nan",
+    pytest.param(float("nan"), None, None,
+                 r"^carrier_frequency must be a finite number in \[1e\+06, 1e\+14\], got nan$",
                  (0.0, 1.0, 0.0), id="nan_carrier"),
     # Finite, but the free-space amplitudes of draw_paths would underflow to 0.
-    pytest.param(1e300, None, None, r"^carrier_frequency must be in \[1e\+06, 1e\+14\] Hz, "
-                 r"got 1e\+300$", (0.0, 1.0, 0.0), id="carrier_above_band"),
-    pytest.param(9e5, None, None, r"^carrier_frequency must be in \[1e\+06, 1e\+14\] Hz, "
-                 r"got 900000.0$", (0.0, 1.0, 0.0), id="carrier_below_band"),
-    pytest.param(0.3e12, float("nan"), None, "^intra_spacing must be a finite number, got nan",
+    pytest.param(1e300, None, None, r"^carrier_frequency must be a finite number in "
+                 r"\[1e\+06, 1e\+14\], got 1e\+300$", (0.0, 1.0, 0.0), id="carrier_above_band"),
+    pytest.param(9e5, None, None, r"^carrier_frequency must be a finite number in "
+                 r"\[1e\+06, 1e\+14\], got 900000.0$", (0.0, 1.0, 0.0), id="carrier_below_band"),
+    pytest.param(0.3e12, float("nan"), None,
+                 r"^intra_spacing must be a finite number in \(0, inf\), got nan$",
                  (0.0, 1.0, 0.0), id="nan_intra"),
-    pytest.param(0.3e12, None, float("inf"), "^inter_spacing must be a finite number, got inf",
+    pytest.param(0.3e12, None, float("inf"),
+                 r"^inter_spacing must be a finite number in \[0.000499654\d*, inf\), got inf$",
                  (0.0, 1.0, 0.0), id="inf_inter"),
     # Finite, but the channel's element distances overflowed.
     pytest.param(0.3e12, None, 1e300, r"^the tx array's extent \(k_tx - 1\) \* inter_spacing "

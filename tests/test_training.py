@@ -107,14 +107,14 @@ def test_train_config_refuses_a_seed_outside_64_bits(seed):
     ("eps", float("inf")), ("eps", float("nan")),
     ("learning_rate", float("inf")), ("learning_rate", float("nan")),
     ("beta1", "0.9"), ("beta2", float("nan")), ("ema_decay", "0.9"),
-    ("ema_decay", float("nan")),
+    ("ema_decay", float("nan")), ("eps", 0.0),
 ])
 def test_train_config_refuses_what_breaks_adam(key, value):
-    # beta = 1 zeroes Adam's bias correction 1 - beta**step; a negative eps
-    # can zero the denominator of its step.
+    # beta = 1 zeroes Adam's bias correction 1 - beta**step; an eps <= 0 can
+    # zero the denominator of its step (0/0 for a weight whose gradient is 0).
     with pytest.raises(ValueError, match=key):
         TrainConfig(**{key: value})
-    TrainConfig(beta1=0.0, beta2=0.0, eps=0.0, learning_rate=0.0)
+    TrainConfig(beta1=0.0, beta2=0.0, eps=5e-324, learning_rate=0.0)
 
 
 # -- training loop ----------------------------------------------------------
@@ -140,6 +140,15 @@ def test_train_bookkeeping():
     assert all(np.all(np.isfinite(v)) for v in result.adam_v.values())
 
 
+def test_train_records_its_data_header():
+    # The run's record is its data's, not the default 8x16 CheckpointMeta().
+    train_set, test_set = tiny_sets(seed=3)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
+    result = train(train_set, test_set, DIT, DiffusionSchedule(horizon=3.0), cfg)
+    assert result.meta == train_set.header
+    assert result.meta.master_seed == 3 and result.meta.normalization_scalar != 1.0
+
+
 def test_train_memorizes_repeated_sample():
     # A single sample repeated: the conditional distribution is a point mass,
     # so the loss must fall well below its starting value.
@@ -154,7 +163,8 @@ def test_train_memorizes_repeated_sample():
     assert last < 0.75 * first
 
 
-@pytest.mark.parametrize("fault", ["nan loss", "numeric error", "cast overflow"])
+@pytest.mark.parametrize("fault", ["nan loss", "numeric error", "cast overflow",
+                                   "step overflow"])
 def test_non_finite_step_names_epoch_and_batch(fault, monkeypatch):
     train_set, test_set = tiny_sets()
     cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=0)
@@ -174,6 +184,11 @@ def test_non_finite_step_names_epoch_and_batch(fault, monkeypatch):
         # which float32 cannot hold, so the second step's cast overflows.
         cfg = replace(cfg, learning_rate=1e300)
         where = "epoch 1, batch 1"
+    elif fault == "step overflow":
+        # Weights float32 holds, but an activation of the step overflows it:
+        # numpy warned of that overflow before the step's loss went non-finite.
+        cfg = replace(cfg, learning_rate=1e6)
+        where = "epoch 2, batch 1"
     else:
         monkeypatch.setattr(DitDenoiser, "loss_and_grads", fourth_step_fails)
         where = "epoch 2, batch 1"
